@@ -1,7 +1,10 @@
 """Command-line interface: file ingestion, solving, checking, experiments.
 
 Exit codes: 0 = success / property holds, 1 = checked and false (invalid
-coloring, bound violated), 2 = error or undecided within budget.
+coloring, bound violated), 2 = error or undecided within budget.  Errors
+include bad input, a zero or negative solver budget, an internal check that
+failed, a search too deep for the interpreter's recursion limit, and a
+closed stdout.
 """
 
 from __future__ import annotations
@@ -13,15 +16,13 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations
 from multiprocessing import Pool
 
 from . import coloring as ck
 from . import graph as gc
-from .colorer import ColoringReport, choose_palette, color_graph
-from .density import mad_witness, planar_girth_bound
-from .density import mad_exact
+from .colorer import choose_palette, color_graph
+from .density import mad_exact, mad_witness
 from .graph import Graph, girth, load_graph
 from .solver import SolveBudget, chi_a_exact
 from .structure import (
@@ -53,16 +54,21 @@ def generate_sparse(n: int, m: int, seed: int) -> Graph:
 
 
 def default_budget(args) -> SolveBudget:
-    nodes = getattr(args, "budget_nodes", None) \
-        or int(os.environ.get("AECOLOR_BUDGET_NODES", 0)) or 200_000_000
-    secs = getattr(args, "budget_secs", None) \
-        or float(os.environ.get("AECOLOR_BUDGET_SECS", 0)) or 600.0
+    """Limits from the flags, else the environment, else SolveBudget's
+    defaults.  A zero or negative limit raises ValueError."""
+    nodes = args.budget_nodes
+    if nodes is None:
+        nodes = int(os.environ.get("AECOLOR_BUDGET_NODES", SolveBudget.max_nodes))
+    secs = args.budget_secs
+    if secs is None:
+        secs = float(os.environ.get("AECOLOR_BUDGET_SECS", SolveBudget.max_seconds))
     return SolveBudget(nodes, secs)
 
 
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed stdout fails here, inside main's handlers
 
 
 def _coloring_triples(g: Graph, c: ck.EdgeColoring) -> list[list[int]]:
@@ -364,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="constructive acyclic coloring")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--move-budget", type=int, default=None)
     p.add_argument("--no-fallback", action="store_true")
     p.add_argument("--out", default=None, help="write coloring file here")
@@ -408,7 +413,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("experiment needs a name or --config")
     try:
         return args.func(args)
-    except (gc.ParseError, gc.GraphError, ck.ColoringError, ValueError, OSError) as exc:
+    except BrokenPipeError:
+        # the reader closed stdout: nothing can be reported, and the
+        # interpreter's exit flush must not fail again on the dead pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    except (gc.ParseError, gc.GraphError, ck.ColoringError, ValueError, OSError,
+            RecursionError) as exc:
         _emit({"error": str(exc)})
         return EXIT_ERROR
 

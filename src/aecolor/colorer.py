@@ -1,11 +1,12 @@
 """Incremental acyclic edge colorer.
 
 Edges are inserted in reverse deletion order (smallest-last) and each new
-edge is colored by a cascade of moves: direct assignment filtered by the
-two-color cycle check, Kempe component swaps at a blocked endpoint,
-recoloring one incident edge at a low-degree neighbor, and bounded local
-backtracking.  The move set is sound but not complete; an exact-solver
-fallback makes the procedure total when requested.
+edge is colored by a cascade of moves on the ``ColorState`` kernel: direct
+assignment filtered by the kernel's Fact-1 cycle test, Kempe component swaps
+at a blocked endpoint, recoloring one incident edge at a low-degree
+neighbor, and bounded local backtracking.  The move set is sound but not
+complete; an exact-solver fallback makes the procedure total when
+requested.  A finished coloring is re-checked by the independent validator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
-from .coloring import EdgeColoring, has_bichromatic_cycle, is_proper
+from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph
 from .solver import SolveBudget, deletion_edge_order, is_acyclically_k_colorable
 
@@ -31,7 +32,6 @@ class ColoringReport:
     move_counts: dict[str, int]
     moves_spent: int
     trace: list[Move] = field(default_factory=list)
-    guarantee: str = ""
 
 
 def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:
@@ -45,173 +45,37 @@ def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:
     return delta + 2, "no-guarantee"
 
 
-class _Colorer:
-    """Mutable coloring state shared by the move cascade."""
+class _Colorer(ColorState):
+    """The coloring kernel plus the move cascade's budget and move log."""
 
     def __init__(self, g: Graph, k: int, move_budget: int):
-        self.g = g
-        self.k = k
+        super().__init__(g, k)
         self.budget = move_budget
         self.spent = 0
-        self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
-        self.used_mask = [0] * g.n
-        self.assign: dict[int, int] = {}
         self.trace: list[Move] = []
         self.counts = {"assign": 0, "swap": 0, "reassign": 0, "backtrack": 0}
-
-    # -- bookkeeping --------------------------------------------------------
 
     def _tick(self) -> bool:
         self.spent += 1
         return self.spent <= self.budget
 
-    def _set(self, e: int, c: int) -> None:
-        u, v = self.g.edges[e]
-        self.assign[e] = c
-        self.used_mask[u] |= 1 << c
-        self.used_mask[v] |= 1 << c
-        self.col_nbr[u][c] = v
-        self.col_nbr[v][c] = u
-
-    def _unset(self, e: int) -> None:
-        c = self.assign.pop(e)
-        u, v = self.g.edges[e]
-        self.used_mask[u] &= ~(1 << c)
-        self.used_mask[v] &= ~(1 << c)
-        self.col_nbr[u][c] = -1
-        self.col_nbr[v][c] = -1
-
-    def load(self, c: EdgeColoring) -> None:
-        for e, col in c.assignment.items():
-            self._set(e, col)
-
-    def snapshot(self) -> EdgeColoring:
-        return EdgeColoring(self.k, dict(self.assign))
-
-    def colored_degree(self, v: int) -> int:
-        return self.used_mask[v].bit_count()
-
-    # -- cycle checks -------------------------------------------------------
-
-    def _walk_ends_at(self, u: int, v: int, mu: int, gamma: int) -> bool:
-        """Does the maximal (mu,gamma) walk from u's mu-edge end at v via mu?"""
-        cur = self.col_nbr[u][mu]
-        if cur == -1:
-            return False
-        last_is_mu = True
-        while True:
-            if cur == u:
-                return False
-            want = gamma if last_is_mu else mu
-            nxt = self.col_nbr[cur][want]
-            if nxt == -1:
-                return cur == v and last_is_mu
-            cur, last_is_mu = nxt, not last_is_mu
-
-    def blocked(self, u: int, v: int, gamma: int) -> bool:
-        """Fact-1 filter: would coloring uv with gamma close a bichromatic
-        cycle?  Only pairs (gamma, mu) with mu in S_uv and S_vu qualify."""
-        common = self.used_mask[u] & self.used_mask[v]
-        while common:
-            low = common & -common
-            mu = low.bit_length() - 1
-            common ^= low
-            if self._walk_ends_at(u, v, mu, gamma):
-                return True
-        return False
-
-    def _pair_has_cycle(self, a: int, b: int) -> bool:
-        """Scan the (a,b) subgraph for a cycle component."""
-        seen: set[int] = set()
-        for v in range(self.g.n):
-            if v in seen:
-                continue
-            na, nb = self.col_nbr[v][a], self.col_nbr[v][b]
-            if na == -1 or nb == -1:
-                continue
-            # walk one way until a dead end or back to v
-            prev, cur = v, na
-            seen.add(v)
-            closed = False
-            while True:
-                seen.add(cur)
-                prev_col = a if self.col_nbr[cur][a] == prev else b
-                want = b if prev_col == a else a
-                nxt = self.col_nbr[cur][want]
-                if nxt == -1:
-                    break
-                if nxt == v:
-                    closed = True
-                    break
-                prev, cur = cur, nxt
-            if closed:
-                return True
-        return False
-
-    def cycle_touching(self, colors: tuple[int, ...]) -> bool:
-        """Any bichromatic cycle whose pair involves one of these colors."""
-        used = set()
-        for m in self.used_mask:
-            rest = m
-            while rest:
-                low = rest & -rest
-                used.add(low.bit_length() - 1)
-                rest ^= low
-        for a in colors:
-            for b in sorted(used):
-                if b == a:
-                    continue
-                if self._pair_has_cycle(min(a, b), max(a, b)):
-                    return True
-        return False
-
     # -- moves ---------------------------------------------------------------
-
-    def candidates(self, u: int, v: int) -> list[int]:
-        taken = self.used_mask[u] | self.used_mask[v]
-        return [c for c in range(1, self.k + 1) if not taken >> c & 1]
 
     def try_direct(self, e: int) -> bool:
         """M1: lowest free color at both ends passing the cycle filter."""
         u, v = self.g.edges[e]
-        for c in self.candidates(u, v):
+        taken = self.used_mask[u] | self.used_mask[v]
+        for c in range(1, self.k + 1):
+            if taken >> c & 1:
+                continue
             if not self._tick():
                 return False
-            if not self.blocked(u, v, c):
-                self._set(e, c)
+            if not self.closes_cycle(u, v, c):
+                self.set(e, c)
                 self.trace.append(("assign", e, c))
                 self.counts["assign"] += 1
                 return True
         return False
-
-    def _swap_component(self, a: int, b: int, anchor: int) -> list[int] | None:
-        """Swap colors a/b on the maximal (a,b) component through anchor.
-        Returns the edge ids touched, or None for a cycle component."""
-        start_a, start_b = self.col_nbr[anchor][a], self.col_nbr[anchor][b]
-        verts = [anchor]
-        for first in (x for x in (start_a, start_b) if x != -1):
-            prev, cur = anchor, first
-            side = []
-            while cur != -1:
-                if cur == anchor:
-                    return None  # cycle component
-                side.append(cur)
-                prev_col = a if self.col_nbr[cur][a] == prev else b
-                want = b if prev_col == a else a
-                prev, cur = cur, self.col_nbr[cur][want]
-            if first == start_a:
-                verts = list(reversed(side)) + verts
-            else:
-                verts = verts + side
-        # two-phase flip: a vertex inside the path briefly carries both
-        # colors, so unset everything before setting the flipped colors
-        touched = [self.g.edge_id(x, y) for x, y in zip(verts, verts[1:])]
-        flipped = {e: b if self.assign[e] == a else a for e in touched}
-        for e in touched:
-            self._unset(e)
-        for e in touched:
-            self._set(e, flipped[e])
-        return touched
 
     def try_swap_then_direct(self, e: int) -> bool:
         """M2: Kempe-swap two colors at the blocked endpoint of smaller
@@ -219,35 +83,25 @@ class _Colorer:
         u, v = self.g.edges[e]
         anchor, other = sorted((u, v), key=lambda x: (self.g.degree(x), x))
         for w in (anchor, other):
-            present = sorted(
-                c for c in range(1, self.k + 1) if self.used_mask[w] >> c & 1
-            )
+            present = [c for c in range(1, self.k + 1) if self.used_mask[w] >> c & 1]
             for i, a in enumerate(present):
                 for b in present[i + 1:]:
                     if not self._tick():
                         return False
-                    touched = self._swap_component(a, b, w)
+                    touched = self.swap_component(a, b, w)
                     if touched is None:
                         continue
-                    if self.cycle_touching((a, b)):
-                        self._swap_back(touched, a, b)
-                        continue
-                    self.trace.append(("swap", a, b, w))
-                    self.counts["swap"] += 1
-                    if self.try_direct(e):
-                        return True
-                    # keep state consistent for the next attempt
-                    self._swap_back(touched, a, b)
-                    self.trace.pop()
-                    self.counts["swap"] -= 1
+                    # the coloring was acyclic before the swap, so any new
+                    # cycle runs through a flipped edge
+                    if not self.touches_cycle(touched):
+                        self.trace.append(("swap", a, b, w))
+                        self.counts["swap"] += 1
+                        if self.try_direct(e):
+                            return True
+                        self.trace.pop()
+                        self.counts["swap"] -= 1
+                    self.flip(touched, a, b)  # undo before the next attempt
         return False
-
-    def _swap_back(self, touched: list[int], a: int, b: int) -> None:
-        flipped = {e: b if self.assign[e] == a else a for e in touched}
-        for e in touched:
-            self._unset(e)
-        for e in touched:
-            self._set(e, flipped[e])
 
     def try_reassign_then_direct(self, e: int) -> bool:
         """M3: recolor one incident edge at a neighbor of small colored
@@ -256,7 +110,7 @@ class _Colorer:
         for a in sorted((u, v), key=lambda x: (self.g.degree(x), x)):
             for w in sorted(self.g.neighbors(a)):
                 ea = self.g.edge_id(a, w)
-                if ea not in self.assign or self.colored_degree(w) > 3:
+                if not self.assign[ea] or self.used_mask[w].bit_count() > 3:
                     continue
                 old = self.assign[ea]
                 free = ~(self.used_mask[a] | self.used_mask[w])
@@ -265,17 +119,17 @@ class _Colorer:
                         continue
                     if not self._tick():
                         return False
-                    self._unset(ea)
-                    if self.blocked(a, w, c):
-                        self._set(ea, old)
+                    self.unset(ea)
+                    if self.closes_cycle(a, w, c):
+                        self.set(ea, old)
                         continue
-                    self._set(ea, c)
+                    self.set(ea, c)
                     self.trace.append(("reassign", ea, old, c))
                     self.counts["reassign"] += 1
                     if self.try_direct(e):
                         return True
-                    self._unset(ea)
-                    self._set(ea, old)
+                    self.unset(ea)
+                    self.set(ea, old)
                     self.trace.pop()
                     self.counts["reassign"] -= 1
         return False
@@ -287,8 +141,8 @@ class _Colorer:
         for w in (u, v):
             for x in sorted(self.g.neighbors(w)):
                 ee = self.g.edge_id(w, x)
-                if ee in self.assign:
-                    self._unset(ee)
+                if self.assign[ee]:
+                    self.unset(ee)
                     dropped.append(ee)
         self.trace.append(("backtrack", tuple(dropped)))
         self.counts["backtrack"] += 1
@@ -303,9 +157,13 @@ def extend_one_edge(
 
     Runs the M1-M3 cascade (no backtracking at this granularity).  Returns
     the extended coloring and the committed moves, or None when stuck.
+    An input that is not proper and acyclic raises ColoringError: the swap
+    move checks only for cycles through the edges it flips.
     """
     if c.get(uv) is not None:
         raise ValueError(f"edge {uv} is already colored")
+    if has_bichromatic_cycle(g, c) is not None:
+        raise ColoringError("input coloring has a bichromatic cycle")
     engine = _Colorer(g, c.k, move_budget)
     engine.load(c)
     if (
@@ -339,7 +197,7 @@ def color_graph(
     stuck = False
     while pending:
         e = pending.pop()
-        if e in engine.assign:
+        if engine.assign[e]:
             continue
         if engine.spent >= move_budget:
             stuck = True
@@ -356,7 +214,7 @@ def color_graph(
             continue
         stuck = True
         break
-    if not stuck and len(engine.assign) == g.m:
+    if not stuck and all(engine.assign):
         coloring = engine.snapshot()
         _validate(g, coloring)
         return ColoringReport(
@@ -366,7 +224,6 @@ def color_graph(
     if fallback:
         result = is_acyclically_k_colorable(g, k, solve_budget or SolveBudget())
         if result.status == "yes":
-            assert result.coloring is not None
             return ColoringReport(
                 "fallback-success", k, result.coloring,
                 len(result.coloring.colors_used()),
@@ -379,9 +236,9 @@ def color_graph(
 
 
 def _validate(g: Graph, c: EdgeColoring) -> None:
-    assert c.is_total(g)
-    assert is_proper(g, c)
-    assert has_bichromatic_cycle(g, c) is None
+    # has_bichromatic_cycle also raises on an improper coloring
+    if not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
+        raise ColoringError("move cascade produced an invalid coloring")
 
 
 def replay_trace(g: Graph, k: int, trace: list[Move]) -> EdgeColoring:
@@ -390,16 +247,16 @@ def replay_trace(g: Graph, k: int, trace: list[Move]) -> EdgeColoring:
     for move in trace:
         kind = move[0]
         if kind == "assign":
-            engine._set(move[1], move[2])
+            engine.set(move[1], move[2])
         elif kind == "reassign":
-            engine._unset(move[1])
-            engine._set(move[1], move[3])
+            engine.unset(move[1])
+            engine.set(move[1], move[3])
         elif kind == "swap":
-            touched = engine._swap_component(move[1], move[2], move[3])
-            assert touched is not None
+            if engine.swap_component(move[1], move[2], move[3]) is None:
+                raise ColoringError(f"swap move {move} on a cycle component")
         elif kind == "backtrack":
             for e in move[1]:
-                engine._unset(e)
+                engine.unset(e)
         else:
             raise ValueError(f"unknown move {kind!r}")
     return engine.snapshot()

@@ -1,8 +1,14 @@
-"""Edge-coloring state and two-color (Kempe) machinery.
+"""Edge colorings, the mutable coloring kernel, and the independent validator.
 
 Colors are 1-based integers from the palette {1, ..., k}; 0 means uncolored
-in serialized files.  Colorings are value-semantic: operations return new
-values and never mutate their inputs.
+in serialized files.  ``EdgeColoring`` is a value: the functions taking one
+return new values and never mutate their inputs.  ``ColorState`` is the one
+mutable kernel that the exact solver and the move cascade build on; it holds
+the incremental Fact-1 cycle test and the two-color (Kempe) swap.
+
+``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
+form the validator.  They share no code with ``ColorState``, so every
+coloring the kernel produces is checked by code that did not produce it.
 """
 
 from __future__ import annotations
@@ -30,16 +36,6 @@ class EdgeColoring:
 
     def get(self, e: int) -> int | None:
         return self.assignment.get(e)
-
-    def with_edge(self, e: int, color: int) -> "EdgeColoring":
-        new = dict(self.assignment)
-        new[e] = color
-        return EdgeColoring(self.k, new)
-
-    def without_edge(self, e: int) -> "EdgeColoring":
-        new = dict(self.assignment)
-        new.pop(e, None)
-        return EdgeColoring(self.k, new)
 
     def is_total(self, g: Graph) -> bool:
         return len(self.assignment) == g.m
@@ -204,6 +200,138 @@ def _find_cycle_two_colors(
     return None
 
 
+# --- mutable kernel ----------------------------------------------------------
+
+class ColorState:
+    """Mutable partial coloring of g with palette [1..k].
+
+    ``assign[e]`` is the color of edge e (0 = uncolored), ``col_nbr[v][c]``
+    the neighbor of v across its c-colored edge (-1 = none) and bit c of
+    ``used_mask[v]`` says whether color c is present at v.  The methods keep
+    the three consistent and assume the coloring stays proper.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        self.g = g
+        self.k = k
+        self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
+        self.used_mask = [0] * g.n
+        self.assign = [0] * g.m
+
+    def set(self, e: int, c: int) -> None:
+        u, v = self.g.edges[e]
+        self.assign[e] = c
+        bit = 1 << c
+        self.used_mask[u] |= bit
+        self.used_mask[v] |= bit
+        self.col_nbr[u][c] = v
+        self.col_nbr[v][c] = u
+
+    def unset(self, e: int) -> None:
+        u, v = self.g.edges[e]
+        c = self.assign[e]
+        self.assign[e] = 0
+        bit = 1 << c
+        self.used_mask[u] &= ~bit
+        self.used_mask[v] &= ~bit
+        self.col_nbr[u][c] = -1
+        self.col_nbr[v][c] = -1
+
+    def load(self, c: EdgeColoring) -> None:
+        for e, col in c.assignment.items():
+            self.set(e, col)
+
+    def snapshot(self) -> EdgeColoring:
+        return EdgeColoring(self.k, {e: c for e, c in enumerate(self.assign) if c})
+
+    def walk_ends_at(self, u: int, v: int, mus: int, gamma: int) -> bool:
+        """Fact 1: for some color mu in the bitmask ``mus`` (each present at
+        u, none equal to gamma), does the maximal (mu,gamma) path leaving u
+        on its mu-edge end at v, arriving on a mu-edge?
+
+        When gamma is free at u and v and ``mus`` holds the colors present
+        at both, this is exactly "coloring uv with gamma closes a
+        bichromatic cycle".
+        """
+        col_nbr = self.col_nbr
+        while mus:
+            low = mus & -mus
+            mu = low.bit_length() - 1
+            mus ^= low
+            cur = col_nbr[u][mu]
+            want, other = gamma, mu
+            while True:
+                nxt = col_nbr[cur][want]
+                if nxt == -1:
+                    if cur == v and want == gamma:
+                        return True
+                    break
+                if nxt == u:
+                    break  # closed into a cycle through u, not a u..v path
+                cur = nxt
+                want, other = other, want
+        return False
+
+    def closes_cycle(self, u: int, v: int, gamma: int) -> bool:
+        """Would coloring the uncolored edge uv with gamma, a color free at
+        both ends, close a bichromatic cycle?"""
+        return self.walk_ends_at(u, v, self.used_mask[u] & self.used_mask[v], gamma)
+
+    def touches_cycle(self, edges: list[int]) -> bool:
+        """Does some edge in ``edges`` lie on a bichromatic cycle?
+
+        Uncolors each edge in turn and asks whether putting its color back
+        closes a cycle.  Right after a swap of an acyclic coloring, every
+        new cycle contains a flipped edge, so passing the swap's touched
+        edges decides whether the whole coloring is still acyclic.
+        """
+        for e in edges:
+            u, v = self.g.edges[e]
+            c = self.assign[e]
+            self.unset(e)
+            closes = self.closes_cycle(u, v, c)
+            self.set(e, c)
+            if closes:
+                return True
+        return False
+
+    def flip(self, touched: list[int], a: int, b: int) -> None:
+        """Exchange colors a and b on the given edges.  Two phases: a vertex
+        inside a path briefly carries both colors, so every edge is uncolored
+        before any flipped color is set."""
+        flipped = [b if self.assign[e] == a else a for e in touched]
+        for e in touched:
+            self.unset(e)
+        for e, c in zip(touched, flipped):
+            self.set(e, c)
+
+    def swap_component(self, a: int, b: int, anchor: int) -> list[int] | None:
+        """Kempe swap: exchange a and b on the maximal (a,b) component
+        through anchor.  Returns the edge ids touched, or None (and changes
+        nothing) when the component is a cycle."""
+        touched = []
+        for first, then in ((a, b), (b, a)):
+            prev, cur, want = anchor, self.col_nbr[anchor][first], then
+            while cur != -1:
+                if cur == anchor:
+                    return None  # cycle component
+                touched.append(self.g.edge_id(prev, cur))
+                prev, cur = cur, self.col_nbr[cur][want]
+                want = a if want == b else b
+        self.flip(touched, a, b)
+        return touched
+
+
+def _loaded_state(g: Graph, c: EdgeColoring, alpha: int, beta: int) -> ColorState:
+    if alpha == beta:
+        raise ColoringError("the two colors must differ")
+    if not (1 <= alpha <= c.k and 1 <= beta <= c.k):
+        raise ColoringError(f"colors {alpha}, {beta} outside [1..{c.k}]")
+    state = ColorState(g, c.k)
+    state.load(c)
+    return state
+
+
 def exists_critical_path(
     g: Graph, c: EdgeColoring, alpha: int, beta: int, u: int, v: int
 ) -> bool:
@@ -214,21 +342,8 @@ def exists_critical_path(
     The path must actually end at v: if it passes through v and continues,
     there is no critical path.
     """
-    if alpha == beta:
-        raise ColoringError("the two path colors must differ")
-    at_u = _color_at(g, c, u)
-    if alpha not in at_u:
-        return False
-    cur = at_u[alpha]
-    last_col = alpha
-    while True:
-        if cur == u:
-            return False  # closed into a cycle, not a u..v path
-        want = beta if last_col == alpha else alpha
-        nxt = _color_at(g, c, cur).get(want)
-        if nxt is None:
-            return cur == v and last_col == alpha
-        cur, last_col = nxt, want
+    state = _loaded_state(g, c, alpha, beta)
+    return state.walk_ends_at(u, v, state.used_mask[u] & 1 << alpha, beta)
 
 
 def swap_two_colors_on_component(
@@ -239,16 +354,10 @@ def swap_two_colors_on_component(
     Rejects cycle components: swapping a cycle is a no-op that would mask
     caller bugs.
     """
-    trace = trace_bichromatic(g, c, alpha, beta, v)
-    if trace is None:
-        return c
-    if trace.is_cycle:
+    state = _loaded_state(g, c, alpha, beta)
+    if state.swap_component(alpha, beta, v) is None:
         raise ColoringError("refusing to swap colors on a cycle component")
-    new = dict(c.assignment)
-    for x, y in zip(trace.vertices, trace.vertices[1:]):
-        e = g.edge_id(x, y)
-        new[e] = beta if new[e] == alpha else alpha
-    return EdgeColoring(c.k, new)
+    return state.snapshot()
 
 
 # --- coloring file format ---------------------------------------------------

@@ -130,7 +130,8 @@ def density_at_least(g: Graph, target: Fraction) -> tuple[bool, list[int] | None
     if witness is None:
         return False, None
     h = sorted(witness)
-    assert 2 * q * subgraph_edge_count(g, witness) >= p * len(h)
+    if 2 * q * subgraph_edge_count(g, witness) < p * len(h):
+        raise ValueError(f"min-cut witness has density below {target}")
     return True, h
 
 
@@ -184,7 +185,8 @@ def mad_witness(g: Graph) -> tuple[Fraction, list[int]]:
     if g.m == 0:
         return value, []
     ok, witness = density_at_least(g, value)
-    assert ok and witness
+    if not (ok and witness):
+        raise ValueError(f"no witness set reaches the computed mad {value}")
     return value, witness
 
 

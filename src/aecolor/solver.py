@@ -10,10 +10,10 @@ colors, and introducing extra colors in ascending order).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .coloring import EdgeColoring, has_bichromatic_cycle, is_proper
+from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph, delete_edge
 
 
@@ -77,20 +77,15 @@ def deletion_edge_order(g: Graph) -> list[int]:
     return order
 
 
-class _Search:
+class _Search(ColorState):
     """Backtracking over edges in smallest-last insertion order."""
 
     def __init__(self, g: Graph, k: int, budget: SolveBudget,
                  symmetry_break: bool = True):
-        self.g = g
-        self.k = k
+        super().__init__(g, k)
         self.budget = budget
         self.nodes = 0
         self.deadline = time.monotonic() + budget.max_seconds
-        # color -> neighbor maps, 1-based color index; 0 unused
-        self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
-        self.used_mask = [0] * g.n
-        self.assign = [0] * g.m
         self.order = list(reversed(deletion_edge_order(g)))
         self.fixed: dict[int, int] = {}
         self.base_colors = 0
@@ -111,50 +106,6 @@ class _Search:
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _BudgetExhausted
 
-    def _closes_cycle(self, u: int, v: int, gamma: int) -> bool:
-        """Would coloring uv with gamma close a bichromatic cycle?
-
-        By Fact 1 only pairs (gamma, mu) with mu appearing at both u and v
-        can close a new cycle, and they do iff the (mu,gamma) walk from u
-        ends at v via mu.
-        """
-        common = self.used_mask[u] & self.used_mask[v]
-        while common:
-            low = common & -common
-            mu = low.bit_length() - 1
-            common ^= low
-            cur = self.col_nbr[u][mu]
-            last_is_mu = True
-            while True:
-                if cur == v and last_is_mu:
-                    return True
-                want = gamma if last_is_mu else mu
-                nxt = self.col_nbr[cur][want]
-                if nxt == -1:
-                    break
-                cur = nxt
-                last_is_mu = not last_is_mu
-        return False
-
-    def _set(self, e: int, color: int) -> None:
-        u, v = self.g.edges[e]
-        self.assign[e] = color
-        bit = 1 << color
-        self.used_mask[u] |= bit
-        self.used_mask[v] |= bit
-        self.col_nbr[u][color] = v
-        self.col_nbr[v][color] = u
-
-    def _unset(self, e: int) -> None:
-        u, v = self.g.edges[e]
-        color = self.assign[e]
-        self.assign[e] = 0
-        bit = 1 << color
-        self.used_mask[u] &= ~bit
-        self.used_mask[v] &= ~bit
-        self.col_nbr[u][color] = -1
-        self.col_nbr[v][color] = -1
-
     def solve(self) -> SolveResult:
         try:
             found = self._extend(0, self.base_colors)
@@ -162,8 +113,7 @@ class _Search:
             return SolveResult("unknown", None, self.nodes)
         if not found:
             return SolveResult("no", None, self.nodes)
-        coloring = EdgeColoring(self.k, {e: c for e, c in enumerate(self.assign) if c})
-        return SolveResult("yes", coloring, self.nodes)
+        return SolveResult("yes", self.snapshot(), self.nodes)
 
     def _extend(self, idx: int, max_used: int) -> bool:
         if idx == len(self.order):
@@ -177,38 +127,40 @@ class _Search:
             # colors above max_used are interchangeable: try only the first
             limit = min(self.k, max_used + 1)
             colors = [c for c in range(1, limit + 1) if not taken >> c & 1]
+        common = self.used_mask[u] & self.used_mask[v]
         for c in colors:
             self._tick()
-            if self._closes_cycle(u, v, c):
+            if self.walk_ends_at(u, v, common, c):
                 continue
-            self._set(e, c)
+            self.set(e, c)
             if self._extend(idx + 1, max(max_used, c)):
                 return True
-            self._unset(e)
+            self.unset(e)
         return False
 
-    def enumerate(self) -> Iterator[dict[int, int]]:
+    def enumerate(self) -> Iterator[EdgeColoring]:
         """Yield every total acyclic k-coloring (no symmetry breaking)."""
         if self.fixed:
             raise ValueError("enumerate requires symmetry_break=False")
         yield from self._enum(0)
 
-    def _enum(self, idx: int) -> Iterator[dict[int, int]]:
+    def _enum(self, idx: int) -> Iterator[EdgeColoring]:
         if idx == len(self.order):
-            yield {e: c for e, c in enumerate(self.assign) if c}
+            yield self.snapshot()
             return
         e = self.order[idx]
         u, v = self.g.edges[e]
         taken = self.used_mask[u] | self.used_mask[v]
+        common = self.used_mask[u] & self.used_mask[v]
         for c in range(1, self.k + 1):
             if taken >> c & 1:
                 continue
             self._tick()
-            if self._closes_cycle(u, v, c):
+            if self.walk_ends_at(u, v, common, c):
                 continue
-            self._set(e, c)
+            self.set(e, c)
             yield from self._enum(idx + 1)
-            self._unset(e)
+            self.unset(e)
 
 
 def is_acyclically_k_colorable(
@@ -216,9 +168,9 @@ def is_acyclically_k_colorable(
 ) -> SolveResult:
     """Decide whether g admits a total acyclic edge k-coloring.
 
-    "yes" answers carry a coloring re-validated through the coloring kernel;
-    "no" means the search space was exhausted; "unknown" means the budget
-    ran out before a decision.
+    "yes" answers carry a coloring re-checked by the independent validator
+    (an invalid one raises ColoringError); "no" means the search space was
+    exhausted; "unknown" means the budget ran out before a decision.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -228,10 +180,10 @@ def is_acyclically_k_colorable(
         return SolveResult("no", None, 0)  # below the proper-coloring bound
     result = _Search(g, k, budget).solve()
     if result.status == "yes":
-        assert result.coloring is not None
-        assert result.coloring.is_total(g)
-        assert is_proper(g, result.coloring)
-        assert has_bichromatic_cycle(g, result.coloring) is None
+        c = result.coloring
+        # has_bichromatic_cycle also raises on an improper coloring
+        if c is None or not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
+            raise ColoringError(f"exact search returned an invalid {k}-coloring")
     return result
 
 
@@ -239,9 +191,7 @@ def enumerate_acyclic_colorings(
     g: Graph, k: int, budget: SolveBudget = SolveBudget()
 ) -> Iterator[EdgeColoring]:
     """All total acyclic k-colorings of g, without symmetry breaking."""
-    search = _Search(g, k, budget, symmetry_break=False)
-    for assignment in search.enumerate():
-        yield EdgeColoring(k, assignment)
+    yield from _Search(g, k, budget, symmetry_break=False).enumerate()
 
 
 @dataclass
@@ -263,7 +213,6 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget()) -> ChiAResult:
         result = is_acyclically_k_colorable(g, k, budget)
         total_nodes += result.nodes
         if result.status == "yes":
-            assert k >= g.max_degree()
             return ChiAResult(k, k, result.coloring, total_nodes)
         if result.status == "unknown":
             return ChiAResult(None, k - 1, None, total_nodes)

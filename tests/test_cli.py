@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import aecolor
 
 from aecolor.cli import (
     ExperimentConfig,
@@ -222,3 +227,35 @@ def test_experiment_workers_preserve_order():
 
     assert strip_timing(run_experiment(cfg1)["records"]) == \
         strip_timing(run_experiment(cfg2)["records"])
+
+
+@pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-secs"])
+def test_zero_budget_exit_2(tmp_path, capsys, flag):
+    path = write_graph(tmp_path, cycle(5))
+    code, payload = run(capsys, ["chi-a", path, flag, "0"])
+    assert code == 2
+    assert "budget" in payload["error"]
+
+
+def test_deep_search_exit_2(tmp_path, capsys):
+    # the recursive exact search exceeds the interpreter's recursion limit
+    path = write_graph(tmp_path, cycle(1200))
+    code, payload = run(capsys, ["chi-a", path])
+    assert code == 2
+    assert "recursion" in payload["error"]
+
+
+def test_closed_stdout_exit_2_quietly(tmp_path):
+    path = write_graph(tmp_path, cycle(5))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    src = os.path.dirname(os.path.dirname(aecolor.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "aecolor.cli", "mad", path],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""

@@ -11,14 +11,16 @@ from aecolor.colorer import (
     replay_trace,
 )
 from aecolor.coloring import (
+    ColoringError,
     EdgeColoring,
     has_bichromatic_cycle,
     is_proper,
     trace_bichromatic,
 )
 from aecolor.density import mad_exact
+from aecolor.graph import build_graph
 from aecolor.solver import chi_a_exact
-from conftest import complete, cube, cycle, petersen, random_graph
+from conftest import complete, cube, cycle, path, petersen, random_graph
 
 
 def sparse_random_graph(rng, n):
@@ -101,6 +103,20 @@ def test_extend_one_edge_rejects_colored_edge():
         extend_one_edge(g, c, 0)
 
 
+def test_extend_one_edge_rejects_cyclic_input():
+    # C4 colored 1,2,1,2 is a bichromatic cycle; the pendant edge 4 is free
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2})
+    with pytest.raises(ColoringError, match="bichromatic cycle"):
+        extend_one_edge(g, c, 4)
+
+
+def test_extend_one_edge_rejects_improper_input():
+    g = path(4)
+    with pytest.raises(ColoringError, match="not proper"):
+        extend_one_edge(g, EdgeColoring(3, {0: 1, 1: 1}), 2)
+
+
 def test_extend_one_edge_stuck_with_two_colors():
     # with only two colors the last C4 edge cannot be placed
     g = cycle(4)
@@ -111,14 +127,14 @@ def test_extend_one_edge_stuck_with_two_colors():
 def _blocked_brute(g, c, e, color):
     """Full-scan oracle for the incremental cycle filter: color the edge,
     then run the from-scratch bichromatic cycle detector."""
-    trial = c.with_edge(e, color)
+    trial = EdgeColoring(c.k, {**c.assignment, e: color})
     return has_bichromatic_cycle(g, trial) is not None
 
 
 def test_direct_filter_matches_full_scan():
-    """The Fact-1 walk used inside the move engine must agree with the
-    exhaustive cycle detector on every candidate color of every next edge."""
-    from aecolor.colorer import _Colorer
+    """The kernel's Fact-1 walk must agree with the exhaustive cycle
+    detector on every candidate color of every next edge."""
+    from aecolor.coloring import ColorState
     from aecolor.solver import deletion_edge_order
 
     rng = random.Random(31)
@@ -127,14 +143,27 @@ def test_direct_filter_matches_full_scan():
         m = rng.randint(3, min(2 * n, n * (n - 1) // 2))
         g = random_graph(rng, n, m)
         k = g.max_degree() + 2
-        engine = _Colorer(g, k, move_budget=10**9)
+        state = ColorState(g, k)
         for e in reversed(deletion_edge_order(g)):
             u, v = g.edges[e]
-            snapshot = engine.snapshot()
-            for c in engine.candidates(u, v):
-                assert engine.blocked(u, v, c) == _blocked_brute(g, snapshot, e, c)
-            if not engine.try_direct(e):
+            snapshot = state.snapshot()
+            common = state.used_mask[u] & state.used_mask[v]
+            open_colors = []
+            for c in range(1, k + 1):
+                if (state.used_mask[u] | state.used_mask[v]) >> c & 1:
+                    continue
+                closes = state.closes_cycle(u, v, c)
+                assert closes == _blocked_brute(g, snapshot, e, c)
+                # one walk per common color decides the same as the mask
+                assert closes == any(
+                    state.walk_ends_at(u, v, 1 << mu, c)
+                    for mu in range(1, k + 1) if common >> mu & 1
+                )
+                if not closes:
+                    open_colors.append(c)
+            if not open_colors:
                 break
+            state.set(e, rng.choice(open_colors))
 
 
 def test_replay_assign_only_trace():

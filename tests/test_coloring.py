@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+import aecolor.coloring
 from aecolor.coloring import (
     ColoringError,
+    ColorState,
     EdgeColoring,
     color_sets,
     exists_critical_path,
@@ -156,6 +158,15 @@ def test_critical_path_no_alpha_at_start():
     assert not exists_critical_path(g, c, 1, 2, 0, 3)
 
 
+def test_two_color_helpers_reject_colors_outside_palette():
+    g = path(3)
+    c = EdgeColoring(2, {0: 1, 1: 2})
+    with pytest.raises(ColoringError, match="outside"):
+        exists_critical_path(g, c, 1, 3, 0, 2)
+    with pytest.raises(ColoringError, match="outside"):
+        swap_two_colors_on_component(g, c, 1, 3, 0)
+
+
 def test_swap_single_edge():
     g = path(2)
     c = EdgeColoring(3, {0: 1})
@@ -255,6 +266,65 @@ def test_cycle_scan_agrees_with_pairwise_brute_force():
                 if t is not None and t.is_cycle:
                     brute = True
         assert (has_bichromatic_cycle(g, c) is not None) == brute
+
+
+def random_acyclic_state(rng, g, k):
+    """ColorState holding a random acyclic partial coloring: edges in random
+    order, each given a random color that keeps the coloring acyclic."""
+    state = ColorState(g, k)
+    for e in rng.sample(range(g.m), g.m):
+        u, v = g.edges[e]
+        taken = state.used_mask[u] | state.used_mask[v]
+        ok = [c for c in range(1, k + 1)
+              if not taken >> c & 1 and not state.closes_cycle(u, v, c)]
+        if ok:
+            state.set(e, rng.choice(ok))
+    return state
+
+
+def test_post_swap_check_matches_full_scan():
+    """After a Kempe swap of an acyclic coloring, checking only the flipped
+    edges decides acyclicity exactly as the from-scratch detector does."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(4, 14)
+        m = rng.randint(3, min(3 * n, n * (n - 1) // 2))
+        g = random_graph(rng, n, m)
+        k = max(g.max_degree(), 2) + rng.randint(0, 1)
+        state = random_acyclic_state(rng, g, k)
+        for _ in range(10):
+            a, b = rng.sample(range(1, k + 1), 2)
+            anchor = rng.randrange(g.n)
+            before = list(state.assign)
+            touched = state.swap_component(a, b, anchor)
+            assert touched is not None  # acyclic: no cycle component
+            local = state.touches_cycle(touched)
+            full = has_bichromatic_cycle(g, state.snapshot()) is not None
+            assert local == full
+            seen.add(local)
+            state.flip(touched, a, b)
+            assert state.assign == before
+    assert seen == {True, False}
+
+
+def test_validator_does_not_use_the_kernel(monkeypatch):
+    """has_bichromatic_cycle stays an independent oracle: it answers
+    correctly even when every ColorState method raises."""
+    def broken(*args, **kwargs):
+        raise AssertionError("validator reached ColorState")
+
+    for name, attr in list(vars(ColorState).items()):
+        if callable(attr):
+            monkeypatch.setattr(ColorState, name, broken)
+    monkeypatch.setattr(aecolor.coloring, "ColorState", broken)
+    g, c = colored_cycle(6, [1, 2, 1, 2, 1, 2])
+    assert has_bichromatic_cycle(g, c) is not None
+    g, c = colored_cycle(6, [1, 2, 1, 2, 1, 3])
+    assert has_bichromatic_cycle(g, c) is None
+    assert trace_bichromatic(g, c, 1, 2, 0) is not None
+    with pytest.raises(ColoringError, match="not proper"):
+        has_bichromatic_cycle(path(3), EdgeColoring(2, {0: 1, 1: 1}))
 
 
 def test_coloring_file_roundtrip():

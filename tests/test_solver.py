@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import aecolor
 
 from aecolor.coloring import has_bichromatic_cycle, is_proper
 from aecolor.graph import delete_edge
@@ -143,3 +148,31 @@ def test_enumeration_matches_decision():
 
 def test_lower_bound_delta():
     assert is_acyclically_k_colorable(complete(5), 3).status == "no"
+
+
+FORCED_BAD_RESULT = """
+import sys
+from aecolor import solver
+from aecolor.coloring import ColoringError, EdgeColoring
+from aecolor.graph import build_graph
+
+# C4 colored 1,2,1,2 is proper and total but one bichromatic cycle
+bad = EdgeColoring(2, {0: 1, 1: 2, 2: 1, 3: 2})
+solver._Search.solve = lambda self: solver.SolveResult("yes", bad)
+g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+try:
+    solver.is_acyclically_k_colorable(g, 2)
+except ColoringError:
+    sys.exit(0 if sys.flags.optimize else 3)
+sys.exit(1)
+"""
+
+
+def test_invalid_search_result_rejected_under_python_O():
+    """The post-check on "yes" answers is an explicit raise, so it still
+    runs when the interpreter strips assert statements."""
+    src = os.path.dirname(os.path.dirname(aecolor.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", FORCED_BAD_RESULT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
