@@ -229,8 +229,9 @@ def color_graph(
                 len(result.coloring.colors_used()),
                 dict(engine.counts), engine.spent, engine.trace,
             )
+    partial = engine.snapshot()
     return ColoringReport(
-        "failure", k, engine.snapshot(), len(engine.snapshot().colors_used()),
+        "failure", k, partial, len(partial.colors_used()),
         dict(engine.counts), engine.spent, engine.trace,
     )
 

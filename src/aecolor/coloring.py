@@ -167,18 +167,34 @@ def _bichrom_nbrs(g: Graph, c: EdgeColoring, v: int, a: int, b: int) -> list[int
 def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     """Some bichromatic cycle if one exists; None means the coloring is acyclic.
 
-    Rejects improper colorings, naming the violating vertex.
+    Rejects improper colorings, naming the violating vertex.  A union-find
+    (path halving) per color pair finds the first pair with a cycle in O(k*m).
     """
     bad = properness_violation(g, c)
     if bad is not None:
         raise ColoringError(f"coloring is not proper at vertex {bad}")
-    used = sorted(c.colors_used())
+    by_color: dict[int, list[tuple[int, int]]] = {}
+    for e, col in c.assignment.items():
+        by_color.setdefault(col, []).append(g.edges[e])
+    used = sorted(by_color)
     for i, a in enumerate(used):
         for b in used[i + 1:]:
-            cyc = _find_cycle_two_colors(g, c, a, b)
-            if cyc is not None:
-                return cyc
+            if _has_cycle(by_color[a] + by_color[b]):
+                return _find_cycle_two_colors(g, c, a, b)
     return None
+
+
+def _has_cycle(edges: list[tuple[int, int]]) -> bool:
+    root: dict[int, int] = {}
+    for u, v in edges:
+        while root.get(u, u) != u:
+            root[u] = u = root.get(root[u], root[u])
+        while root.get(v, v) != v:
+            root[v] = v = root.get(root[v], root[v])
+        if u == v:
+            return True
+        root[u] = v
+    return False
 
 
 def _find_cycle_two_colors(
@@ -376,13 +392,19 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
         if parts[0] == "k":
             if len(parts) != 2:
                 raise ColoringError(f"line {lineno}: expected 'k <K>'")
-            k = int(parts[1])
+            try:
+                k = int(parts[1])
+            except ValueError:
+                raise ColoringError(f"line {lineno}: non-integer palette size") from None
         else:
             if k is None:
                 raise ColoringError(f"line {lineno}: edge line before 'k' header")
             if len(parts) != 3:
                 raise ColoringError(f"line {lineno}: expected '<u> <v> <color>'")
-            u, v, col = int(parts[0]), int(parts[1]), int(parts[2])
+            try:
+                u, v, col = map(int, parts)
+            except ValueError:
+                raise ColoringError(f"line {lineno}: non-integer in edge line") from None
             try:
                 e = g.edge_id(u, v)
             except GraphError:

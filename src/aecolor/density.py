@@ -135,48 +135,21 @@ def density_at_least(g: Graph, target: Fraction) -> tuple[bool, list[int] | None
     return True, h
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Rational with the smallest denominator in the closed interval [lo, hi],
-    by continued-fraction (Stern-Brocot mediant) descent."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    floor_lo = lo.numerator // lo.denominator
-    if floor_lo + (lo > floor_lo) <= hi:
-        # an integer lies in the interval
-        return Fraction(floor_lo + (1 if lo > floor_lo else 0))
-    frac = _simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / frac
-
-
 def mad_exact(g: Graph) -> Fraction:
-    """Exact maximum average degree max_H 2|E(H)|/|V(H)|.
-
-    Binary search on the density threshold until the bracket is shorter than
-    the 1/n^2 gap between distinct achievable densities, then round to the
-    unique denominator-<=n rational via mediants.
-    """
+    """Exact maximum average degree max_H 2|E(H)|/|V(H)| by Dinkelbach's
+    iteration on Goldberg's cut: from lambda = 2m/n, jump to the density of
+    the min-cut source side H, which maximizes 2q*e(H) - p*|H| at lambda =
+    p/q, until no set is denser.  Each lambda is the density of one of the
+    finitely many vertex sets and strictly increases (checked), so it ends."""
     if g.m == 0:
         return Fraction(0)
-    n = g.n
-    lo = Fraction(2 * g.m, n)  # achieved by H = V
-    hi = Fraction(g.max_degree())
-    if density_at_least(g, hi)[0]:
-        return hi
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        if density_at_least(g, mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    # mad lies in [lo, hi); peel off hi if the mediant rounding lands on it
-    while True:
-        cand = _simplest_between(lo, hi)
-        if density_at_least(g, cand)[0]:
-            return cand
-        hi = cand
+    lam = Fraction(2 * g.m, g.n)
+    while (h := _density_exceeds(g, lam.numerator, lam.denominator)) is not None:
+        nxt = Fraction(2 * subgraph_edge_count(g, h), len(h)) if h else lam
+        if nxt <= lam:
+            raise ValueError(f"min-cut witness is not denser than {lam}")
+        lam = nxt
+    return lam
 
 
 def mad_witness(g: Graph) -> tuple[Fraction, list[int]]:

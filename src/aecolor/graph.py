@@ -39,9 +39,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(a) for a in self._adj), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_id
 

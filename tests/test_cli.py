@@ -91,6 +91,20 @@ def test_check_improper_exit_1(tmp_path, capsys):
     assert payload["reason"] == "not-proper"
 
 
+@pytest.mark.parametrize("text, line, what", [
+    ("k x\n0 1 1\n", 1, "palette size"),
+    ("k 3\n0 1 1\n1 2 x\n", 3, "edge line"),
+])
+def test_check_non_integer_coloring_exit_2(tmp_path, capsys, text, line, what):
+    gp = write_graph(tmp_path, cycle(4))
+    cp = tmp_path / "c.txt"
+    cp.write_text(text)
+    code, payload = run(capsys, ["check", gp, str(cp)])
+    assert code == 2
+    assert payload["error"].startswith(f"line {line}: non-integer")
+    assert what in payload["error"]
+
+
 def test_malformed_graph_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("p 3 1\ne 0 zero\n")

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from aecolor.colorer import (
@@ -174,21 +176,32 @@ def test_replay_assign_only_trace():
     assert replayed.assignment == report.coloring.assignment
 
 
+def random_regular_graph(rng, d, n):
+    g = nx.random_regular_graph(d, n, seed=rng.randrange(2**31))
+    return build_graph(n, sorted(g.edges()))
+
+
 def test_replay_random_traces():
     rng = random.Random(33)
-    replayed_swaps = 0
-    for _ in range(60):
-        g = sparse_random_graph(rng, rng.randint(6, 20))
-        k = g.max_degree() + 2
+    corpus = [
+        (g, g.max_degree() + 2)
+        for g in (sparse_random_graph(rng, rng.randint(6, 20)) for _ in range(60))
+    ]
+    # at Delta+1, random 4- and 5-regular graphs need swaps and reassigns
+    corpus += [
+        (random_regular_graph(rng, d, n), d + 1)
+        for d in (4, 5) for n in (12, 16, 20) for _ in range(4)
+    ]
+    replayed = Counter()
+    for g, k in corpus:
         report = color_graph(g, k, fallback=False)
         if report.outcome != "success":
             continue
-        replayed = replay_trace(g, k, report.trace)
-        assert replayed.assignment == report.coloring.assignment
-        if report.move_counts["swap"] or report.move_counts["reassign"]:
-            replayed_swaps += 1
-    # the corpus should exercise the non-trivial moves at least once
-    assert replayed_swaps >= 0
+        assert replay_trace(g, k, report.trace).assignment == report.coloring.assignment
+        replayed.update({move[0] for move in report.trace})
+    # the corpus must exercise the non-trivial moves, not only assignments
+    assert replayed["swap"] >= 1
+    assert replayed["reassign"] >= 1
 
 
 def test_success_colorings_always_validate():
@@ -236,7 +249,6 @@ def test_move_counts_match_trace():
         report = color_graph(g, g.max_degree() + 2, fallback=False)
         if report.outcome != "success":
             continue
-        from collections import Counter
         counted = Counter(move[0] for move in report.trace)
         for kind, cnt in report.move_counts.items():
             assert counted.get(kind, 0) == cnt

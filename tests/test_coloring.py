@@ -15,6 +15,7 @@ from aecolor.coloring import (
     is_proper,
     parse_coloring,
     swap_two_colors_on_component,
+    _find_cycle_two_colors,
     trace_bichromatic,
 )
 from aecolor.graph import build_graph
@@ -306,6 +307,40 @@ def test_post_swap_check_matches_full_scan():
             state.flip(touched, a, b)
             assert state.assign == before
     assert seen == {True, False}
+
+
+def test_union_find_validator_matches_pairwise_trace_scan():
+    """has_bichromatic_cycle returns the trace that scanning every color
+    pair in order with _find_cycle_two_colors returns, on random proper
+    colorings, partial and total, cyclic and acyclic."""
+    rng = random.Random(43)
+    verdicts = set()
+    for i in range(300):
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.randint(1, min(3 * n, n * (n - 1) // 2)))
+        k = max(g.max_degree(), 2) + rng.randint(0, 2)
+        if i % 3 == 0:
+            c = random_acyclic_state(rng, g, k).snapshot()
+        else:
+            # random free color per edge; an edge with none stays uncolored
+            used = [set() for _ in range(g.n)]
+            assignment = {}
+            for e in rng.sample(range(g.m), g.m):
+                u, v = g.edges[e]
+                free = [x for x in range(1, k + 1) if x not in used[u] | used[v]]
+                if free:
+                    assignment[e] = col = rng.choice(free)
+                    used[u].add(col)
+                    used[v].add(col)
+            c = EdgeColoring(k, assignment)
+        scan = None
+        for a, b in combinations(sorted(c.colors_used()), 2):
+            scan = _find_cycle_two_colors(g, c, a, b)
+            if scan is not None:
+                break
+        assert has_bichromatic_cycle(g, c) == scan
+        verdicts.add(scan is None)
+    assert verdicts == {True, False}
 
 
 def test_validator_does_not_use_the_kernel(monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecolor import density
+from aecolor.cli import generate_sparse
 from aecolor.density import (
     density_at_least,
     mad_brute,
@@ -148,3 +150,31 @@ def test_mad_flow_equals_brute_hypothesis(data):
     )
     g = build_graph(n, pairs)
     assert mad_exact(g) == mad_brute(g)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_mad_needs_few_flows_on_sparse_graphs(monkeypatch, n):
+    """Dinkelbach's iteration jumps to the densest violating set, so a
+    sparse uniform graph needs a handful of cuts (bisection needs 17-25)."""
+    calls = []
+    max_flow = density._Dinic.max_flow
+
+    def counted(self, s, t):
+        calls.append(s)
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(density._Dinic, "max_flow", counted)
+    for seed in range(2):
+        calls.clear()
+        g = generate_sparse(n, 3 * n // 2, seed)
+        value = mad_exact(g)
+        assert len(calls) <= 4
+        ok, witness = density_at_least(g, value)
+        assert ok and Fraction(2 * subgraph_edge_count(g, set(witness)), len(witness)) == value
+
+
+def test_mad_rejects_a_witness_that_is_not_denser(monkeypatch):
+    # a cut that keeps returning the whole vertex set would never advance
+    monkeypatch.setattr(density, "_density_exceeds", lambda g, p, q: set(range(g.n)))
+    with pytest.raises(ValueError, match="not denser"):
+        mad_exact(cycle(5))

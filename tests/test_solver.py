@@ -3,15 +3,17 @@ import random
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 import aecolor
 
 from aecolor.coloring import has_bichromatic_cycle, is_proper
-from aecolor.graph import delete_edge
+from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import (
     SolveBudget,
     chi_a_exact,
+    deletion_edge_order,
     enumerate_acyclic_colorings,
     is_acyclically_k_colorable,
     is_critical,
@@ -176,3 +178,52 @@ def test_invalid_search_result_rejected_under_python_O():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def _deletion_order_scan(g):
+    """The definition, scanned directly in O(m*(n+m)): the oracle for the
+    heap-based deletion_edge_order."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.m
+    order = []
+    for _ in range(g.m):
+        v = min((x for x in range(g.n) if deg[x] > 0), key=lambda x: (deg[x], x))
+        e = min(e for e in range(g.m) if alive[e] and v in g.edges[e])
+        alive[e] = False
+        for w in g.edges[e]:
+            deg[w] -= 1
+        order.append(e)
+    return order
+
+
+def _order_corpus(rng):
+    yield build_graph(0, [])
+    yield build_graph(6, [])
+    for _ in range(150):  # random graphs, many with isolated vertices
+        n = rng.randint(1, 16)
+        yield random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+    for _ in range(120):  # forests: random parents, some vertices roots
+        n = rng.randint(1, 30)
+        pairs = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        rng.shuffle(pairs)
+        yield build_graph(n, pairs)
+    for _ in range(120):  # regular graphs, edges listed in random order
+        d = rng.randint(1, 6)
+        n = rng.randint(d + 1, 24)
+        if n * d % 2:
+            n += 1
+        pairs = list(nx.random_regular_graph(d, n, seed=rng.randrange(2**31)).edges())
+        rng.shuffle(pairs)
+        yield build_graph(n, pairs)
+    for _ in range(110):  # sparse graphs with m about 1.5n
+        n = rng.randint(10, 60)
+        yield random_graph(rng, n, 3 * n // 2)
+
+
+def test_deletion_order_matches_scan():
+    rng = random.Random(41)
+    graphs = 0
+    for g in _order_corpus(rng):
+        assert deletion_edge_order(g) == _deletion_order_scan(g)
+        graphs += 1
+    assert graphs >= 500
