@@ -126,11 +126,11 @@ def cmd_check(args) -> int:
     g = load_graph(args.graph)
     with open(args.coloring, encoding="utf-8") as f:
         c = ck.parse_coloring(f.read(), g)
-    bad = ck.properness_violation(g, c)
-    if bad is not None:
-        _emit({"valid": False, "reason": "not-proper", "vertex": bad})
+    try:
+        cycle = ck.has_bichromatic_cycle(g, c)
+    except ck.ImproperColoringError as exc:
+        _emit({"valid": False, "reason": "not-proper", "vertex": exc.vertex})
         return EXIT_FALSE
-    cycle = ck.has_bichromatic_cycle(g, c)
     if cycle is not None:
         _emit({"valid": False, "reason": "bichromatic-cycle",
                "colors": list(cycle.colors), "vertices": list(cycle.vertices)})

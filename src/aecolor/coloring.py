@@ -22,6 +22,14 @@ class ColoringError(ValueError):
     pass
 
 
+class ImproperColoringError(ColoringError):
+    """A coloring gives two edges at ``vertex`` the same color."""
+
+    def __init__(self, vertex: int):
+        super().__init__(f"coloring is not proper at vertex {vertex}")
+        self.vertex = vertex
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Partial assignment of palette colors to edge ids."""
@@ -78,17 +86,26 @@ def is_proper(g: Graph, c: EdgeColoring) -> bool:
 
 
 def properness_violation(g: Graph, c: EdgeColoring) -> int | None:
-    """Return a vertex with two same-colored incident edges, or None."""
-    for v in range(g.n):
-        seen: set[int] = set()
-        for w in g.neighbors(v):
-            col = c.get(g.edge_id(v, w))
-            if col is None:
-                continue
-            if col in seen:
-                return v
-            seen.add(col)
-    return None
+    """Return the lowest vertex with two same-colored incident edges, or None.
+
+    One pass over the colored edges, remembering each (vertex, color) pair
+    seen.  Raises ColoringError on an edge id outside [0..m-1].
+    """
+    edges = g.edges
+    m = len(edges)
+    span = c.k + 1  # vertex x with color col is the key x * span + col
+    seen: set[int] = set()
+    bad = None
+    for e, col in c.assignment.items():
+        if not 0 <= e < m:
+            raise ColoringError(f"edge id {e} outside [0..{m - 1}]")
+        for x in edges[e]:
+            key = x * span + col
+            if key not in seen:
+                seen.add(key)
+            elif bad is None or x < bad:
+                bad = x
+    return bad
 
 
 def color_sets(g: Graph, c: EdgeColoring, v: int, uv: int | None = None) -> ColorSets:
@@ -167,12 +184,14 @@ def _bichrom_nbrs(g: Graph, c: EdgeColoring, v: int, a: int, b: int) -> list[int
 def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     """Some bichromatic cycle if one exists; None means the coloring is acyclic.
 
-    Rejects improper colorings, naming the violating vertex.  A union-find
-    (path halving) per color pair finds the first pair with a cycle in O(k*m).
+    Rejects an improper coloring with ImproperColoringError, naming the
+    vertex ``properness_violation`` returns, and an edge id outside
+    [0..m-1] with ColoringError.  A union-find (path halving) per color pair
+    finds the first pair with a cycle in O(k*m).
     """
     bad = properness_violation(g, c)
     if bad is not None:
-        raise ColoringError(f"coloring is not proper at vertex {bad}")
+        raise ImproperColoringError(bad)
     by_color: dict[int, list[tuple[int, int]]] = {}
     for e, col in c.assignment.items():
         by_color.setdefault(col, []).append(g.edges[e])

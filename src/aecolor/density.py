@@ -135,32 +135,47 @@ def density_at_least(g: Graph, target: Fraction) -> tuple[bool, list[int] | None
     return True, h
 
 
-def mad_exact(g: Graph) -> Fraction:
-    """Exact maximum average degree max_H 2|E(H)|/|V(H)| by Dinkelbach's
-    iteration on Goldberg's cut: from lambda = 2m/n, jump to the density of
-    the min-cut source side H, which maximizes 2q*e(H) - p*|H| at lambda =
-    p/q, until no set is denser.  Each lambda is the density of one of the
-    finitely many vertex sets and strictly increases (checked), so it ends."""
+def _dinkelbach(g: Graph) -> tuple[Fraction, set[int]]:
+    """mad(g) and the vertex set of density mad found with it (empty when g
+    has no edges).
+
+    Dinkelbach's iteration on Goldberg's cut: from lambda = 2m/n, the
+    density of H = V, jump to the density of the min-cut source side H,
+    which maximizes 2q*e(H) - p*|H| at lambda = p/q, until no set is
+    denser.  Each lambda is the density of one of the finitely many vertex
+    sets and strictly increases (checked), so it ends.
+
+    The last H is the largest set of density mad, the one
+    ``density_at_least(g, mad)`` returns: sets of maximum density are
+    closed under union, so one largest such set D contains all others.  If
+    the first test finds no denser set, H = V = D.  Otherwise H was cut at
+    some lambda < mad, where each set S scores |S| * (density(S) -
+    lambda) / 2 up to a positive factor; H has density mad and scores at
+    least D's score, so |H| >= |D|, and H is inside D, so H = D.
+    """
     if g.m == 0:
-        return Fraction(0)
+        return Fraction(0), set()
     lam = Fraction(2 * g.m, g.n)
+    best = set(range(g.n))
     while (h := _density_exceeds(g, lam.numerator, lam.denominator)) is not None:
         nxt = Fraction(2 * subgraph_edge_count(g, h), len(h)) if h else lam
         if nxt <= lam:
             raise ValueError(f"min-cut witness is not denser than {lam}")
-        lam = nxt
-    return lam
+        lam, best = nxt, h
+    return lam, best
+
+
+def mad_exact(g: Graph) -> Fraction:
+    """Exact maximum average degree max_H 2|E(H)|/|V(H)| (see
+    ``_dinkelbach``)."""
+    return _dinkelbach(g)[0]
 
 
 def mad_witness(g: Graph) -> tuple[Fraction, list[int]]:
-    """mad value together with a vertex set achieving it."""
-    value = mad_exact(g)
-    if g.m == 0:
-        return value, []
-    ok, witness = density_at_least(g, value)
-    if not (ok and witness):
-        raise ValueError(f"no witness set reaches the computed mad {value}")
-    return value, witness
+    """mad value together with the largest vertex set achieving it, from
+    the same min-cuts that compute the value."""
+    value, witness = _dinkelbach(g)
+    return value, sorted(witness)
 
 
 def mad_brute(g: Graph) -> Fraction:

@@ -4,7 +4,9 @@ The backtracker is the independent oracle the rest of the package is
 validated against, so it favors transparent exhaustive search over clever
 encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
 check, and two sound symmetry breaks (fixing one max-degree vertex's edge
-colors, and introducing extra colors in ascending order).
+colors, and introducing extra colors in ascending order).  The enumerator
+uses only the second, which leaves one coloring per orbit of color
+renamings.
 """
 
 from __future__ import annotations
@@ -146,12 +148,14 @@ class _Search(ColorState):
         return False
 
     def enumerate(self) -> Iterator[EdgeColoring]:
-        """Yield every total acyclic k-coloring (no symmetry breaking)."""
+        """Yield one total acyclic k-coloring per orbit of color renamings:
+        the one whose colors first appear in ascending order along
+        ``self.order``."""
         if self.fixed:
             raise ValueError("enumerate requires symmetry_break=False")
-        yield from self._enum(0)
+        yield from self._enum(0, 0)
 
-    def _enum(self, idx: int) -> Iterator[EdgeColoring]:
+    def _enum(self, idx: int, max_used: int) -> Iterator[EdgeColoring]:
         if idx == len(self.order):
             yield self.snapshot()
             return
@@ -159,14 +163,15 @@ class _Search(ColorState):
         u, v = self.g.edges[e]
         taken = self.used_mask[u] | self.used_mask[v]
         common = self.used_mask[u] & self.used_mask[v]
-        for c in range(1, self.k + 1):
+        # as in _extend, a new color is always the lowest unused one
+        for c in range(1, min(self.k, max_used + 1) + 1):
             if taken >> c & 1:
                 continue
             self._tick()
             if self.walk_ends_at(u, v, common, c):
                 continue
             self.set(e, c)
-            yield from self._enum(idx + 1)
+            yield from self._enum(idx + 1, max(max_used, c))
             self.unset(e)
 
 
@@ -197,7 +202,32 @@ def is_acyclically_k_colorable(
 def enumerate_acyclic_colorings(
     g: Graph, k: int, budget: SolveBudget = SolveBudget()
 ) -> Iterator[EdgeColoring]:
-    """All total acyclic k-colorings of g, without symmetry breaking."""
+    """One total acyclic k-coloring of g per orbit of color renamings.
+
+    The symmetric group S_k acts on colorings by renaming colors, and the
+    reduction is exact:
+
+    - Renaming colors keeps a coloring proper and acyclic: two edges share
+      a color, and a cycle uses two colors, after renaming iff before.
+    - A renaming fixes a coloring iff it fixes each of the j colors the
+      coloring uses, so the stabiliser is Sym(unused colors) and the orbit
+      has k!/(k-j)! = math.perm(k, j) members.
+    - Exactly one member of each orbit has its colors first appear in the
+      order 1, 2, ..., j along the search's edge order.  If a member's
+      colors first appear as c_1, ..., c_j, a renaming sigma gives colors
+      first appearing as sigma(c_1), ..., sigma(c_j), so the renamed
+      coloring has the property iff sigma(c_i) = i for every i, and all
+      such sigma give the same coloring.
+    - The search yields exactly those members.  Letting each edge take a
+      color only up to one above the largest used so far (as ``_extend``
+      does) admits precisely the prefixes whose colors first appear in
+      ascending order; every other pruning (properness and the Fact-1
+      cycle test) depends on the prefix alone, and each prefix of a
+      proper acyclic coloring is proper and acyclic.
+
+    Each yielded coloring therefore stands for math.perm(k, j) colorings,
+    where j = len(c.colors_used()).
+    """
     yield from _Search(g, k, budget, symmetry_break=False).enumerate()
 
 

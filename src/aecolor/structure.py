@@ -8,6 +8,7 @@ the exact solver, so tests can exhibit both vacuous and violating cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -284,14 +285,26 @@ def fact2_sweep(
 ) -> tuple[bool, int]:
     """Verify Fact 2 over every acyclic k-coloring of every g - e.
 
-    Returns (all_hold, number of colorings checked).  Intended for graphs
+    Returns (all_hold, number of colorings covered).  Intended for graphs
     already certified k-critical.
+
+    Only one coloring per orbit of color renamings is checked (see
+    ``enumerate_acyclic_colorings``), and it counts for its whole orbit of
+    math.perm(k, j) colorings, j the number of colors it uses.  This is
+    exact because a Fact-2 verdict is invariant under renaming: it depends
+    on t, the number of colors shared by u and v, and on the matched
+    neighbors u_i, v_i joined to u and v by the i-th shared color.
+    Renaming maps the shared colors one-to-one onto the shared colors of
+    the renamed coloring, so t is kept, and each matched pair keeps its
+    neighbors (only the name of their color changes), so every degree sum
+    is kept.  Properness and acyclicity, which ``fact2_verify`` re-checks,
+    are kept too.
     """
     checked = 0
     for e in range(g.m):
         gm = delete_edge(g, e)
         for c in enumerate_acyclic_colorings(gm, k, budget):
-            checked += 1
+            checked += math.perm(k, len(c.colors_used()))
             if not fact2_verify(g, k, e, c).holds:
                 return False, checked
     return True, checked

@@ -8,12 +8,14 @@ from aecolor.coloring import (
     ColoringError,
     ColorState,
     EdgeColoring,
+    ImproperColoringError,
     color_sets,
     exists_critical_path,
     format_coloring,
     has_bichromatic_cycle,
     is_proper,
     parse_coloring,
+    properness_violation,
     swap_two_colors_on_component,
     _find_cycle_two_colors,
     trace_bichromatic,
@@ -135,8 +137,53 @@ def test_bichromatic_cycle_c6():
 
 def test_bichromatic_cycle_rejects_improper():
     g = path(3)
-    with pytest.raises(ColoringError, match="vertex 1"):
+    with pytest.raises(ImproperColoringError, match="vertex 1") as exc:
         has_bichromatic_cycle(g, EdgeColoring(2, {0: 1, 1: 1}))
+    assert exc.value.vertex == 1
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_validator_rejects_edge_ids_outside_the_graph(bad):
+    # on C4, id -1 would alias edge 3 and make the coloring look total
+    g = cycle(4)
+    c = EdgeColoring(2, {0: 1, 1: 2, 2: 1, bad: 2})
+    for check in (properness_violation, has_bichromatic_cycle):
+        with pytest.raises(ColoringError, match=f"edge id {bad} outside") as exc:
+            check(g, c)
+        assert not isinstance(exc.value, ImproperColoringError)
+
+
+def _properness_violation_scan(g, c):
+    """The vertex-by-vertex scan that properness_violation replaced."""
+    for v in range(g.n):
+        seen = set()
+        for w in g.neighbors(v):
+            col = c.get(g.edge_id(v, w))
+            if col is None:
+                continue
+            if col in seen:
+                return v
+            seen.add(col)
+    return None
+
+
+def test_one_pass_properness_matches_vertex_scan():
+    rng = random.Random(44)
+    verdicts = set()
+    for i in range(400):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.randint(0, min(3 * n, n * (n - 1) // 2)))
+        if i % 2 and g.m:
+            c = random_proper_coloring(rng, g)
+        else:
+            # random colors on a random subset of edges, mostly improper
+            k = rng.randint(1, max(g.max_degree(), 1) + 1)
+            c = EdgeColoring(k, {e: rng.randint(1, k) for e in range(g.m)
+                                 if rng.random() < 0.7})
+        want = _properness_violation_scan(g, c)
+        assert properness_violation(g, c) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_critical_path_parity():

@@ -173,6 +173,38 @@ def test_mad_needs_few_flows_on_sparse_graphs(monkeypatch, n):
         assert ok and Fraction(2 * subgraph_edge_count(g, set(witness)), len(witness)) == value
 
 
+def test_mad_witness_reuses_the_last_cut(monkeypatch):
+    """mad_witness runs no more min-cuts than mad_exact, and its witness is
+    the largest densest set: density mad_brute, and the set that the
+    threshold test at that density returns."""
+    calls = []
+    max_flow = density._Dinic.max_flow
+
+    def counted(self, s, t):
+        calls.append(s)
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(density._Dinic, "max_flow", counted)
+    rng = random.Random(25)
+    graphs = [random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
+              for n in (rng.randint(2, 12) for _ in range(60))]
+    graphs += [build_graph(7, []), complete(5), generate_sparse(300, 450, 0)]
+    for g in graphs:
+        calls.clear()
+        value = mad_exact(g)
+        exact_flows = len(calls)
+        calls.clear()
+        got, witness = mad_witness(g)
+        assert got == value and len(calls) <= exact_flows
+        if g.n <= 12:
+            assert value == mad_brute(g)
+        if g.m == 0:
+            assert witness == []
+            continue
+        assert Fraction(2 * subgraph_edge_count(g, set(witness)), len(witness)) == value
+        assert witness == density_at_least(g, value)[1]
+
+
 def test_mad_rejects_a_witness_that_is_not_denser(monkeypatch):
     # a cut that keeps returning the whole vertex set would never advance
     monkeypatch.setattr(density, "_density_exceeds", lambda g, p, q: set(range(g.n)))
