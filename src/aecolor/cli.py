@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from multiprocessing import Pool
 
 from . import coloring as ck
@@ -43,13 +43,31 @@ DOT_COLORS = [
 ]
 
 
+def _unrank_pair(n: int, r: int) -> tuple[int, int]:
+    """The r-th pair of ``combinations(range(n), 2)``.
+
+    Counted from the last pair, rank b lies in the row of first vertex
+    n - 2 - k for the largest k with k(k+1)/2 <= b, since the rows after
+    it hold 1, 2, ..., k pairs; its offset from that row's last pair
+    (n - 2 - k, n - 1) is b - k(k+1)/2.
+    """
+    back = n * (n - 1) // 2 - 1 - r
+    k = (math.isqrt(8 * back + 1) - 1) // 2
+    return n - 2 - k, n - 1 - (back - k * (k + 1) // 2)
+
+
 def generate_sparse(n: int, m: int, seed: int) -> Graph:
-    """Uniform random simple graph with n vertices and m edges."""
+    """Uniform random simple graph with n vertices and m edges, in O(m).
+
+    ``random.sample`` draws the same indices from any population of the
+    same length, so sampling ranks and unranking them gives the graph that
+    sampling the list of all pairs gave, without building that list.
+    """
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} possible edges on {n} vertices")
     rng = random.Random(seed)
-    pairs = rng.sample(list(combinations(range(n), 2)), m)
+    pairs = [_unrank_pair(n, r) for r in rng.sample(range(limit), m)]
     return gc.build_graph(n, pairs)
 
 

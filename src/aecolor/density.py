@@ -16,7 +16,11 @@ INF = float("inf")
 
 
 class _Dinic:
-    """Max flow with integer capacities and deterministic arc order."""
+    """Max flow with integer capacities and deterministic arc order.
+
+    Arc i and its reverse i ^ 1 are stored side by side; ``cap`` holds
+    residual capacities.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -24,50 +28,91 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> None:
+        """Arc u -> v of capacity ``cap`` and its reverse of capacity
+        ``back`` (0 for a directed arc, ``cap`` for an undirected edge)."""
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.adj[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
+
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS distances from s in the residual graph, stopped as soon as t
+        is labelled: every node nearer than t is labelled by then, and no
+        other node at t's distance or beyond lies on a shortest s-t path."""
+        adj, to, cap = self.adj, self.to, self.cap
+        level = [-1] * self.n
+        level[s] = 0
+        frontier = [s]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for i in adj[u]:
+                    if cap[i] and level[to[i]] < 0:
+                        v = to[i]
+                        level[v] = depth
+                        if v == t:
+                            return level
+                        nxt.append(v)
+            frontier = nxt
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
+        """Dinic's algorithm with an explicit path stack, so the depth of
+        the level graph is not limited by the interpreter's recursion limit.
+
+        Each phase walks admissible arcs (positive residual capacity, level
+        up by one) from s, each node resuming at its current-arc pointer.
+        On reaching t it pushes the path's bottleneck and retreats to the
+        tail of the first arc it saturated; a node with no admissible arc
+        left is a dead end: its level becomes -1 and the walk backs up one
+        arc.  The phase ends when s is a dead end.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
         flow = 0
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for i in self.adj[u]:
-                    if self.cap[i] > 0 and level[self.to[i]] == -1:
-                        level[self.to[i]] = level[u] + 1
-                        q.append(self.to[i])
-            if level[t] == -1:
+            level = self._levels(s, t)
+            if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    i = self.adj[u][it[u]]
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[i]))
-                        if got > 0:
-                            self.cap[i] -= got
-                            self.cap[i ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            path: list[int] = []  # arcs from s to u
+            u = s
             while True:
-                pushed = dfs(s, 1 << 200)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(cap[i] for i in path)
+                    first = -1
+                    for j, i in enumerate(path):
+                        cap[i] -= pushed
+                        cap[i ^ 1] += pushed
+                        if first < 0 and not cap[i]:
+                            first = j
+                    flow += pushed
+                    u = to[path[first] ^ 1]
+                    del path[first:]
+                    continue
+                arcs = adj[u]
+                k = it[u]
+                nxt = level[u] + 1
+                end = len(arcs)
+                while k < end:
+                    i = arcs[k]
+                    if cap[i] and level[to[i]] == nxt:
+                        break
+                    k += 1
+                it[u] = k
+                if k < end:
+                    path.append(i)
+                    u = to[i]
+                elif u == s:
                     break
-                flow += pushed
+                else:
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
     def source_side(self, s: int) -> set[int]:
         seen = {s}
@@ -84,27 +129,58 @@ class _Dinic:
 def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
     """Vertex set H with 2*q*e(H) > p*|H| if one exists, else None.
 
-    Goldberg construction: source -> edge node (cap 2q), edge node -> its
-    endpoints (cap inf), vertex -> sink (cap p); the min cut equals
-    2q*m - max_H (2q*e(H) - p*|H|).
+    The set returned is the smallest maximiser of 2q*e(H) - p*|H|.
+
+    Goldberg's vertex network (Goldberg 1984, "Finding a maximum density
+    subgraph") on the n vertices plus a source s and a sink t.  Each edge
+    hands q units to each of its endpoints, so vertex v holds q*d(v) and
+    its excess over p is x(v) = q*d(v) - p.  A vertex with x(v) > 0 gets
+    an arc s -> v of capacity x(v), one with x(v) < 0 an arc v -> t of
+    capacity -x(v), and each edge uv an arc of capacity q each way.  With
+    E the sum of the positive excesses, the cut whose source side is
+    {s} + H costs
+
+        sum over v not in H of max(x(v), 0) + sum over v in H of
+        max(-x(v), 0) + q*d(H, V - H)
+      = E - sum over v in H of x(v) + q*d(H, V - H)
+      = E + p*|H| - q*(2*e(H) + d(H, V - H)) + q*d(H, V - H)
+      = E + p*|H| - 2q*e(H),
+
+    as the degrees in H sum to 2*e(H) + d(H, V - H).  H = {} costs E, so
+    a set denser than p/q exists iff the max flow is below E.  Every cut
+    is the cut of one H, so the minimum cuts are exactly those of the
+    maximisers, and the residual-reachable side of a max flow is the
+    smallest minimum-cut source side: the smallest maximiser.
+
+    Goldberg's edge-node network (s -> edge node of capacity 2q, edge node
+    -> both endpoints of infinite capacity, vertex -> t of capacity p), on
+    m + n + 2 nodes, returns the same set: a finite cut there with vertex
+    side H puts exactly E(H)'s edge nodes on the source side, since each
+    one there saves 2q, so its minimum cuts are again those of the
+    maximisers, costing 2q*m - max_H (2q*e(H) - p*|H|).  So Dinkelbach's
+    steps, ``mad_witness``'s set and ``density_at_least``'s witness do not
+    depend on which of the two networks is solved.
     """
     m, n = g.m, g.n
     if m == 0:
         return None
-    big = 2 * q * m + 1  # effectively infinite
-    net = _Dinic(1 + m + n + 1)
-    src, snk = 0, 1 + m + n
-    for e, (u, v) in enumerate(g.edges):
-        net.add_edge(src, 1 + e, 2 * q)
-        net.add_edge(1 + e, 1 + m + u, big)
-        net.add_edge(1 + e, 1 + m + v, big)
+    net = _Dinic(n + 2)
+    src, snk = n, n + 1
+    excess = 0
     for v in range(n):
-        net.add_edge(1 + m + v, snk, p)
-    flow = net.max_flow(src, snk)
-    if flow >= 2 * q * m:
+        x = q * g.degree(v) - p
+        if x > 0:
+            net.add_edge(src, v, x)
+            excess += x
+        elif x < 0:
+            net.add_edge(v, snk, -x)
+    for u, v in g.edges:
+        net.add_edge(u, v, q, q)
+    if net.max_flow(src, snk) >= excess:
         return None
     side = net.source_side(src)
-    return {v for v in range(n) if 1 + m + v in side}
+    side.discard(src)
+    return side
 
 
 def subgraph_edge_count(g: Graph, vertices: set[int]) -> int:

@@ -16,7 +16,7 @@ from typing import Iterator, Literal
 
 import networkx as nx
 
-from .coloring import EdgeColoring, has_bichromatic_cycle, properness_violation
+from .coloring import EdgeColoring, has_bichromatic_cycle
 from .density import mad_exact
 from .graph import Graph, build_graph, delete_edge, is_2_connected, is_connected, n_k
 from .solver import (
@@ -250,9 +250,7 @@ def fact2_verify(g: Graph, k: int, e: int, c: EdgeColoring) -> Fact2Result:
     """
     u, v = g.endpoints(e)
     gm = delete_edge(g, e)
-    bad = properness_violation(gm, c)
-    if bad is not None:
-        raise ValueError(f"coloring is not proper at vertex {bad}")
+    # an improper coloring raises ImproperColoringError, a ValueError
     if has_bichromatic_cycle(gm, c) is not None:
         raise ValueError("coloring of g - e is not acyclic")
 

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +17,7 @@ from aecolor.cli import (
     write_dot,
 )
 from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, parse_coloring
-from aecolor.graph import format_edge_list
+from aecolor.graph import build_graph, format_edge_list
 from conftest import complete, cycle
 
 
@@ -206,6 +208,21 @@ def test_generate_sparse_deterministic():
     assert a.m == 15
 
 
+def test_generate_sparse_matches_sampling_the_pair_list():
+    """Ranks sampled and unranked give the graph that the O(n^2) sampler
+    over the list of all pairs gave, seed for seed; m = n(n-1)/2 unranks
+    every rank."""
+    for n in (1, 2, 3, 7, 20, 61, 300):
+        limit = n * (n - 1) // 2
+        for m in sorted({0, 1, n // 2, n, 3 * n // 2, 3 * n, limit // 2, limit}):
+            if m > limit:
+                continue
+            for seed in range(2):
+                rng = random.Random(seed)
+                old = build_graph(n, rng.sample(list(combinations(range(n), 2)), m))
+                assert generate_sparse(n, m, seed).edges == old.edges, (n, m, seed)
+
+
 def test_generate_sparse_rejects_too_many_edges():
     with pytest.raises(ValueError):
         generate_sparse(4, 7, seed=0)
@@ -257,6 +274,20 @@ def test_deep_search_exit_2(tmp_path, capsys):
     code, payload = run(capsys, ["chi-a", path])
     assert code == 2
     assert "recursion" in payload["error"]
+
+
+def test_deep_flow_mad_and_color(tmp_path, capsys):
+    # K5 with a 3,000-edge path hanging off vertex 4, listed first: the
+    # flow's level graph is thousands of arcs deep
+    tail = [(v, v + 1) for v in range(4, 3004)]
+    path = write_graph(tmp_path, build_graph(3005, tail + list(combinations(range(5), 2))))
+    code, payload = run(capsys, ["mad", path])
+    assert code == 0
+    assert payload["mad"] == "4"
+    assert payload["witness"] == [0, 1, 2, 3, 4]
+    code, payload = run(capsys, ["color", path])
+    assert code == 0
+    assert payload["outcome"] == "success"
 
 
 def test_closed_stdout_exit_2_quietly(tmp_path):

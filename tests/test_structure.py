@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from aecolor import coloring, structure
 from aecolor.coloring import EdgeColoring
-from aecolor.graph import build_graph
+from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import enumerate_acyclic_colorings
 from aecolor.structure import (
     check_2and3_count,
@@ -164,6 +165,27 @@ def test_fact2_rejects_improper_coloring():
     bad = EdgeColoring(4, {e: 1 for e in range(1, 6)})
     with pytest.raises(ValueError):
         fact2_verify(g, 4, 0, bad)
+
+
+def test_fact2_verify_scans_properness_once(monkeypatch):
+    scans = []
+    scan = coloring.properness_violation
+
+    def counted(g, c):
+        scans.append(c)
+        return scan(g, c)
+
+    monkeypatch.setattr(coloring, "properness_violation", counted)
+    # a scan called from structure itself must be counted too
+    monkeypatch.setattr(structure, "properness_violation", counted, raising=False)
+    g = complete(4)
+    gm = delete_edge(g, 0)
+    fact2_verify(g, 4, 0, next(iter(enumerate_acyclic_colorings(gm, 4))))
+    assert len(scans) == 1
+    # every edge of K4 - e colored 1: vertex 0 is the lowest with a clash
+    with pytest.raises(ValueError, match="^coloring is not proper at vertex 0$"):
+        fact2_verify(g, 4, 0, EdgeColoring(4, {e: 1 for e in range(5)}))
+    assert len(scans) == 2
 
 
 def test_fact2_rejects_bichromatic_coloring():
