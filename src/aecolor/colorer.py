@@ -1,26 +1,31 @@
 """Incremental acyclic edge colorer.
 
-Edges are inserted in reverse deletion order (smallest-last) and each new
-edge is colored by a cascade of moves on the ``ColorState`` kernel: direct
-assignment filtered by the kernel's Fact-1 cycle test, Kempe component swaps
-at a blocked endpoint, recoloring one incident edge at a low-degree
-neighbor, and bounded local backtracking.  The move set is sound but not
-complete; an exact-solver fallback makes the procedure total when
-requested.  A finished coloring is re-checked by the independent validator.
+Edges are inserted in reverse deletion order (smallest-last).  Each edge is
+first placed by direct assignment (M1): the lowest color free at both ends
+that passes the kernel's Fact-1 cycle test.  An edge M1 cannot place gets a
+local exact repair: uncolor the colored edges of the ball of radius r
+around it, keep every other color fixed, and search the ball exhaustively
+for colors that extend the rest, committing only a full extension.  Radii
+1, 2 and 3 run under the move budget; with the fallback on, a last radius
+takes the edge's whole component under the solver's budget, which makes
+the procedure total.  A finished coloring is re-checked by the independent
+validator.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 from typing import Literal
 
 from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph
-from .solver import SolveBudget, deletion_edge_order, is_acyclically_k_colorable
+from .solver import SolveBudget, _Search, deletion_edge_order
 
-Move = tuple  # ("assign", e, c) | ("swap", a, b, anchor) |
-              # ("reassign", e, old, new) | ("backtrack", (edges...))
+Move = tuple  # ("assign", e, c) | ("repair", (edges...), (colors...))
 
 
 @dataclass
@@ -45,30 +50,35 @@ def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:
     return delta + 2, "no-guarantee"
 
 
-class _Colorer(ColorState):
-    """The coloring kernel plus the move cascade's budget and move log."""
+class _Colorer(_Search):
+    """The search kernel plus the colorer's insertion order, move budget
+    and move log.  One node counter, ``nodes``, counts M1's color tries and
+    the bounded repairs' search nodes against the move budget."""
 
     def __init__(self, g: Graph, k: int, move_budget: int):
-        super().__init__(g, k)
-        self.budget = move_budget
-        self.spent = 0
+        super().__init__(g, k, move_budget)
+        self.insertion = list(reversed(deletion_edge_order(g)))
+        self.pos = {e: i for i, e in enumerate(self.insertion)}
         self.trace: list[Move] = []
-        self.counts = {"assign": 0, "swap": 0, "reassign": 0, "backtrack": 0}
+        self.counts = {"assign": 0, "repair": 0}
 
-    def _tick(self) -> bool:
-        self.spent += 1
-        return self.spent <= self.budget
-
-    # -- moves ---------------------------------------------------------------
+    def _recolor(self, edges: list[int], max_used: int) -> bool:
+        if not self.extend_over(edges, max_used):
+            return False
+        self.trace.append(("repair", tuple(edges), tuple(self.assign[e] for e in edges)))
+        self.counts["repair"] += 1
+        return True
 
     def try_direct(self, e: int) -> bool:
-        """M1: lowest free color at both ends passing the cycle filter."""
+        """M1: the lowest color free at both ends that passes the Fact-1
+        cycle test.  Each color tried is one node."""
         u, v = self.g.edges[e]
         taken = self.used_mask[u] | self.used_mask[v]
         for c in range(1, self.k + 1):
             if taken >> c & 1:
                 continue
-            if not self._tick():
+            self.nodes += 1
+            if self.nodes > self.max_nodes:
                 return False
             if not self.closes_cycle(u, v, c):
                 self.set(e, c)
@@ -77,77 +87,54 @@ class _Colorer(ColorState):
                 return True
         return False
 
-    def try_swap_then_direct(self, e: int) -> bool:
-        """M2: Kempe-swap two colors at the blocked endpoint of smaller
-        degree, keep the swap only if it stays acyclic and unblocks M1."""
-        u, v = self.g.edges[e]
-        anchor, other = sorted((u, v), key=lambda x: (self.g.degree(x), x))
-        for w in (anchor, other):
-            present = [c for c in range(1, self.k + 1) if self.used_mask[w] >> c & 1]
-            for i, a in enumerate(present):
-                for b in present[i + 1:]:
-                    if not self._tick():
-                        return False
-                    touched = self.swap_component(a, b, w)
-                    if touched is None:
-                        continue
-                    # the coloring was acyclic before the swap, so any new
-                    # cycle runs through a flipped edge
-                    if not self.touches_cycle(touched):
-                        self.trace.append(("swap", a, b, w))
-                        self.counts["swap"] += 1
-                        if self.try_direct(e):
-                            return True
-                        self.trace.pop()
-                        self.counts["swap"] -= 1
-                    self.flip(touched, a, b)  # undo before the next attempt
+    def ball(self, e: int, r: float) -> list[int]:
+        """e plus the colored edges with an end within distance r - 1 of
+        an end of e (r >= 1), in insertion order; r = inf gives every edge
+        of e's component, colored or not."""
+        g = self.g
+        near = frontier = set(g.edges[e])
+        while frontier and r > 1:
+            frontier = {w for x in frontier for w in g.neighbors(x)} - near
+            near |= frontier
+            r -= 1
+        edges = {g.edge_id(x, w) for x in near for w in g.neighbors(x)}
+        if r < inf:
+            edges = {f for f in edges if self.assign[f]} | {e}
+        return sorted(edges, key=self.pos.__getitem__)
+
+    def place(self, e: int) -> bool:
+        """M1, then exact repairs of radius 1, 2 and 3, all under the move
+        budget.  A radius whose ball is no larger than the last one's is
+        skipped.  The search recurses once per ball edge, so a ball larger
+        than half the recursion limit ends the attempt; the other half is
+        left to the callers."""
+        if self.try_direct(e):
+            return True
+        cap = sys.getrecursionlimit() // 2
+        size = 1
+        for r in (1, 2, 3):
+            ball = self.ball(e, r)
+            if len(ball) > cap:
+                return False
+            if len(ball) > size and self._recolor(ball, self.k):
+                return True
+            size = len(ball)
         return False
 
-    def try_reassign_then_direct(self, e: int) -> bool:
-        """M3: recolor one incident edge at a neighbor of small colored
-        degree to a free color, then retry M1."""
-        u, v = self.g.edges[e]
-        for a in sorted((u, v), key=lambda x: (self.g.degree(x), x)):
-            for w in sorted(self.g.neighbors(a)):
-                ea = self.g.edge_id(a, w)
-                if not self.assign[ea] or self.used_mask[w].bit_count() > 3:
-                    continue
-                old = self.assign[ea]
-                free = ~(self.used_mask[a] | self.used_mask[w])
-                for c in range(1, self.k + 1):
-                    if not free >> c & 1:
-                        continue
-                    if not self._tick():
-                        return False
-                    self.unset(ea)
-                    if self.closes_cycle(a, w, c):
-                        self.set(ea, old)
-                        continue
-                    self.set(ea, c)
-                    self.trace.append(("reassign", ea, old, c))
-                    self.counts["reassign"] += 1
-                    if self.try_direct(e):
-                        return True
-                    self.unset(ea)
-                    self.set(ea, old)
-                    self.trace.pop()
-                    self.counts["reassign"] -= 1
-        return False
-
-    def backtrack_neighborhood(self, e: int) -> list[int]:
-        """M4: uncolor every colored edge incident to either endpoint."""
-        u, v = self.g.edges[e]
-        dropped = []
-        for w in (u, v):
-            for x in sorted(self.g.neighbors(w)):
-                ee = self.g.edge_id(w, x)
-                if self.assign[ee]:
-                    self.unset(ee)
-                    dropped.append(ee)
-        self.trace.append(("backtrack", tuple(dropped)))
-        self.counts["backtrack"] += 1
-        self._tick()
-        return dropped
+    def place_component(self, e: int, budget: SolveBudget) -> bool:
+        """The last, unbounded radius: recolor e's whole component from
+        scratch under the solver's node and time budget.  Its nodes do not
+        count against the move budget."""
+        edges = self.ball(e, inf)
+        spent, limit = self.nodes, self.max_nodes
+        self.nodes, self.max_nodes = 0, budget.max_nodes
+        self.deadline = time.monotonic() + budget.max_seconds
+        try:
+            # nothing colored touches a whole component, so the color-renaming
+            # reduction stays on (see extend_over)
+            return self._recolor(edges, 0)
+        finally:
+            self.nodes, self.max_nodes, self.deadline = spent, limit, None
 
 
 def extend_one_edge(
@@ -155,10 +142,11 @@ def extend_one_edge(
 ) -> tuple[EdgeColoring, list[Move]] | None:
     """Color the single edge uv on top of a proper acyclic partial coloring.
 
-    Runs the M1-M3 cascade (no backtracking at this granularity).  Returns
-    the extended coloring and the committed moves, or None when stuck.
-    An input that is not proper and acyclic raises ColoringError: the swap
-    move checks only for cycles through the edges it flips.
+    Runs M1, then the bounded repairs of radius 1, 2 and 3 (no whole-
+    component search).  Returns the extended coloring and the committed
+    moves, or None when stuck.  An input that is not proper and acyclic
+    raises ColoringError: the search only checks for cycles through the
+    edges it colors.
     """
     if c.get(uv) is not None:
         raise ValueError(f"edge {uv} is already colored")
@@ -166,11 +154,7 @@ def extend_one_edge(
         raise ColoringError("input coloring has a bichromatic cycle")
     engine = _Colorer(g, c.k, move_budget)
     engine.load(c)
-    if (
-        engine.try_direct(uv)
-        or engine.try_swap_then_direct(uv)
-        or engine.try_reassign_then_direct(uv)
-    ):
+    if engine.place(uv):
         return engine.snapshot(), engine.trace
     return None
 
@@ -184,80 +168,53 @@ def color_graph(
 ) -> ColoringReport:
     """Color all edges of g with palette [1..k], acyclically.
 
-    Processes edges in reverse smallest-last deletion order; falls back to
-    the exact solver when the move cascade gets stuck and fallback is on.
+    Processes edges in reverse smallest-last deletion order, placing each
+    by M1 or a bounded repair; with the fallback on, an edge these cannot
+    place gets its whole component recolored by exact search, and the
+    outcome is "fallback-success".
     """
     if k < g.max_degree():
         raise ValueError("palette smaller than the maximum degree")
     if move_budget is None:
         move_budget = 50 * max(g.m, 1)
     engine = _Colorer(g, k, move_budget)
-    # pop() walks the deletion sequence backwards, i.e. insertion order
-    pending = deletion_edge_order(g)
-    stuck = False
-    while pending:
-        e = pending.pop()
-        if engine.assign[e]:
+    outcome = "success"
+    for e in engine.insertion:
+        if engine.assign[e] or engine.place(e):
             continue
-        if engine.spent >= move_budget:
-            stuck = True
-            break
-        if engine.try_direct(e):
+        if fallback and engine.place_component(e, solve_budget or SolveBudget()):
+            outcome = "fallback-success"
             continue
-        if engine.try_swap_then_direct(e):
-            continue
-        if engine.try_reassign_then_direct(e):
-            continue
-        dropped = engine.backtrack_neighborhood(e)
-        if engine.try_direct(e):
-            pending.extend(reversed(dropped))
-            continue
-        stuck = True
+        outcome = "failure"
         break
-    if not stuck and all(engine.assign):
-        coloring = engine.snapshot()
+    coloring = engine.snapshot()
+    if outcome != "failure":
         _validate(g, coloring)
-        return ColoringReport(
-            "success", k, coloring, len(coloring.colors_used()),
-            dict(engine.counts), engine.spent, engine.trace,
-        )
-    if fallback:
-        result = is_acyclically_k_colorable(g, k, solve_budget or SolveBudget())
-        if result.status == "yes":
-            return ColoringReport(
-                "fallback-success", k, result.coloring,
-                len(result.coloring.colors_used()),
-                dict(engine.counts), engine.spent, engine.trace,
-            )
-    partial = engine.snapshot()
     return ColoringReport(
-        "failure", k, partial, len(partial.colors_used()),
-        dict(engine.counts), engine.spent, engine.trace,
+        outcome, k, coloring, len(coloring.colors_used()),
+        dict(engine.counts), engine.nodes, engine.trace,
     )
 
 
 def _validate(g: Graph, c: EdgeColoring) -> None:
     # has_bichromatic_cycle also raises on an improper coloring
     if not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
-        raise ColoringError("move cascade produced an invalid coloring")
+        raise ColoringError("colorer produced an invalid coloring")
 
 
 def replay_trace(g: Graph, k: int, trace: list[Move]) -> EdgeColoring:
     """Re-apply a committed move log from the empty coloring."""
-    engine = _Colorer(g, k, move_budget=10**9)
+    state = ColorState(g, k)
     for move in trace:
         kind = move[0]
         if kind == "assign":
-            engine.set(move[1], move[2])
-        elif kind == "reassign":
-            engine.unset(move[1])
-            engine.set(move[1], move[3])
-        elif kind == "swap":
-            if engine.swap_component(move[1], move[2], move[3]) is None:
-                raise ColoringError(f"swap move {move} on a cycle component")
-        elif kind == "backtrack":
+            state.set(move[1], move[2])
+        elif kind == "repair":
             for e in move[1]:
-                engine.unset(e)
+                if state.assign[e]:
+                    state.unset(e)
+            for e, c in zip(move[1], move[2]):
+                state.set(e, c)
         else:
             raise ValueError(f"unknown move {kind!r}")
-    return engine.snapshot()
+    return state.snapshot()

@@ -3,8 +3,8 @@
 Colors are 1-based integers from the palette {1, ..., k}; 0 means uncolored
 in serialized files.  ``EdgeColoring`` is a value: the functions taking one
 return new values and never mutate their inputs.  ``ColorState`` is the one
-mutable kernel that the exact solver and the move cascade build on; it holds
-the incremental Fact-1 cycle test and the two-color (Kempe) swap.
+mutable kernel that the exact solver and the colorer build on; it holds the
+incremental Fact-1 cycle test and the two-color (Kempe) swap.
 
 ``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
 form the validator.  They share no code with ``ColorState``, so every
@@ -312,34 +312,6 @@ class ColorState:
         both ends, close a bichromatic cycle?"""
         return self.walk_ends_at(u, v, self.used_mask[u] & self.used_mask[v], gamma)
 
-    def touches_cycle(self, edges: list[int]) -> bool:
-        """Does some edge in ``edges`` lie on a bichromatic cycle?
-
-        Uncolors each edge in turn and asks whether putting its color back
-        closes a cycle.  Right after a swap of an acyclic coloring, every
-        new cycle contains a flipped edge, so passing the swap's touched
-        edges decides whether the whole coloring is still acyclic.
-        """
-        for e in edges:
-            u, v = self.g.edges[e]
-            c = self.assign[e]
-            self.unset(e)
-            closes = self.closes_cycle(u, v, c)
-            self.set(e, c)
-            if closes:
-                return True
-        return False
-
-    def flip(self, touched: list[int], a: int, b: int) -> None:
-        """Exchange colors a and b on the given edges.  Two phases: a vertex
-        inside a path briefly carries both colors, so every edge is uncolored
-        before any flipped color is set."""
-        flipped = [b if self.assign[e] == a else a for e in touched]
-        for e in touched:
-            self.unset(e)
-        for e, c in zip(touched, flipped):
-            self.set(e, c)
-
     def swap_component(self, a: int, b: int, anchor: int) -> list[int] | None:
         """Kempe swap: exchange a and b on the maximal (a,b) component
         through anchor.  Returns the edge ids touched, or None (and changes
@@ -353,7 +325,12 @@ class ColorState:
                 touched.append(self.g.edge_id(prev, cur))
                 prev, cur = cur, self.col_nbr[cur][want]
                 want = a if want == b else b
-        self.flip(touched, a, b)
+        # two phases: a vertex inside the path briefly carries both colors
+        flipped = [b if self.assign[e] == a else a for e in touched]
+        for e in touched:
+            self.unset(e)
+        for e, c in zip(touched, flipped):
+            self.set(e, c)
         return touched
 
 

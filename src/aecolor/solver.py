@@ -6,7 +6,8 @@ encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
 check, and two sound symmetry breaks (fixing one max-degree vertex's edge
 colors, and introducing extra colors in ascending order).  The enumerator
 uses only the second, which leaves one coloring per orbit of color
-renamings.
+renamings.  The colorer's local repairs run the same search on a partial
+coloring (``_Search.extend_over``).
 """
 
 from __future__ import annotations
@@ -87,32 +88,43 @@ def deletion_edge_order(g: Graph) -> list[int]:
 
 
 class _Search(ColorState):
-    """Backtracking over edges in smallest-last insertion order."""
+    """Backtracking that extends the state's coloring over ``self.order``:
+    every edge in smallest-last order (``whole_graph``), or the edges of a
+    repair (``extend_over``).  ``deadline`` is read every 4096 nodes; with
+    none the clock is never read, so node counts repeat exactly."""
 
-    def __init__(self, g: Graph, k: int, budget: SolveBudget,
-                 symmetry_break: bool = True):
+    def __init__(self, g: Graph, k: int, max_nodes: int,
+                 deadline: float | None = None):
         super().__init__(g, k)
-        self.budget = budget
         self.nodes = 0
-        self.deadline = time.monotonic() + budget.max_seconds
-        self.order = list(reversed(deletion_edge_order(g)))
+        self.max_nodes = max_nodes
+        self.deadline = deadline
+        self.order: list[int] = []
         self.fixed: dict[int, int] = {}
         self.base_colors = 0
+
+    @classmethod
+    def whole_graph(cls, g: Graph, k: int, budget: SolveBudget,
+                    symmetry_break: bool = True) -> _Search:
+        s = cls(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+        s.order = list(reversed(deletion_edge_order(g)))
         if symmetry_break and g.m > 0:
             v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
             for i, e in enumerate(g.incident_edges(v0), start=1):
                 if i > k:
                     break
-                self.fixed[e] = i
-            self.base_colors = min(g.degree(v0), k)
-            pos = {e: i for i, e in enumerate(self.order)}
-            self.order.sort(key=lambda e: (e not in self.fixed, pos[e]))
+                s.fixed[e] = i
+            s.base_colors = min(g.degree(v0), k)
+            pos = {e: i for i, e in enumerate(s.order)}
+            s.order.sort(key=lambda e: (e not in s.fixed, pos[e]))
+        return s
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
+        if self.nodes > self.max_nodes:
             raise _BudgetExhausted
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if (self.nodes % 4096 == 0 and self.deadline is not None
+                and time.monotonic() > self.deadline):
             raise _BudgetExhausted
 
     def solve(self) -> SolveResult:
@@ -123,6 +135,44 @@ class _Search(ColorState):
         if not found:
             return SolveResult("no", None, self.nodes)
         return SolveResult("yes", self.snapshot(), self.nodes)
+
+    def extend_over(self, edges: list[int], max_used: int) -> bool:
+        """Pre-colored mode: recolor ``edges``, in this order, keeping every
+        other color fixed, so that the coloring stays proper and acyclic.
+        Returns True with the new colors set, or False with the old ones
+        back when no recoloring exists or the budget ran out.  The rest
+        must be proper and acyclic: Fact 1 sees only cycles through the
+        edge being colored.  ``max_used`` starts the renaming reduction:
+
+        - ``k`` turns it off (every color is tried), as a bounded ball
+          needs.  A fixed exterior breaks the symmetry: colors no ball edge
+          uses yet differ in which exterior edges carry them, so they are
+          not interchangeable.  With one colored edge at u, color 1 is
+          illegal on uv and a search offering only 1 would miss color 2.
+        - ``0`` keeps it when ``edges`` is a whole component that nothing
+          colored touches.  Properness joins only edges that share a vertex
+          and a bichromatic cycle is connected, so no constraint crosses
+          components: the extensions are the component's own acyclic
+          colorings, closed under renaming, and if any exists one has its
+          colors first appear as 1, 2, ..., j along ``edges`` (see
+          ``enumerate_acyclic_colorings``) -- the prefixes it admits.
+        """
+        old = [self.assign[e] for e in edges]
+        for e in edges:
+            if self.assign[e]:
+                self.unset(e)
+        self.order = edges
+        try:
+            if self._extend(0, max_used):
+                return True
+        except _BudgetExhausted:
+            for e in edges:
+                if self.assign[e]:
+                    self.unset(e)
+        for e, c in zip(edges, old):
+            if c:
+                self.set(e, c)
+        return False
 
     def _extend(self, idx: int, max_used: int) -> bool:
         if idx == len(self.order):
@@ -190,7 +240,7 @@ def is_acyclically_k_colorable(
         return SolveResult("yes", EdgeColoring(k, {}))
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
-    result = _Search(g, k, budget).solve()
+    result = _Search.whole_graph(g, k, budget).solve()
     if result.status == "yes":
         c = result.coloring
         # has_bichromatic_cycle also raises on an improper coloring
@@ -228,7 +278,7 @@ def enumerate_acyclic_colorings(
     Each yielded coloring therefore stands for math.perm(k, j) colorings,
     where j = len(c.colors_used()).
     """
-    yield from _Search(g, k, budget, symmetry_break=False).enumerate()
+    yield from _Search.whole_graph(g, k, budget, symmetry_break=False).enumerate()
 
 
 @dataclass

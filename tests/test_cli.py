@@ -5,6 +5,7 @@ import subprocess
 import sys
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 import aecolor
@@ -16,6 +17,7 @@ from aecolor.cli import (
     run_experiment,
     write_dot,
 )
+from aecolor.colorer import replay_trace
 from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, parse_coloring
 from aecolor.graph import build_graph, format_edge_list
 from conftest import complete, cycle
@@ -132,6 +134,22 @@ def test_color_roundtrips_through_check(tmp_path, capsys):
     assert has_bichromatic_cycle(g, c) is None
     code2, payload2 = run(capsys, ["check", gp, str(out)])
     assert code2 == 0 and payload2["valid"]
+
+
+def test_color_trace_file_replays(tmp_path, capsys):
+    # the 7-regular graph with n = 100 and seed 201 needs repairs at k = 9
+    nxg = nx.random_regular_graph(7, 100, seed=201)
+    g = build_graph(100, sorted(tuple(sorted(e)) for e in nxg.edges()))
+    gp = write_graph(tmp_path, g)
+    trace = tmp_path / "trace.json"
+    code, payload = run(capsys, ["color", gp, "--k", "9", "--no-fallback",
+                                 "--move-budget", str(5 * g.m), "--trace", str(trace)])
+    assert code == 0 and payload["move_counts"]["repair"] >= 1
+    moves = json.loads(trace.read_text())
+    assert {m[0] for m in moves} == {"assign", "repair"}
+    replayed = replay_trace(g, 9, moves)
+    assert sorted([*g.edges[e], c] for e, c in replayed.assignment.items()) == \
+        sorted(payload["coloring"])
 
 
 def test_color_auto_palette(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aecolor.colorer import (
+    _Colorer,
     choose_palette,
     color_graph,
     extend_one_edge,
@@ -17,11 +20,12 @@ from aecolor.coloring import (
     EdgeColoring,
     has_bichromatic_cycle,
     is_proper,
+    properness_violation,
     trace_bichromatic,
 )
 from aecolor.density import mad_exact
 from aecolor.graph import build_graph
-from aecolor.solver import chi_a_exact
+from aecolor.solver import SolveBudget, chi_a_exact, is_acyclically_k_colorable
 from conftest import complete, cube, cycle, path, petersen, random_graph
 
 
@@ -126,6 +130,22 @@ def test_extend_one_edge_stuck_with_two_colors():
     assert extend_one_edge(g, c, 3) is None
 
 
+def test_extend_one_edge_repairs_with_every_color():
+    # k = 3.  Edge 0-1 is blocked: 0-2 has 3, and 1-5, 1-6 have 1, 2.  The
+    # radius-1 ball {0-1, 0-2, 1-5, 1-6} has an extension only if 0-2 keeps
+    # 3, the one color free at 2, so a search that offered a ball edge only
+    # the colors a renaming reduction admits (1 first) would find none.
+    g = build_graph(7, [(0, 1), (0, 2), (2, 3), (2, 4), (1, 5), (1, 6)])
+    c = EdgeColoring(3, {1: 3, 2: 1, 3: 2, 4: 1, 5: 2})
+    out = extend_one_edge(g, c, 0)
+    assert out is not None
+    extended, moves = out
+    assert [m[0] for m in moves] == ["repair"]
+    assert extended.get(1) == 3 and extended.get(2) == 1 and extended.get(3) == 2
+    assert extended.is_total(g)
+    assert has_bichromatic_cycle(g, extended) is None
+
+
 def _blocked_brute(g, c, e, color):
     """Full-scan oracle for the incremental cycle filter: color the edge,
     then run the from-scratch bichromatic cycle detector."""
@@ -181,13 +201,18 @@ def random_regular_graph(rng, d, n):
     return build_graph(n, sorted(g.edges()))
 
 
+def seeded_regular_graph(d, n, seed):
+    g = nx.random_regular_graph(d, n, seed=seed)
+    return build_graph(n, sorted(tuple(sorted(e)) for e in g.edges()))
+
+
 def test_replay_random_traces():
     rng = random.Random(33)
     corpus = [
         (g, g.max_degree() + 2)
         for g in (sparse_random_graph(rng, rng.randint(6, 20)) for _ in range(60))
     ]
-    # at Delta+1, random 4- and 5-regular graphs need swaps and reassigns
+    # at Delta+1, random 4- and 5-regular graphs need repairs
     corpus += [
         (random_regular_graph(rng, d, n), d + 1)
         for d in (4, 5) for n in (12, 16, 20) for _ in range(4)
@@ -199,9 +224,8 @@ def test_replay_random_traces():
             continue
         assert replay_trace(g, k, report.trace).assignment == report.coloring.assignment
         replayed.update({move[0] for move in report.trace})
-    # the corpus must exercise the non-trivial moves, not only assignments
-    assert replayed["swap"] >= 1
-    assert replayed["reassign"] >= 1
+    # the corpus must exercise repairs, not only assignments
+    assert replayed["repair"] >= 1
 
 
 def test_success_colorings_always_validate():
@@ -252,3 +276,109 @@ def test_move_counts_match_trace():
         counted = Counter(move[0] for move in report.trace)
         for kind, cnt in report.move_counts.items():
             assert counted.get(kind, 0) == cnt
+
+
+def test_repairs_color_a_tight_7_regular_graph():
+    # the swap/reassign/backtrack cascade ran out of its budget here
+    g = seeded_regular_graph(7, 100, 201)
+    report = color_graph(g, 9, move_budget=5 * g.m, fallback=False)
+    assert report.outcome == "success"
+    assert report.move_counts["repair"] >= 1
+    assert has_bichromatic_cycle(g, report.coloring) is None
+
+
+def test_repairs_color_5_regular_graphs_at_delta_plus_1():
+    # outside the paper's regime (mad = 5); the cascade colored about 88%
+    for seed in range(40):
+        g = seeded_regular_graph(5, 100, seed)
+        report = color_graph(g, 6, fallback=False)
+        assert report.outcome == "success", seed
+        assert has_bichromatic_cycle(g, report.coloring) is None
+
+
+def _component_graph(g, e):
+    """The connected component of g holding edge e, as (graph, edge ids)."""
+    seen, stack = set(g.edges[e]), list(g.edges[e])
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    ids = sorted(f for f, (u, v) in enumerate(g.edges) if u in seen)
+    label = {v: i for i, v in enumerate(sorted(seen))}
+    return build_graph(len(seen), [(label[g.edges[f][0]], label[g.edges[f][1]]) for f in ids]), ids
+
+
+def _extends(g, c, edges, colors):
+    """Brute-force oracle: is c with ``edges`` recolored proper and acyclic?"""
+    trial = EdgeColoring(c.k, {**c.assignment, **dict(zip(edges, colors))})
+    return properness_violation(g, trial) is None and has_bichromatic_cycle(g, trial) is None
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_repair_is_exact_on_components_and_local_on_balls(data):
+    """On a random acyclic partial coloring with edge e uncolored, the
+    unbounded repair succeeds iff the exact solver colors e's component,
+    and a successful bounded repair changes nothing outside its ball and
+    leaves the coloring acyclic; a failed one changes nothing, and on small
+    balls no recoloring of the ball extends the rest (so turning the
+    color-renaming reduction off keeps the search complete)."""
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    all_pairs = list(combinations(range(n), 2))
+    pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True, min_size=1,
+                               max_size=min(len(all_pairs), 2 * n)))
+    g = build_graph(n, pairs)
+    k = g.max_degree() + data.draw(st.integers(min_value=0, max_value=1))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    e = rng.randrange(g.m)
+    start = _Colorer(g, k, move_budget=10**6)
+    for f in rng.sample(range(g.m), g.m):
+        u, v = g.edges[f]
+        taken = start.used_mask[u] | start.used_mask[v]
+        ok = [c for c in range(1, k + 1)
+              if not taken >> c & 1 and not start.closes_cycle(u, v, c)]
+        if f != e and ok and rng.random() < 0.8:
+            start.set(f, rng.choice(ok))
+    before = start.snapshot()
+
+    def outside(c, edges):
+        return {f: col for f, col in c.assignment.items() if f not in edges}
+
+    bounded = []
+    for r in (1, 2, 3):
+        engine = _Colorer(g, k, move_budget=10**6)
+        engine.load(before)
+        ball = engine.ball(e, r)
+        assert e in ball
+        bounded.append(engine._recolor(ball, k))
+        if bounded[-1]:
+            after = engine.snapshot()
+            assert e in after.assignment
+            assert outside(after, set(ball)) == outside(before, set(ball))
+            assert has_bichromatic_cycle(g, after) is None
+        else:
+            assert engine.snapshot() == before
+            if k ** len(ball) <= 1500:
+                assert not any(_extends(g, before, ball, cols)
+                               for cols in product(range(1, k + 1), repeat=len(ball)))
+
+    # M1 then radii 1-3 succeed iff some radius does: M1's color also
+    # extends the radius-1 ball
+    engine = _Colorer(g, k, move_budget=10**6)
+    engine.load(before)
+    assert engine.place(e) == any(bounded)
+
+    engine = _Colorer(g, k, move_budget=10**6)
+    engine.load(before)
+    sub, ids = _component_graph(g, e)
+    exact = is_acyclically_k_colorable(sub, k)
+    assert exact.status != "unknown"
+    assert engine.place_component(e, SolveBudget()) == (exact.status == "yes")
+    after = engine.snapshot()
+    if exact.status == "yes":
+        assert all(f in after.assignment for f in ids)
+        assert outside(after, set(ids)) == outside(before, set(ids))
+        assert has_bichromatic_cycle(g, after) is None
+    else:
+        assert after == before

@@ -330,32 +330,6 @@ def random_acyclic_state(rng, g, k):
     return state
 
 
-def test_post_swap_check_matches_full_scan():
-    """After a Kempe swap of an acyclic coloring, checking only the flipped
-    edges decides acyclicity exactly as the from-scratch detector does."""
-    rng = random.Random(19)
-    seen = set()
-    for _ in range(150):
-        n = rng.randint(4, 14)
-        m = rng.randint(3, min(3 * n, n * (n - 1) // 2))
-        g = random_graph(rng, n, m)
-        k = max(g.max_degree(), 2) + rng.randint(0, 1)
-        state = random_acyclic_state(rng, g, k)
-        for _ in range(10):
-            a, b = rng.sample(range(1, k + 1), 2)
-            anchor = rng.randrange(g.n)
-            before = list(state.assign)
-            touched = state.swap_component(a, b, anchor)
-            assert touched is not None  # acyclic: no cycle component
-            local = state.touches_cycle(touched)
-            full = has_bichromatic_cycle(g, state.snapshot()) is not None
-            assert local == full
-            seen.add(local)
-            state.flip(touched, a, b)
-            assert state.assign == before
-    assert seen == {True, False}
-
-
 def test_union_find_validator_matches_pairwise_trace_scan():
     """has_bichromatic_cycle returns the trace that scanning every color
     pair in order with _find_cycle_two_colors returns, on random proper

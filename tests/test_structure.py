@@ -161,9 +161,10 @@ def test_fact2_verify_single_coloring():
 
 
 def test_fact2_rejects_improper_coloring():
+    # K4 - e has edge ids 0..4; one color on all of them is improper
     g = complete(4)
-    bad = EdgeColoring(4, {e: 1 for e in range(1, 6)})
-    with pytest.raises(ValueError):
+    bad = EdgeColoring(4, {e: 1 for e in range(5)})
+    with pytest.raises(ValueError, match="not proper"):
         fact2_verify(g, 4, 0, bad)
 
 
