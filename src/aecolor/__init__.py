@@ -1,8 +1,9 @@
 """Acyclic edge coloring toolkit.
 
-Exact acyclic chromatic index computation, a move-based constructive
-colorer, exact maximum average degree, and executable verification of
-critical-graph structure lemmas and discharging arguments at desk scale.
+Exact acyclic chromatic index computation, a constructive colorer (direct
+assignment M1, then local exact repair), exact maximum average degree, and
+executable verification of critical-graph structure lemmas and discharging
+arguments at desk scale.
 """
 
 from .coloring import (
@@ -13,7 +14,6 @@ from .coloring import (
     exists_critical_path,
     has_bichromatic_cycle,
     is_proper,
-    swap_two_colors_on_component,
     trace_bichromatic,
 )
 from .colorer import ColoringReport, choose_palette, color_graph, extend_one_edge
@@ -53,6 +53,5 @@ __all__ = [
     "exists_critical_path", "extend_one_edge", "fact2_verify", "girth",
     "has_bichromatic_cycle", "is_2_connected", "is_acyclically_k_colorable",
     "is_critical", "is_proper", "lemma_suite", "mad_brute", "mad_exact",
-    "parse_edge_list", "planar_girth_bound", "swap_two_colors_on_component",
-    "trace_bichromatic",
+    "parse_edge_list", "planar_girth_bound", "trace_bichromatic",
 ]

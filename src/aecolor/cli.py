@@ -2,9 +2,9 @@
 
 Exit codes: 0 = success / property holds, 1 = checked and false (invalid
 coloring, bound violated), 2 = error or undecided within budget.  Errors
-include bad input, a zero or negative solver budget, an internal check that
-failed, a search too deep for the interpreter's recursion limit, and a
-closed stdout.
+include bad input (a config file missing a required key among them), a
+zero or negative solver budget, an internal check that failed, and a closed
+stdout.
 """
 
 from __future__ import annotations
@@ -278,11 +278,14 @@ class ExperimentConfig:
                     continue
                 key, _, value = line.partition("=")
                 raw[key.strip()] = value.strip()
-        return cls(
-            name=raw["name"], n=int(raw["n"]), trials=int(raw["trials"]),
-            seed=int(raw["seed"]), workers=int(raw.get("workers", 1)),
-            edge_factor=float(raw.get("edge_factor", 1.9)),
-        )
+        try:
+            return cls(
+                name=raw["name"], n=int(raw["n"]), trials=int(raw["trials"]),
+                seed=int(raw["seed"]), workers=int(raw.get("workers", 1)),
+                edge_factor=float(raw.get("edge_factor", 1.9)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"config {path} lacks {exc.args[0]}") from None
 
 
 def _theorem_trial(task: tuple[str, int, int, float]) -> dict:
@@ -436,8 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's exit flush must not fail again on the dead pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
-    except (gc.ParseError, gc.GraphError, ck.ColoringError, ValueError, OSError,
-            RecursionError) as exc:
+    except (gc.ParseError, gc.GraphError, ck.ColoringError, ValueError, OSError) as exc:
         _emit({"error": str(exc)})
         return EXIT_ERROR
 

@@ -14,7 +14,6 @@ validator.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,17 +104,12 @@ class _Colorer(_Search):
     def place(self, e: int) -> bool:
         """M1, then exact repairs of radius 1, 2 and 3, all under the move
         budget.  A radius whose ball is no larger than the last one's is
-        skipped.  The search recurses once per ball edge, so a ball larger
-        than half the recursion limit ends the attempt; the other half is
-        left to the callers."""
+        skipped."""
         if self.try_direct(e):
             return True
-        cap = sys.getrecursionlimit() // 2
         size = 1
         for r in (1, 2, 3):
             ball = self.ball(e, r)
-            if len(ball) > cap:
-                return False
             if len(ball) > size and self._recolor(ball, self.k):
                 return True
             size = len(ball)

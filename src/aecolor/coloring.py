@@ -4,7 +4,7 @@ Colors are 1-based integers from the palette {1, ..., k}; 0 means uncolored
 in serialized files.  ``EdgeColoring`` is a value: the functions taking one
 return new values and never mutate their inputs.  ``ColorState`` is the one
 mutable kernel that the exact solver and the colorer build on; it holds the
-incremental Fact-1 cycle test and the two-color (Kempe) swap.
+incremental Fact-1 cycle test.
 
 ``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
 form the validator.  They share no code with ``ColorState``, so every
@@ -312,37 +312,6 @@ class ColorState:
         both ends, close a bichromatic cycle?"""
         return self.walk_ends_at(u, v, self.used_mask[u] & self.used_mask[v], gamma)
 
-    def swap_component(self, a: int, b: int, anchor: int) -> list[int] | None:
-        """Kempe swap: exchange a and b on the maximal (a,b) component
-        through anchor.  Returns the edge ids touched, or None (and changes
-        nothing) when the component is a cycle."""
-        touched = []
-        for first, then in ((a, b), (b, a)):
-            prev, cur, want = anchor, self.col_nbr[anchor][first], then
-            while cur != -1:
-                if cur == anchor:
-                    return None  # cycle component
-                touched.append(self.g.edge_id(prev, cur))
-                prev, cur = cur, self.col_nbr[cur][want]
-                want = a if want == b else b
-        # two phases: a vertex inside the path briefly carries both colors
-        flipped = [b if self.assign[e] == a else a for e in touched]
-        for e in touched:
-            self.unset(e)
-        for e, c in zip(touched, flipped):
-            self.set(e, c)
-        return touched
-
-
-def _loaded_state(g: Graph, c: EdgeColoring, alpha: int, beta: int) -> ColorState:
-    if alpha == beta:
-        raise ColoringError("the two colors must differ")
-    if not (1 <= alpha <= c.k and 1 <= beta <= c.k):
-        raise ColoringError(f"colors {alpha}, {beta} outside [1..{c.k}]")
-    state = ColorState(g, c.k)
-    state.load(c)
-    return state
-
 
 def exists_critical_path(
     g: Graph, c: EdgeColoring, alpha: int, beta: int, u: int, v: int
@@ -354,22 +323,13 @@ def exists_critical_path(
     The path must actually end at v: if it passes through v and continues,
     there is no critical path.
     """
-    state = _loaded_state(g, c, alpha, beta)
+    if alpha == beta:
+        raise ColoringError("the two colors must differ")
+    if not (1 <= alpha <= c.k and 1 <= beta <= c.k):
+        raise ColoringError(f"colors {alpha}, {beta} outside [1..{c.k}]")
+    state = ColorState(g, c.k)
+    state.load(c)
     return state.walk_ends_at(u, v, state.used_mask[u] & 1 << alpha, beta)
-
-
-def swap_two_colors_on_component(
-    g: Graph, c: EdgeColoring, alpha: int, beta: int, v: int
-) -> EdgeColoring:
-    """Exchange alpha and beta on the maximal (alpha,beta) component at v.
-
-    Rejects cycle components: swapping a cycle is a no-op that would mask
-    caller bugs.
-    """
-    state = _loaded_state(g, c, alpha, beta)
-    if state.swap_component(alpha, beta, v) is None:
-        raise ColoringError("refusing to swap colors on a cycle component")
-    return state.snapshot()
 
 
 # --- coloring file format ---------------------------------------------------

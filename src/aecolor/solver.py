@@ -129,12 +129,11 @@ class _Search(ColorState):
 
     def solve(self) -> SolveResult:
         try:
-            found = self._extend(0, self.base_colors)
+            for _ in self._colorings(self.base_colors):
+                return SolveResult("yes", self.snapshot(), self.nodes)
         except _BudgetExhausted:
             return SolveResult("unknown", None, self.nodes)
-        if not found:
-            return SolveResult("no", None, self.nodes)
-        return SolveResult("yes", self.snapshot(), self.nodes)
+        return SolveResult("no", None, self.nodes)
 
     def extend_over(self, edges: list[int], max_used: int) -> bool:
         """Pre-colored mode: recolor ``edges``, in this order, keeping every
@@ -163,7 +162,7 @@ class _Search(ColorState):
                 self.unset(e)
         self.order = edges
         try:
-            if self._extend(0, max_used):
+            for _ in self._colorings(max_used):
                 return True
         except _BudgetExhausted:
             for e in edges:
@@ -174,55 +173,67 @@ class _Search(ColorState):
                 self.set(e, c)
         return False
 
-    def _extend(self, idx: int, max_used: int) -> bool:
-        if idx == len(self.order):
-            return True
-        e = self.order[idx]
-        u, v = self.g.edges[e]
-        taken = self.used_mask[u] | self.used_mask[v]
-        if e in self.fixed:
-            colors = [self.fixed[e]]
-        else:
-            # colors above max_used are interchangeable: try only the first
-            limit = min(self.k, max_used + 1)
-            colors = [c for c in range(1, limit + 1) if not taken >> c & 1]
-        common = self.used_mask[u] & self.used_mask[v]
-        for c in colors:
-            self._tick()
-            if self.walk_ends_at(u, v, common, c):
-                continue
-            self.set(e, c)
-            if self._extend(idx + 1, max(max_used, c)):
-                return True
-            self.unset(e)
-        return False
-
     def enumerate(self) -> Iterator[EdgeColoring]:
         """Yield one total acyclic k-coloring per orbit of color renamings:
         the one whose colors first appear in ascending order along
         ``self.order``."""
         if self.fixed:
             raise ValueError("enumerate requires symmetry_break=False")
-        yield from self._enum(0, 0)
-
-    def _enum(self, idx: int, max_used: int) -> Iterator[EdgeColoring]:
-        if idx == len(self.order):
+        for _ in self._colorings(0):
             yield self.snapshot()
-            return
-        e = self.order[idx]
-        u, v = self.g.edges[e]
-        taken = self.used_mask[u] | self.used_mask[v]
-        common = self.used_mask[u] & self.used_mask[v]
-        # as in _extend, a new color is always the lowest unused one
-        for c in range(1, min(self.k, max_used + 1) + 1):
-            if taken >> c & 1:
-                continue
-            self._tick()
-            if self.walk_ends_at(u, v, common, c):
-                continue
-            self.set(e, c)
-            yield from self._enum(idx + 1, max(max_used, c))
-            self.unset(e)
+
+    def _colorings(self, max_used: int) -> Iterator[None]:
+        """Depth-first search over ``self.order``, yielding each time every
+        edge of it is colored; resuming backtracks to the next coloring.
+
+        A frame is an edge of ``self.order``: the edge and its ends, the
+        colors present at both ends, its untried colors (highest first, so
+        the lowest pops off the end) and the peak color before it.  The
+        frame of the edge being colored lives in local variables, and
+        ``stack`` holds those of the colored edges before it.  A fixed edge
+        tries only its fixed color.  Otherwise colors above the peak are
+        interchangeable, so only the first of them is offered.  Each color
+        tried is one node, checked by Fact 1 against the colors at both
+        ends.  An exhausted search leaves ``self.order`` uncolored.
+        """
+        order, edges, fixed, k = self.order, self.g.edges, self.fixed, self.k
+        used_mask = self.used_mask
+        tick, walk, set_, unset = self._tick, self.walk_ends_at, self.set, self.unset
+        stack: list[tuple[int, int, int, int, list[int], int]] = []
+        peak = max_used
+        while True:
+            if len(stack) < len(order):
+                e = order[len(stack)]
+                u, v = edges[e]
+                if e in fixed:
+                    untried = [fixed[e]]
+                else:
+                    taken = used_mask[u] | used_mask[v]
+                    untried = [c for c in range(min(k, peak + 1), 0, -1)
+                               if not taken >> c & 1]
+                common = used_mask[u] & used_mask[v]
+            else:
+                yield
+                untried = []  # nothing follows a full coloring: backtrack
+            # the current edge's next color that closes no cycle, popping
+            # frames whose colors have run out
+            while True:
+                while untried:
+                    c = untried.pop()
+                    tick()
+                    if not walk(u, v, common, c):
+                        break
+                else:
+                    if not stack:
+                        return
+                    e, u, v, common, untried, peak = stack.pop()
+                    unset(e)
+                    continue
+                break
+            set_(e, c)
+            stack.append((e, u, v, common, untried, peak))
+            if c > peak:
+                peak = c
 
 
 def is_acyclically_k_colorable(
@@ -269,11 +280,11 @@ def enumerate_acyclic_colorings(
       coloring has the property iff sigma(c_i) = i for every i, and all
       such sigma give the same coloring.
     - The search yields exactly those members.  Letting each edge take a
-      color only up to one above the largest used so far (as ``_extend``
-      does) admits precisely the prefixes whose colors first appear in
-      ascending order; every other pruning (properness and the Fact-1
-      cycle test) depends on the prefix alone, and each prefix of a
-      proper acyclic coloring is proper and acyclic.
+      color only up to one above the largest used so far (as
+      ``_Search._colorings`` does) admits precisely the prefixes whose
+      colors first appear in ascending order; every other pruning
+      (properness and the Fact-1 cycle test) depends on the prefix alone,
+      and each prefix of a proper acyclic coloring is proper and acyclic.
 
     Each yielded coloring therefore stands for math.perm(k, j) colorings,
     where j = len(c.colors_used()).

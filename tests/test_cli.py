@@ -286,12 +286,34 @@ def test_zero_budget_exit_2(tmp_path, capsys, flag):
     assert "budget" in payload["error"]
 
 
-def test_deep_search_exit_2(tmp_path, capsys):
-    # the recursive exact search exceeds the interpreter's recursion limit
-    path = write_graph(tmp_path, cycle(1200))
+@pytest.mark.parametrize("n", [1200, 10_000])
+def test_deep_search_chi_a(tmp_path, capsys, n):
+    # n frames deep, past the recursion limit: the search keeps them on a list
+    path = write_graph(tmp_path, cycle(n))
     code, payload = run(capsys, ["chi-a", path])
+    assert code == 0
+    assert payload["chi_a"] == 3
+    assert payload["nodes"] == 2 * n + 1
+
+
+def test_deep_component_fallback(tmp_path, capsys):
+    # one move is spent on the first edge, so every later edge falls to
+    # the whole-component search over all 1,200 edges
+    path = write_graph(tmp_path, cycle(1200))
+    code, payload = run(capsys, ["color", path, "--move-budget", "1"])
+    assert code == 0
+    assert payload["outcome"] == "fallback-success"
+
+
+@pytest.mark.parametrize("key", ["name", "n", "trials", "seed"])
+def test_experiment_config_missing_key_exit_2(tmp_path, capsys, key):
+    p = tmp_path / "exp.cfg"
+    ExperimentConfig("colorer", n=6, trials=1, seed=0).to_file(str(p))
+    p.write_text("".join(line for line in p.read_text().splitlines(True)
+                         if not line.startswith(f"{key} ")))
+    code, payload = run(capsys, ["experiment", "--config", str(p)])
     assert code == 2
-    assert "recursion" in payload["error"]
+    assert payload["error"].endswith(f"lacks {key}")
 
 
 def test_deep_flow_mad_and_color(tmp_path, capsys):

@@ -16,7 +16,6 @@ from aecolor.coloring import (
     is_proper,
     parse_coloring,
     properness_violation,
-    swap_two_colors_on_component,
     _find_cycle_two_colors,
     trace_bichromatic,
 )
@@ -211,29 +210,6 @@ def test_two_color_helpers_reject_colors_outside_palette():
     c = EdgeColoring(2, {0: 1, 1: 2})
     with pytest.raises(ColoringError, match="outside"):
         exists_critical_path(g, c, 1, 3, 0, 2)
-    with pytest.raises(ColoringError, match="outside"):
-        swap_two_colors_on_component(g, c, 1, 3, 0)
-
-
-def test_swap_single_edge():
-    g = path(2)
-    c = EdgeColoring(3, {0: 1})
-    swapped = swap_two_colors_on_component(g, c, 1, 2, 0)
-    assert swapped.get(0) == 2
-
-
-def test_swap_path():
-    g = path(4)
-    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1})
-    swapped = swap_two_colors_on_component(g, c, 1, 2, 0)
-    assert [swapped.get(e) for e in range(3)] == [2, 1, 2]
-    assert is_proper(g, swapped)
-
-
-def test_swap_rejects_cycle():
-    g, c = colored_cycle(4, [1, 2, 1, 2])
-    with pytest.raises(ColoringError):
-        swap_two_colors_on_component(g, c, 1, 2, 0)
 
 
 def test_fact1_two_color_subgraph_degree_bound():
@@ -261,42 +237,6 @@ def test_fact1_two_color_subgraph_degree_bound():
                     t2 = trace_bichromatic(g, c, a, b, w)
                     assert set(t2.vertices) == set(t.vertices)
                     assert t2.is_cycle == t.is_cycle
-
-
-def test_swap_preserves_properness_and_other_pairs():
-    rng = random.Random(13)
-    for _ in range(40):
-        n = rng.randint(3, 14)
-        m = rng.randint(2, n * (n - 1) // 2)
-        g = random_graph(rng, n, m)
-        c = random_proper_coloring(rng, g)
-        used = sorted(c.colors_used())
-        if len(used) < 2:
-            continue
-        a, b = rng.sample(used, 2)
-        v = rng.randrange(g.n)
-        t = trace_bichromatic(g, c, a, b, v)
-        if t is None or t.is_cycle:
-            continue
-        swapped = swap_two_colors_on_component(g, c, a, b, v)
-        assert is_proper(g, swapped)
-        # cycles on color pairs disjoint from {a, b} are untouched
-        for x, y in combinations(used, 2):
-            if {x, y} & {a, b}:
-                continue
-            def cycle_pair(col, x=x, y=y):
-                seen = set()
-                for s in range(g.n):
-                    if s in seen:
-                        continue
-                    tr = trace_bichromatic(g, col, x, y, s)
-                    if tr is None:
-                        continue
-                    seen.update(tr.vertices)
-                    if tr.is_cycle:
-                        return frozenset(tr.vertices)
-                return None
-            assert cycle_pair(c) == cycle_pair(swapped)
 
 
 def test_cycle_scan_agrees_with_pairwise_brute_force():
