@@ -62,7 +62,7 @@ class _Colorer(_Search):
         self.counts = {"assign": 0, "repair": 0}
 
     def _recolor(self, edges: list[int], max_used: int) -> bool:
-        if not self.extend_over(edges, max_used):
+        if self.extend_over(edges, max_used) != "yes":
             return False
         self.trace.append(("repair", tuple(edges), tuple(self.assign[e] for e in edges)))
         self.counts["repair"] += 1
@@ -104,11 +104,17 @@ class _Colorer(_Search):
     def place(self, e: int) -> bool:
         """M1, then exact repairs of radius 1, 2 and 3, all under the move
         budget.  A radius whose ball is no larger than the last one's is
-        skipped."""
+        skipped.  Nothing runs once the budget is spent, so a run that
+        runs out reports ``moves_spent`` = budget + 1: the node that
+        overran it."""
+        if self.nodes > self.max_nodes:
+            return False
         if self.try_direct(e):
             return True
         size = 1
         for r in (1, 2, 3):
+            if self.nodes > self.max_nodes:
+                return False
             ball = self.ball(e, r)
             if len(ball) > size and self._recolor(ball, self.k):
                 return True

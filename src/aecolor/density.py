@@ -7,7 +7,6 @@ mad < 4 or mad < 3 are never misclassified by rounding.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
 from .graph import Graph
@@ -19,7 +18,9 @@ class _Dinic:
     """Max flow with integer capacities and deterministic arc order.
 
     Arc i and its reverse i ^ 1 are stored side by side; ``cap`` holds
-    residual capacities.
+    residual capacities.  After ``max_flow``, ``level`` is its last BFS,
+    which ran to completion, so the nodes with a level >= 0 are those
+    reachable from s in the residual graph: a minimum cut's source side.
     """
 
     def __init__(self, n: int):
@@ -27,6 +28,7 @@ class _Dinic:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        self.level: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> None:
         """Arc u -> v of capacity ``cap`` and its reverse of capacity
@@ -77,6 +79,7 @@ class _Dinic:
         while True:
             level = self._levels(s, t)
             if level[t] < 0:
+                self.level = level
                 return flow
             it = [0] * self.n
             path: list[int] = []  # arcs from s to u
@@ -113,17 +116,6 @@ class _Dinic:
                     level[u] = -1
                     u = to[path.pop() ^ 1]
                     it[u] += 1
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for i in self.adj[u]:
-                if self.cap[i] > 0 and self.to[i] not in seen:
-                    seen.add(self.to[i])
-                    q.append(self.to[i])
-        return seen
 
 
 def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
@@ -178,9 +170,7 @@ def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
         net.add_edge(u, v, q, q)
     if net.max_flow(src, snk) >= excess:
         return None
-    side = net.source_side(src)
-    side.discard(src)
-    return side
+    return {v for v in range(n) if net.level[v] >= 0}
 
 
 def subgraph_edge_count(g: Graph, vertices: set[int]) -> int:

@@ -3,11 +3,12 @@
 The backtracker is the independent oracle the rest of the package is
 validated against, so it favors transparent exhaustive search over clever
 encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
-check, and two sound symmetry breaks (fixing one max-degree vertex's edge
-colors, and introducing extra colors in ascending order).  The enumerator
-uses only the second, which leaves one coloring per orbit of color
-renamings.  The colorer's local repairs run the same search on a partial
-coloring (``_Search.extend_over``).
+check, and one sound symmetry reduction: new colors are introduced in
+ascending order, which leaves one coloring per orbit of color renamings.
+The decision puts one max-degree vertex's edges first, where the reduction
+alone gives them colors 1..d (``_search_order``).  ``_Search.extend_over``
+drives the search for the decision and for the colorer's local repairs on
+a partial coloring; the enumerator runs it directly.
 """
 
 from __future__ import annotations
@@ -87,11 +88,40 @@ def deletion_edge_order(g: Graph) -> list[int]:
     return order
 
 
+def _search_order(g: Graph) -> list[int]:
+    """The whole-graph search's edge order: the star of v0, the lowest-id
+    vertex of maximum degree d, in ascending neighbour order, then every
+    other edge in smallest-last insertion order.  g must have an edge.
+
+    Searched from the empty coloring with the renaming reduction on from 0
+    and k >= d, the i-th star edge v0w_i can take only color i, so the star
+    gets colors 1..d, one node each and never retried.  By induction the
+    star edges before it carry colors 1..i-1 and nothing else is colored:
+
+    - colors 1..i-1 are at v0, so none of them is free for v0w_i;
+    - the peak is i-1, so the only color above it offered is i <= d <= k;
+    - w_i has no colored edge, since the star's other ends are distinct,
+      so i is free at w_i and no color is common to both ends: Fact 1 sees
+      no cycle and the first try succeeds.
+
+    No orbit is lost: by the orbit argument of
+    ``enumerate_acyclic_colorings``, which holds for any edge order, every
+    acyclic k-coloring has a renaming whose colors first appear as 1, 2,
+    ..., j along this order, and its star edges, which come first and carry
+    distinct colors, then have colors 1..d in order.  So the search finds a
+    coloring iff g has one.
+    """
+    v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
+    star = g.incident_edges(v0)
+    in_star = set(star)
+    return star + [e for e in reversed(deletion_edge_order(g)) if e not in in_star]
+
+
 class _Search(ColorState):
-    """Backtracking that extends the state's coloring over ``self.order``:
-    every edge in smallest-last order (``whole_graph``), or the edges of a
-    repair (``extend_over``).  ``deadline`` is read every 4096 nodes; with
-    none the clock is never read, so node counts repeat exactly."""
+    """The coloring kernel plus a node-budgeted exact search, driven by
+    ``extend_over``: recolor a list of edges, keeping every other color
+    fixed.  ``deadline`` is read every 4096 nodes; with none the clock is
+    never read, so node counts repeat exactly."""
 
     def __init__(self, g: Graph, k: int, max_nodes: int,
                  deadline: float | None = None):
@@ -99,25 +129,6 @@ class _Search(ColorState):
         self.nodes = 0
         self.max_nodes = max_nodes
         self.deadline = deadline
-        self.order: list[int] = []
-        self.fixed: dict[int, int] = {}
-        self.base_colors = 0
-
-    @classmethod
-    def whole_graph(cls, g: Graph, k: int, budget: SolveBudget,
-                    symmetry_break: bool = True) -> _Search:
-        s = cls(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
-        s.order = list(reversed(deletion_edge_order(g)))
-        if symmetry_break and g.m > 0:
-            v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
-            for i, e in enumerate(g.incident_edges(v0), start=1):
-                if i > k:
-                    break
-                s.fixed[e] = i
-            s.base_colors = min(g.degree(v0), k)
-            pos = {e: i for i, e in enumerate(s.order)}
-            s.order.sort(key=lambda e: (e not in s.fixed, pos[e]))
-        return s
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -127,19 +138,11 @@ class _Search(ColorState):
                 and time.monotonic() > self.deadline):
             raise _BudgetExhausted
 
-    def solve(self) -> SolveResult:
-        try:
-            for _ in self._colorings(self.base_colors):
-                return SolveResult("yes", self.snapshot(), self.nodes)
-        except _BudgetExhausted:
-            return SolveResult("unknown", None, self.nodes)
-        return SolveResult("no", None, self.nodes)
-
-    def extend_over(self, edges: list[int], max_used: int) -> bool:
-        """Pre-colored mode: recolor ``edges``, in this order, keeping every
-        other color fixed, so that the coloring stays proper and acyclic.
-        Returns True with the new colors set, or False with the old ones
-        back when no recoloring exists or the budget ran out.  The rest
+    def extend_over(self, edges: list[int], max_used: int) -> Status:
+        """Recolor ``edges``, in this order, keeping every other color
+        fixed, so that the coloring stays proper and acyclic.  Returns
+        "yes" with the new colors set, or "no" (no recoloring exists) or
+        "unknown" (the budget ran out) with the old ones back.  The rest
         must be proper and acyclic: Fact 1 sees only cycles through the
         edge being colored.  ``max_used`` starts the renaming reduction:
 
@@ -148,55 +151,47 @@ class _Search(ColorState):
           uses yet differ in which exterior edges carry them, so they are
           not interchangeable.  With one colored edge at u, color 1 is
           illegal on uv and a search offering only 1 would miss color 2.
-        - ``0`` keeps it when ``edges`` is a whole component that nothing
-          colored touches.  Properness joins only edges that share a vertex
-          and a bichromatic cycle is connected, so no constraint crosses
-          components: the extensions are the component's own acyclic
-          colorings, closed under renaming, and if any exists one has its
-          colors first appear as 1, 2, ..., j along ``edges`` (see
-          ``enumerate_acyclic_colorings``) -- the prefixes it admits.
+        - ``0`` keeps it when ``edges`` are whole components that nothing
+          colored touches, such as the whole graph from the empty coloring.
+          Properness joins only edges that share a vertex and a bichromatic
+          cycle is connected, so no constraint leaves the components: the
+          extensions are their own acyclic colorings, closed under
+          renaming, and if any exists one has its colors first appear as
+          1, 2, ..., j along ``edges`` (see ``enumerate_acyclic_colorings``)
+          -- the prefixes it admits.
         """
         old = [self.assign[e] for e in edges]
         for e in edges:
             if self.assign[e]:
                 self.unset(e)
-        self.order = edges
+        status: Status = "no"
         try:
-            for _ in self._colorings(max_used):
-                return True
+            for _ in self._colorings(edges, max_used):
+                return "yes"
         except _BudgetExhausted:
+            status = "unknown"
             for e in edges:
                 if self.assign[e]:
                     self.unset(e)
         for e, c in zip(edges, old):
             if c:
                 self.set(e, c)
-        return False
+        return status
 
-    def enumerate(self) -> Iterator[EdgeColoring]:
-        """Yield one total acyclic k-coloring per orbit of color renamings:
-        the one whose colors first appear in ascending order along
-        ``self.order``."""
-        if self.fixed:
-            raise ValueError("enumerate requires symmetry_break=False")
-        for _ in self._colorings(0):
-            yield self.snapshot()
+    def _colorings(self, order: list[int], max_used: int) -> Iterator[None]:
+        """Depth-first search over ``order``, yielding each time every edge
+        of it is colored; resuming backtracks to the next coloring.
 
-    def _colorings(self, max_used: int) -> Iterator[None]:
-        """Depth-first search over ``self.order``, yielding each time every
-        edge of it is colored; resuming backtracks to the next coloring.
-
-        A frame is an edge of ``self.order``: the edge and its ends, the
-        colors present at both ends, its untried colors (highest first, so
-        the lowest pops off the end) and the peak color before it.  The
-        frame of the edge being colored lives in local variables, and
-        ``stack`` holds those of the colored edges before it.  A fixed edge
-        tries only its fixed color.  Otherwise colors above the peak are
-        interchangeable, so only the first of them is offered.  Each color
-        tried is one node, checked by Fact 1 against the colors at both
-        ends.  An exhausted search leaves ``self.order`` uncolored.
+        A frame is an edge of ``order``: the edge and its ends, the colors
+        present at both ends, its untried colors (highest first, so the
+        lowest pops off the end) and the peak color before it.  The frame
+        of the edge being colored lives in local variables, and ``stack``
+        holds those of the colored edges before it.  Colors above the peak
+        are interchangeable, so only the first of them is offered.  Each
+        color tried is one node, checked by Fact 1 against the colors at
+        both ends.  An exhausted search leaves ``order`` uncolored.
         """
-        order, edges, fixed, k = self.order, self.g.edges, self.fixed, self.k
+        edges, k = self.g.edges, self.k
         used_mask = self.used_mask
         tick, walk, set_, unset = self._tick, self.walk_ends_at, self.set, self.unset
         stack: list[tuple[int, int, int, int, list[int], int]] = []
@@ -205,12 +200,9 @@ class _Search(ColorState):
             if len(stack) < len(order):
                 e = order[len(stack)]
                 u, v = edges[e]
-                if e in fixed:
-                    untried = [fixed[e]]
-                else:
-                    taken = used_mask[u] | used_mask[v]
-                    untried = [c for c in range(min(k, peak + 1), 0, -1)
-                               if not taken >> c & 1]
+                taken = used_mask[u] | used_mask[v]
+                untried = [c for c in range(min(k, peak + 1), 0, -1)
+                           if not taken >> c & 1]
                 common = used_mask[u] & used_mask[v]
             else:
                 yield
@@ -251,19 +243,23 @@ def is_acyclically_k_colorable(
         return SolveResult("yes", EdgeColoring(k, {}))
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
-    result = _Search.whole_graph(g, k, budget).solve()
-    if result.status == "yes":
-        c = result.coloring
-        # has_bichromatic_cycle also raises on an improper coloring
-        if c is None or not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
-            raise ColoringError(f"exact search returned an invalid {k}-coloring")
-    return result
+    search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+    status = search.extend_over(_search_order(g), 0)
+    if status != "yes":
+        return SolveResult(status, None, search.nodes)
+    c = search.snapshot()
+    # has_bichromatic_cycle also raises on an improper coloring
+    if not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
+        raise ColoringError(f"exact search returned an invalid {k}-coloring")
+    return SolveResult("yes", c, search.nodes)
 
 
 def enumerate_acyclic_colorings(
     g: Graph, k: int, budget: SolveBudget = SolveBudget()
 ) -> Iterator[EdgeColoring]:
-    """One total acyclic k-coloring of g per orbit of color renamings.
+    """One total acyclic k-coloring of g per orbit of color renamings: the
+    one whose colors first appear in ascending order along the smallest-last
+    insertion order.
 
     The symmetric group S_k acts on colorings by renaming colors, and the
     reduction is exact:
@@ -274,7 +270,7 @@ def enumerate_acyclic_colorings(
       coloring uses, so the stabiliser is Sym(unused colors) and the orbit
       has k!/(k-j)! = math.perm(k, j) members.
     - Exactly one member of each orbit has its colors first appear in the
-      order 1, 2, ..., j along the search's edge order.  If a member's
+      order 1, 2, ..., j along any fixed edge order.  If a member's
       colors first appear as c_1, ..., c_j, a renaming sigma gives colors
       first appearing as sigma(c_1), ..., sigma(c_j), so the renamed
       coloring has the property iff sigma(c_i) = i for every i, and all
@@ -289,7 +285,9 @@ def enumerate_acyclic_colorings(
     Each yielded coloring therefore stands for math.perm(k, j) colorings,
     where j = len(c.colors_used()).
     """
-    yield from _Search.whole_graph(g, k, budget, symmetry_break=False).enumerate()
+    search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+    for _ in search._colorings(list(reversed(deletion_edge_order(g))), 0):
+        yield search.snapshot()
 
 
 @dataclass

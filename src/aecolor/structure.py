@@ -23,7 +23,6 @@ from .solver import (
     CriticalityReport,
     SolveBudget,
     enumerate_acyclic_colorings,
-    is_acyclically_k_colorable,
     is_critical,
 )
 
@@ -488,11 +487,10 @@ def critical_sweep(
         if g.m == 0:
             continue
         delta = g.max_degree()
-        low = is_acyclically_k_colorable(g, delta + 1, budget)
-        if low.status == "yes":
-            continue  # chi'_a <= Delta+1: not critical at Delta+1 or Delta+2
         for k in (delta + 1, delta + 2):
             report = is_critical(g, k, budget)
+            if report.witness_coloring is not None:
+                break  # k-colorable, so colorable and not critical at k + 1
             if report.status != "not-critical":
                 found.append(SweepRecord(g, k, report))
     return found

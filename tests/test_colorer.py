@@ -266,6 +266,38 @@ def test_tiny_move_budget_reports_failure_or_falls_back():
     assert report2.outcome == "fallback-success"
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_spent_move_budget_is_overrun_by_one_node(budget):
+    # C4 has no acyclic 2-coloring, so the run spends its whole budget
+    report = color_graph(cycle(4), 2, move_budget=budget, fallback=False)
+    assert report.outcome == "failure"
+    assert report.moves_spent == budget + 1
+
+
+def test_spent_move_budget_on_regular_graphs():
+    outcomes = Counter()
+    for seed in range(4):
+        g = seeded_regular_graph(5, 30, seed)
+        for budget in (g.m, g.m + 20, 5 * g.m):
+            report = color_graph(g, 6, move_budget=budget, fallback=False)
+            if report.outcome == "failure":
+                assert report.moves_spent == budget + 1, (seed, budget)
+            else:
+                assert report.moves_spent <= budget, (seed, budget)
+            outcomes[report.outcome] += 1
+    assert outcomes["failure"] >= 4 and outcomes["success"] >= 1
+
+
+def test_spent_move_budget_stops_m1_before_each_fallback():
+    # two disjoint C4s at k = 3: the budget runs out in the first, and the
+    # second goes to the fallback without another M1 node
+    two_c4 = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                             (4, 5), (5, 6), (6, 7), (7, 4)])
+    report = color_graph(two_c4, 3, move_budget=1)
+    assert report.outcome == "fallback-success"
+    assert report.moves_spent == 2
+
+
 def test_move_counts_match_trace():
     rng = random.Random(37)
     for _ in range(20):

@@ -1,15 +1,23 @@
-"""The explicit-stack search against the recursive one it replaced.
+"""The exact search against the recursive search and set-up it replaced.
 
-``_RecursiveSearch`` keeps the recursive ``_extend``/``_enum`` pair and the
-``solve``/``extend_over``/``enumerate`` that drove them verbatim, as the
-oracle: on the same graph, palette and node budget both searches must try
-the same colors in the same order, so statuses, node counts, colorings,
-enumeration order and the state left after a restore all match.  Budgets
-small enough to run out mid-search compare the restore path too.
+``_RecursiveSearch`` keeps, verbatim, the recursive ``_extend``/``_enum``
+pair, the ``solve``/``extend_over``/``enumerate`` that drove them and the
+``whole_graph`` set-up that pinned the edges of a max-degree vertex v0 to
+colors 1..d (``fixed``, ``base_colors``, ``symmetry_break``).  It stands
+on the coloring kernel alone.  The search now puts v0's star first and
+lets the renaming reduction give it colors 1..d, so on the same graph,
+palette and node budget both must try the same colors in the same order:
+statuses, node counts, colorings, enumeration order and the state left
+after a restore all match.  Budgets small enough to run out mid-search
+compare the restore path too.
+
+The reduction itself is checked against a plain backtracker with none.
 """
 
 import random
+import time
 
+from aecolor.coloring import ColorState, EdgeColoring, has_bichromatic_cycle
 from aecolor.colorer import color_graph
 from aecolor.graph import build_graph
 from aecolor.solver import (
@@ -17,16 +25,54 @@ from aecolor.solver import (
     SolveResult,
     _BudgetExhausted,
     _Search,
+    deletion_edge_order,
     enumerate_acyclic_colorings,
+    is_acyclically_k_colorable,
 )
-from conftest import random_graph
+from conftest import complete, complete_bipartite, random_graph
 
 
-class _RecursiveSearch(_Search):
-    def solve(self) -> SolveResult:
+class _Exhausted(Exception):
+    pass
+
+
+class _RecursiveSearch(ColorState):
+    def __init__(self, g, k, max_nodes, deadline=None):
+        super().__init__(g, k)
+        self.nodes = 0
+        self.max_nodes = max_nodes
+        self.deadline = deadline
+        self.order = []
+        self.fixed = {}
+        self.base_colors = 0
+
+    @classmethod
+    def whole_graph(cls, g, k, budget, symmetry_break=True):
+        s = cls(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+        s.order = list(reversed(deletion_edge_order(g)))
+        if symmetry_break and g.m > 0:
+            v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
+            for i, e in enumerate(g.incident_edges(v0), start=1):
+                if i > k:
+                    break
+                s.fixed[e] = i
+            s.base_colors = min(g.degree(v0), k)
+            pos = {e: i for i, e in enumerate(s.order)}
+            s.order.sort(key=lambda e: (e not in s.fixed, pos[e]))
+        return s
+
+    def _tick(self):
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise _Exhausted
+        if (self.nodes % 4096 == 0 and self.deadline is not None
+                and time.monotonic() > self.deadline):
+            raise _Exhausted
+
+    def solve(self):
         try:
             found = self._extend(0, self.base_colors)
-        except _BudgetExhausted:
+        except _Exhausted:
             return SolveResult("unknown", None, self.nodes)
         if not found:
             return SolveResult("no", None, self.nodes)
@@ -41,7 +87,7 @@ class _RecursiveSearch(_Search):
         try:
             if self._extend(0, max_used):
                 return True
-        except _BudgetExhausted:
+        except _Exhausted:
             for e in edges:
                 if self.assign[e]:
                     self.unset(e)
@@ -116,34 +162,35 @@ def test_solve_matches_recursive():
         delta = g.max_degree()
         for k in range(delta, delta + 3):
             for budget in _budgets(rng):
-                new = _Search.whole_graph(g, k, budget).solve()
+                new = is_acyclically_k_colorable(g, k, budget)
                 old = _RecursiveSearch.whole_graph(g, k, budget).solve()
                 assert new == old, (g.edges, k, budget)
                 outcomes.add(new.status)
     assert outcomes == {"yes", "no", "unknown"}
 
 
-def _drain(search):
+def _drain(colorings, exhausted):
     got = []
     try:
-        for c in search.enumerate():
+        for c in colorings:
             got.append(c)
-    except _BudgetExhausted:
+    except exhausted:
         got.append("exhausted")
-    return got, search.nodes
+    return got
 
 
 def test_enumerate_matches_recursive():
+    """The full sequence, and with a small budget the coloring after which
+    it runs out, which pins the node count at every yield."""
     total = 0
     for rng, g in _graphs(81, 120, 6):
         delta = g.max_degree()
         for k in range(delta, delta + 2):
             for budget in _budgets(rng):
-                new = _drain(_Search.whole_graph(g, k, budget, symmetry_break=False))
-                old = _drain(_RecursiveSearch.whole_graph(g, k, budget,
-                                                          symmetry_break=False))
-                assert new == old, (g.edges, k, budget)
-                total += len(new[0])
+                new = _drain(enumerate_acyclic_colorings(g, k, budget), _BudgetExhausted)
+                old = _RecursiveSearch.whole_graph(g, k, budget, symmetry_break=False)
+                assert new == _drain(old.enumerate(), _Exhausted), (g.edges, k, budget)
+                total += len(new)
     assert total > 1000
 
 
@@ -155,7 +202,9 @@ def _start(cls, g, k, coloring, max_nodes):
 
 def test_extend_over_matches_recursive():
     """A full acyclic coloring, partly erased, then a random edge subset
-    recolored in random order, with and without the renaming reduction."""
+    recolored in random order, with and without the renaming reduction.
+    The oracle's True is "yes"; its False is "unknown" when its budget ran
+    out and "no" otherwise."""
     results = set()
     for rng, g in _graphs(82, 300, 10):
         k = g.max_degree() + rng.randint(0, 1)
@@ -171,14 +220,67 @@ def test_extend_over_matches_recursive():
                 new = _start(_Search, g, k, base, max_nodes)
                 old = _start(_RecursiveSearch, g, k, base, max_nodes)
                 got = new.extend_over(list(edges), max_used)
-                want = old.extend_over(list(edges), max_used)
+                found = old.extend_over(list(edges), max_used)
+                want = "yes" if found else "unknown" if old.nodes > max_nodes else "no"
                 assert (got, new.assign, new.nodes) == (want, old.assign, old.nodes)
-                results.add((got, new.nodes > max_nodes))
-    # found, not found, and restored after the budget ran out
-    assert {(True, False), (False, False), (False, True)} <= results
+                results.add(got)
+    assert results == {"yes", "no", "unknown"}
 
 
 def test_enumerate_deep_path():
     # a 1,500-edge path has one 2-coloring up to renaming
     g = build_graph(1501, [(v, v + 1) for v in range(1500)])
     assert len(list(enumerate_acyclic_colorings(g, 2))) == 1
+
+
+def has_acyclic_coloring(g, k):
+    """Plain backtracking in edge-id order over every color free at both
+    ends, with no symmetry reduction; a prefix in which the independent
+    validator finds a bichromatic cycle is cut, as every extension keeps
+    that cycle."""
+    assignment = {}
+    at = [set() for _ in range(g.n)]
+
+    def extend(e):
+        if e == g.m:
+            return True
+        u, v = g.edges[e]
+        for col in range(1, k + 1):
+            if col in at[u] or col in at[v]:
+                continue
+            assignment[e] = col
+            if has_bichromatic_cycle(g, EdgeColoring(k, dict(assignment))) is None:
+                at[u].add(col)
+                at[v].add(col)
+                if extend(e + 1):
+                    return True
+                at[u].discard(col)
+                at[v].discard(col)
+            del assignment[e]
+        return False
+
+    return extend(0)
+
+
+def test_decision_matches_full_search():
+    """The star-first order with the renaming reduction says "yes" iff
+    some acyclic k-coloring exists, and a "yes" coloring gives the edges of
+    v0 (the lowest-id vertex of maximum degree) colors 1..d in ascending
+    neighbour order."""
+    rng = random.Random(83)
+    graphs = [complete(4), complete_bipartite(3, 3)]
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        graphs.append(random_graph(rng, n, rng.randint(2, min(10, n * (n - 1) // 2))))
+    seen = set()
+    for g in graphs:
+        delta = g.max_degree()
+        v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
+        for k in range(delta, delta + 3):
+            result = is_acyclically_k_colorable(g, k)
+            assert (result.status == "yes") == has_acyclic_coloring(g, k), (g.edges, k)
+            if result.status == "yes":
+                star = [result.coloring.get(e) for e in g.incident_edges(v0)]
+                assert star == list(range(1, delta + 1))
+            seen.add(result.status)
+    assert seen == {"yes", "no"}

@@ -145,4 +145,6 @@ def test_flow_follows_a_path_deeper_than_the_recursion_limit():
     for v in range(length):
         net.add_edge(v, v + 1, 3 if v == length // 2 else 5 + v % 7, v % 3)
     assert net.max_flow(0, length) == 3
-    assert net.source_side(0) == set(range(length // 2 + 1))
+    # the last BFS labels exactly the residual-reachable side
+    reached = {v for v, d in enumerate(net.level) if d >= 0}
+    assert reached == set(range(length // 2 + 1))
