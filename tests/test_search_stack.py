@@ -181,7 +181,9 @@ def _drain(colorings, exhausted):
 
 def test_enumerate_matches_recursive():
     """The full sequence, and with a small budget the coloring after which
-    it runs out, which pins the node count at every yield."""
+    it runs out.  The node count of a full enumeration is pinned too: a
+    budget of exactly the oracle's count drains the same sequence, and one
+    node less runs out."""
     total = 0
     for rng, g in _graphs(81, 120, 6):
         delta = g.max_degree()
@@ -191,6 +193,13 @@ def test_enumerate_matches_recursive():
                 old = _RecursiveSearch.whole_graph(g, k, budget, symmetry_break=False)
                 assert new == _drain(old.enumerate(), _Exhausted), (g.edges, k, budget)
                 total += len(new)
+                if "exhausted" in new:
+                    continue
+                exact = enumerate_acyclic_colorings(g, k, SolveBudget(old.nodes))
+                assert _drain(exact, _BudgetExhausted) == new, (g.edges, k)
+                if old.nodes > 1:
+                    short = enumerate_acyclic_colorings(g, k, SolveBudget(old.nodes - 1))
+                    assert _drain(short, _BudgetExhausted)[-1] == "exhausted", (g.edges, k)
     assert total > 1000
 
 
