@@ -29,6 +29,7 @@ from .graph import (
     parse_edge_list,
 )
 from .solver import (
+    BudgetExhausted,
     CriticalityReport,
     SolveBudget,
     chi_a_exact,
@@ -45,13 +46,14 @@ from .structure import (
 )
 
 __all__ = [
-    "BichromaticTrace", "ChargeState", "ColorSets", "ColoringReport",
-    "CriticalityReport", "EdgeColoring", "Graph", "GraphError", "SolveBudget",
-    "build_graph", "chi_a_exact", "choose_palette", "color_graph",
-    "color_sets", "critical_sweep", "degree_profile", "delete_edge",
-    "density_at_least", "discharge", "discharging_contradiction_report",
-    "exists_critical_path", "extend_one_edge", "fact2_verify", "girth",
-    "has_bichromatic_cycle", "is_2_connected", "is_acyclically_k_colorable",
-    "is_critical", "is_proper", "lemma_suite", "mad_brute", "mad_exact",
-    "parse_edge_list", "planar_girth_bound", "trace_bichromatic",
+    "BichromaticTrace", "BudgetExhausted", "ChargeState", "ColorSets",
+    "ColoringReport", "CriticalityReport", "EdgeColoring", "Graph",
+    "GraphError", "SolveBudget", "build_graph", "chi_a_exact",
+    "choose_palette", "color_graph", "color_sets", "critical_sweep",
+    "degree_profile", "delete_edge", "density_at_least", "discharge",
+    "discharging_contradiction_report", "exists_critical_path",
+    "extend_one_edge", "fact2_verify", "girth", "has_bichromatic_cycle",
+    "is_2_connected", "is_acyclically_k_colorable", "is_critical", "is_proper",
+    "lemma_suite", "mad_brute", "mad_exact", "parse_edge_list",
+    "planar_girth_bound", "trace_bichromatic",
 ]

@@ -1,10 +1,12 @@
 """Command-line interface: file ingestion, solving, checking, experiments.
 
-Exit codes: 0 = success / property holds, 1 = checked and false (invalid
-coloring, bound violated), 2 = error or undecided within budget.  Errors
-include bad input (a config file missing a required key among them), a
-zero or negative solver budget, an internal check that failed, and a closed
-stdout.
+Every setting is a command-line flag; none is read from a config file or
+the environment.  Exit codes: 0 = success / property holds, 1 = checked and
+false (invalid coloring, bound violated), 2 = error or undecided within
+budget.  Errors include bad input, an out-of-range number (a zero or
+negative solver or move budget, a worker count outside [1..cpu count]), an
+internal check that failed and a closed stdout; any other exception also
+exits 2, reported with its type name.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import coloring as ck
@@ -71,18 +73,6 @@ def generate_sparse(n: int, m: int, seed: int) -> Graph:
     return gc.build_graph(n, pairs)
 
 
-def default_budget(args) -> SolveBudget:
-    """Limits from the flags, else the environment, else SolveBudget's
-    defaults.  A zero or negative limit raises ValueError."""
-    nodes = args.budget_nodes
-    if nodes is None:
-        nodes = int(os.environ.get("AECOLOR_BUDGET_NODES", SolveBudget.max_nodes))
-    secs = args.budget_secs
-    if secs is None:
-        secs = float(os.environ.get("AECOLOR_BUDGET_SECS", SolveBudget.max_seconds))
-    return SolveBudget(nodes, secs)
-
-
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
@@ -113,8 +103,7 @@ def write_dot(g: Graph, c: ck.EdgeColoring, path: str) -> None:
 
 def cmd_chi_a(args) -> int:
     g = load_graph(args.file)
-    budget = default_budget(args)
-    result = chi_a_exact(g, budget)
+    result = chi_a_exact(g, SolveBudget(args.budget_nodes, args.budget_secs))
     if args.max_k is not None and result.chi_a is not None and result.chi_a > args.max_k:
         _emit({"chi_a": None, "decided_up_to": args.max_k,
                "note": f"exceeds --max-k {args.max_k}"})
@@ -169,7 +158,7 @@ def cmd_color(args) -> int:
         g, k,
         move_budget=args.move_budget,
         fallback=not args.no_fallback,
-        solve_budget=default_budget(args),
+        solve_budget=SolveBudget(args.budget_nodes, args.budget_secs),
     )
     payload = {
         "outcome": report.outcome,
@@ -212,19 +201,20 @@ def cmd_lemmas(args) -> int:
 
 def cmd_discharge(args) -> int:
     g = load_graph(args.file)
-    state = discharge(g, args.rules)
+    value = mad_exact(g)
+    bound = 4 if args.rules == "mad4" else 3
+    # the report runs the discharging pass itself; reuse its charges
+    report = discharging_contradiction_report(g, args.rules, value) if value < bound else None
+    state = report.state if report is not None else discharge(g, args.rules)
     payload = {
         "rules": args.rules,
         "total_initial": str(state.total_initial),
         "total_final": str(state.total_final),
         "negative_vertices": state.negative_vertices(),
         "transfers": [[r, a, b, str(x)] for r, a, b, x in state.transfers],
+        "mad": str(value),
     }
-    value = mad_exact(g)
-    payload["mad"] = str(value)
-    bound = 4 if args.rules == "mad4" else 3
-    if value < bound:
-        report = discharging_contradiction_report(g, args.rules, value)
+    if report is not None:
         payload["contradiction_report"] = {
             "total_initial_negative": report.total_initial < 0,
             "negative_vertices": report.negative_vertices,
@@ -237,8 +227,7 @@ def cmd_discharge(args) -> int:
 
 
 def cmd_critical_sweep(args) -> int:
-    budget = default_budget(args)
-    records = critical_sweep(args.n_max, budget)
+    records = critical_sweep(args.n_max, SolveBudget(args.budget_nodes, args.budget_secs))
     payload = {
         "n_max": args.n_max,
         "critical": [
@@ -254,6 +243,9 @@ def cmd_critical_sweep(args) -> int:
 
 # --- experiments ---------------------------------------------------------------
 
+EDGE_FACTOR = 1.9  # a trial's largest m as a fraction of n
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -261,38 +253,13 @@ class ExperimentConfig:
     trials: int
     seed: int
     workers: int = 1
-    edge_factor: float = 1.9  # target m as a fraction of n
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for key, value in asdict(self).items():
-                f.write(f"{key} = {value}\n")
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        raw: dict[str, str] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
-        try:
-            return cls(
-                name=raw["name"], n=int(raw["n"]), trials=int(raw["trials"]),
-                seed=int(raw["seed"]), workers=int(raw.get("workers", 1)),
-                edge_factor=float(raw.get("edge_factor", 1.9)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"config {path} lacks {exc.args[0]}") from None
 
 
-def _theorem_trial(task: tuple[str, int, int, float]) -> dict:
+def _theorem_trial(task: tuple[str, int, int]) -> dict:
     """One experiment instance; runs in a worker process."""
-    name, n, seed, edge_factor = task
+    name, n, seed = task
     rng = random.Random(seed)
-    m = rng.randint(max(1, n // 2), max(1, int(n * edge_factor)))
+    m = rng.randint(max(1, n // 2), max(1, int(n * EDGE_FACTOR)))
     m = min(m, n * (n - 1) // 2)
     g = generate_sparse(n, m, seed)
     value = mad_exact(g)
@@ -326,10 +293,14 @@ def _theorem_trial(task: tuple[str, int, int, float]) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    tasks = [
-        (config.name, config.n, config.seed * 1_000_003 + i, config.edge_factor)
-        for i in range(config.trials)
-    ]
+    """Run the trials, serially or in a pool of ``config.workers``
+    processes; a worker count outside [1..cpu count] raises ValueError
+    before any process starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= config.workers <= cpus:
+        raise ValueError(f"workers must be in [1..{cpus}], got {config.workers}")
+    tasks = [(config.name, config.n, config.seed * 1_000_003 + i)
+             for i in range(config.trials)]
     if config.workers > 1:
         with Pool(config.workers) as pool:
             records = pool.map(_theorem_trial, tasks)  # preserves input order
@@ -347,14 +318,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig(
-            name=args.name, n=args.n, trials=args.trials,
-            seed=args.seed, workers=args.workers,
-        )
-    summary = run_experiment(config)
+    summary = run_experiment(ExperimentConfig(
+        name=args.name, n=args.n, trials=args.trials,
+        seed=args.seed, workers=args.workers,
+    ))
     _emit(summary)
     return EXIT_FALSE if summary["violations"] else EXIT_OK
 
@@ -370,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def budget_flags(p):
-        p.add_argument("--budget-nodes", type=int, default=None)
-        p.add_argument("--budget-secs", type=float, default=None)
+        p.add_argument("--budget-nodes", type=int, default=SolveBudget.max_nodes)
+        p.add_argument("--budget-secs", type=float, default=SolveBudget.max_seconds)
 
     p = sub.add_parser("chi-a", help="exact acyclic chromatic index")
     p.add_argument("file")
@@ -415,23 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_critical_sweep)
 
     p = sub.add_parser("experiment", help="randomized experiment harness")
-    p.add_argument("name", nargs="?", default=None,
-                   choices=["theorem2", "theorem3", "colorer", None])
+    p.add_argument("name", choices=["theorem2", "theorem3", "colorer"])
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--config", default=None, help="key = value config file")
     p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "experiment" and not args.config and not args.name:
-        parser.error("experiment needs a name or --config")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -439,8 +401,12 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's exit flush must not fail again on the dead pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
-    except (gc.ParseError, gc.GraphError, ck.ColoringError, ValueError, OSError) as exc:
-        _emit({"error": str(exc)})
+    except Exception as exc:
+        # bad input and failed checks raise ValueError (ParseError, GraphError
+        # and ColoringError among them) or OSError with a message that says
+        # it all; anything else is named by its type
+        known = isinstance(exc, (ValueError, OSError))
+        _emit({"error": str(exc) if known else f"{type(exc).__name__}: {exc}"})
         return EXIT_ERROR
 
 

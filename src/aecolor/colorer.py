@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Literal
+from typing import Iterable, Literal
 
 from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph
@@ -55,6 +55,8 @@ class _Colorer(_Search):
     the bounded repairs' search nodes against the move budget."""
 
     def __init__(self, g: Graph, k: int, move_budget: int):
+        if move_budget < 1:
+            raise ValueError("move budget must be positive")
         super().__init__(g, k, move_budget)
         self.insertion = list(reversed(deletion_edge_order(g)))
         self.pos = {e: i for i, e in enumerate(self.insertion)}
@@ -143,10 +145,11 @@ def extend_one_edge(
     """Color the single edge uv on top of a proper acyclic partial coloring.
 
     Runs M1, then the bounded repairs of radius 1, 2 and 3 (no whole-
-    component search).  Returns the extended coloring and the committed
-    moves, or None when stuck.  An input that is not proper and acyclic
-    raises ColoringError: the search only checks for cycles through the
-    edges it colors.
+    component search).  Returns the extended coloring, re-checked by the
+    independent validator, and the committed moves, or None when stuck.  An
+    input that is not proper and acyclic raises ColoringError: the search
+    only checks for cycles through the edges it colors.  A move budget below
+    1 raises ValueError.
     """
     if c.get(uv) is not None:
         raise ValueError(f"edge {uv} is already colored")
@@ -155,7 +158,7 @@ def extend_one_edge(
     engine = _Colorer(g, c.k, move_budget)
     engine.load(c)
     if engine.place(uv):
-        return engine.snapshot(), engine.trace
+        return _validate(g, engine.snapshot(), [*c.assignment, uv]), engine.trace
     return None
 
 
@@ -171,7 +174,7 @@ def color_graph(
     Processes edges in reverse smallest-last deletion order, placing each
     by M1 or a bounded repair; with the fallback on, an edge these cannot
     place gets its whole component recolored by exact search, and the
-    outcome is "fallback-success".
+    outcome is "fallback-success".  A move budget below 1 raises ValueError.
     """
     if k < g.max_degree():
         raise ValueError("palette smaller than the maximum degree")
@@ -189,17 +192,20 @@ def color_graph(
         break
     coloring = engine.snapshot()
     if outcome != "failure":
-        _validate(g, coloring)
+        _validate(g, coloring, range(g.m))
     return ColoringReport(
         outcome, k, coloring, len(coloring.colors_used()),
         dict(engine.counts), engine.nodes, engine.trace,
     )
 
 
-def _validate(g: Graph, c: EdgeColoring) -> None:
+def _validate(g: Graph, c: EdgeColoring, colored: Iterable[int]) -> EdgeColoring:
+    """c, once the validator finds it proper and acyclic with every edge id
+    of ``colored`` colored; otherwise ColoringError."""
     # has_bichromatic_cycle also raises on an improper coloring
-    if not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
+    if any(c.get(e) is None for e in colored) or has_bichromatic_cycle(g, c) is not None:
         raise ColoringError("colorer produced an invalid coloring")
+    return c
 
 
 def replay_trace(g: Graph, k: int, trace: list[Move]) -> EdgeColoring:

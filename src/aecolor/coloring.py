@@ -352,6 +352,8 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 k = int(parts[1])
             except ValueError:
                 raise ColoringError(f"line {lineno}: non-integer palette size") from None
+            if k < 0:
+                raise ColoringError(f"line {lineno}: negative palette size {k}")
         else:
             if k is None:
                 raise ColoringError(f"line {lineno}: edge line before 'k' header")

@@ -56,8 +56,8 @@ class CriticalityReport:
         return self.status == "critical"
 
 
-class _BudgetExhausted(Exception):
-    pass
+class BudgetExhausted(Exception):
+    """The node or time budget of an enumeration ran out."""
 
 
 def deletion_edge_order(g: Graph) -> list[int]:
@@ -133,10 +133,10 @@ class _Search(ColorState):
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise _BudgetExhausted
+            raise BudgetExhausted
         if (self.nodes % 4096 == 0 and self.deadline is not None
                 and time.monotonic() > self.deadline):
-            raise _BudgetExhausted
+            raise BudgetExhausted
 
     def extend_over(self, edges: list[int], max_used: int) -> Status:
         """Recolor ``edges``, in this order, keeping every other color
@@ -168,7 +168,7 @@ class _Search(ColorState):
         try:
             for _ in self._colorings(edges, max_used):
                 return "yes"
-        except _BudgetExhausted:
+        except BudgetExhausted:
             status = "unknown"
             for e in edges:
                 if self.assign[e]:
@@ -284,6 +284,9 @@ def enumerate_acyclic_colorings(
 
     Each yielded coloring therefore stands for math.perm(k, j) colorings,
     where j = len(c.colors_used()).
+
+    Raises BudgetExhausted, after the colorings found so far, once the
+    budget's node or time limit runs out.
     """
     search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
     for _ in search._colorings(list(reversed(deletion_edge_order(g))), 0):

@@ -296,6 +296,9 @@ def fact2_sweep(
     neighbors (only the name of their color changes), so every degree sum
     is kept.  Properness and acyclicity, which ``fact2_verify`` re-checks,
     are kept too.
+
+    Raises BudgetExhausted when an enumeration runs out of ``budget``, which
+    bounds each g - e separately.
     """
     checked = 0
     for e in range(g.m):

@@ -10,6 +10,7 @@ import pytest
 
 import aecolor
 
+from aecolor import cli, structure
 from aecolor.cli import (
     ExperimentConfig,
     generate_sparse,
@@ -109,6 +110,15 @@ def test_check_non_integer_coloring_exit_2(tmp_path, capsys, text, line, what):
     assert what in payload["error"]
 
 
+def test_check_negative_palette_exit_2(tmp_path, capsys):
+    gp = write_graph(tmp_path, cycle(4))
+    cp = tmp_path / "c.txt"
+    cp.write_text("k -3\n0 1 0\n")
+    code, payload = run(capsys, ["check", gp, str(cp)])
+    assert code == 2
+    assert payload["error"] == "line 1: negative palette size -3"
+
+
 def test_malformed_graph_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("p 3 1\ne 0 zero\n")
@@ -174,6 +184,14 @@ def test_color_rejects_too_small_k(tmp_path, capsys):
     assert "error" in payload
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_color_rejects_nonpositive_move_budget(tmp_path, capsys, budget):
+    gp = write_graph(tmp_path, complete(2))
+    code, payload = run(capsys, ["color", gp, "--move-budget", budget, "--no-fallback"])
+    assert code == 2
+    assert payload == {"error": "move budget must be positive"}
+
+
 def test_lemmas_k4(tmp_path, capsys):
     gp = write_graph(tmp_path, complete(4))
     code, payload = run(capsys, ["lemmas", gp, "--k", "4"])
@@ -193,6 +211,21 @@ def test_discharge_c6(tmp_path, capsys):
     assert code == 0
     assert payload["total_initial"] == payload["total_final"] == "-6"
     assert payload["contradiction_report"]["total_initial_negative"]
+
+
+def test_discharge_runs_the_rules_once(tmp_path, capsys, monkeypatch):
+    calls, original = [], structure.discharge
+
+    def counted(g, rules):
+        calls.append(rules)
+        return original(g, rules)
+
+    monkeypatch.setattr(cli, "discharge", counted)
+    monkeypatch.setattr(structure, "discharge", counted)
+    gp = write_graph(tmp_path, cycle(6))
+    code, payload = run(capsys, ["discharge", gp, "--rules", "mad3"])
+    assert code == 0 and "contradiction_report" in payload
+    assert calls == ["mad3"]
 
 
 def test_discharge_dense_notes_hypothesis(tmp_path, capsys):
@@ -246,14 +279,6 @@ def test_generate_sparse_rejects_too_many_edges():
         generate_sparse(4, 7, seed=0)
 
 
-def test_experiment_config_roundtrip(tmp_path):
-    cfg = ExperimentConfig("theorem3", n=9, trials=4, seed=3, workers=2,
-                           edge_factor=1.4)
-    p = tmp_path / "exp.cfg"
-    cfg.to_file(str(p))
-    assert ExperimentConfig.from_file(str(p)) == cfg
-
-
 def test_experiment_theorem3_small():
     summary = run_experiment(ExperimentConfig("theorem3", n=8, trials=6, seed=1))
     assert summary["violations"] == 0
@@ -276,6 +301,31 @@ def test_experiment_workers_preserve_order():
 
     assert strip_timing(run_experiment(cfg1)["records"]) == \
         strip_timing(run_experiment(cfg2)["records"])
+
+
+@pytest.mark.parametrize("workers", [0, -1, pytest.param((os.cpu_count() or 1) + 1,
+                                                        id="cpus+1")])
+def test_experiment_workers_out_of_range_exit_2(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool was started")
+
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    code, payload = run(capsys, ["experiment", "colorer", "--n", "6", "--trials", "1",
+                                 "--workers", str(workers)])
+    assert code == 2
+    assert payload["error"].startswith("workers must be in [1..")
+
+
+def test_unexpected_exception_exit_2_with_json(tmp_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_mad", boom)
+    code = main(["mad", write_graph(tmp_path, cycle(5))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": "RuntimeError: boom"}
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-secs"])
@@ -303,17 +353,6 @@ def test_deep_component_fallback(tmp_path, capsys):
     code, payload = run(capsys, ["color", path, "--move-budget", "1"])
     assert code == 0
     assert payload["outcome"] == "fallback-success"
-
-
-@pytest.mark.parametrize("key", ["name", "n", "trials", "seed"])
-def test_experiment_config_missing_key_exit_2(tmp_path, capsys, key):
-    p = tmp_path / "exp.cfg"
-    ExperimentConfig("colorer", n=6, trials=1, seed=0).to_file(str(p))
-    p.write_text("".join(line for line in p.read_text().splitlines(True)
-                         if not line.startswith(f"{key} ")))
-    code, payload = run(capsys, ["experiment", "--config", str(p)])
-    assert code == 2
-    assert payload["error"].endswith(f"lacks {key}")
 
 
 def test_deep_flow_mad_and_color(tmp_path, capsys):

@@ -123,6 +123,26 @@ def test_extend_one_edge_rejects_improper_input():
         extend_one_edge(g, EdgeColoring(3, {0: 1, 1: 1}), 2)
 
 
+def test_extend_one_edge_validates_its_result(monkeypatch):
+    # a place that closes the bichromatic cycle 1,2,1,2 and reports success
+    def bad_place(self, e):
+        self.set(e, 2)
+        return True
+
+    monkeypatch.setattr(_Colorer, "place", bad_place)
+    g = cycle(4)
+    with pytest.raises(ColoringError, match="invalid coloring"):
+        extend_one_edge(g, EdgeColoring(3, {0: 1, 1: 2, 2: 1}), 3)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_move_budget_below_1_rejected(budget):
+    with pytest.raises(ValueError, match="move budget must be positive"):
+        color_graph(complete(2), 1, move_budget=budget)
+    with pytest.raises(ValueError, match="move budget must be positive"):
+        extend_one_edge(path(3), EdgeColoring(2, {0: 1}), 1, move_budget=budget)
+
+
 def test_extend_one_edge_stuck_with_two_colors():
     # with only two colors the last C4 edge cannot be placed
     g = cycle(4)

@@ -21,9 +21,9 @@ from aecolor.coloring import ColorState, EdgeColoring, has_bichromatic_cycle
 from aecolor.colorer import color_graph
 from aecolor.graph import build_graph
 from aecolor.solver import (
+    BudgetExhausted,
     SolveBudget,
     SolveResult,
-    _BudgetExhausted,
     _Search,
     deletion_edge_order,
     enumerate_acyclic_colorings,
@@ -189,17 +189,17 @@ def test_enumerate_matches_recursive():
         delta = g.max_degree()
         for k in range(delta, delta + 2):
             for budget in _budgets(rng):
-                new = _drain(enumerate_acyclic_colorings(g, k, budget), _BudgetExhausted)
+                new = _drain(enumerate_acyclic_colorings(g, k, budget), BudgetExhausted)
                 old = _RecursiveSearch.whole_graph(g, k, budget, symmetry_break=False)
                 assert new == _drain(old.enumerate(), _Exhausted), (g.edges, k, budget)
                 total += len(new)
                 if "exhausted" in new:
                     continue
                 exact = enumerate_acyclic_colorings(g, k, SolveBudget(old.nodes))
-                assert _drain(exact, _BudgetExhausted) == new, (g.edges, k)
+                assert _drain(exact, BudgetExhausted) == new, (g.edges, k)
                 if old.nodes > 1:
                     short = enumerate_acyclic_colorings(g, k, SolveBudget(old.nodes - 1))
-                    assert _drain(short, _BudgetExhausted)[-1] == "exhausted", (g.edges, k)
+                    assert _drain(short, BudgetExhausted)[-1] == "exhausted", (g.edges, k)
     assert total > 1000
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import aecolor
 from aecolor import coloring, structure
 from aecolor.coloring import EdgeColoring
 from aecolor.graph import build_graph, delete_edge
-from aecolor.solver import enumerate_acyclic_colorings
+from aecolor.solver import SolveBudget, enumerate_acyclic_colorings
 from aecolor.structure import (
     check_2and3_count,
     check_2connected,
@@ -148,6 +149,11 @@ def test_fact2_sweep_k4():
     assert ok
     # frozen from this enumeration: 288 total acyclic 4-colorings of K4 - e
     assert checked == 288
+
+
+def test_fact2_sweep_budget_exhausted_is_public():
+    with pytest.raises(aecolor.BudgetExhausted):
+        fact2_sweep(complete(4), 4, SolveBudget(5))
 
 
 def test_fact2_verify_single_coloring():
