@@ -4,7 +4,8 @@ Every setting is a command-line flag; none is read from a config file or
 the environment.  Exit codes: 0 = success / property holds, 1 = checked and
 false (invalid coloring, bound violated), 2 = error or undecided within
 budget.  Errors include bad input, an out-of-range number (a zero or
-negative solver or move budget, a worker count outside [1..cpu count]), an
+negative solver or move budget, fewer than one experiment trial, a worker
+count outside [1..cpu count], a lemma level below Delta(G)), an
 internal check that failed and a closed stdout; any other exception also
 exits 2, reported with its type name.
 """
@@ -103,14 +104,20 @@ def write_dot(g: Graph, c: ck.EdgeColoring, path: str) -> None:
 
 def cmd_chi_a(args) -> int:
     g = load_graph(args.file)
-    result = chi_a_exact(g, SolveBudget(args.budget_nodes, args.budget_secs))
-    if args.max_k is not None and result.chi_a is not None and result.chi_a > args.max_k:
+    result = chi_a_exact(g, SolveBudget(args.budget_nodes, args.budget_secs), args.max_k)
+    # chi_a_exact searches no k above --max-k; only the edgeless graph's 0
+    # can exceed a negative one
+    if args.max_k is not None and (
+            result.decided_up_to >= args.max_k if result.chi_a is None
+            else result.chi_a > args.max_k):
         _emit({"chi_a": None, "decided_up_to": args.max_k,
                "note": f"exceeds --max-k {args.max_k}"})
         return EXIT_FALSE
     payload = {
         "chi_a": result.chi_a,
         "decided_up_to": result.decided_up_to,
+        "lower_bound": result.lower_bound,
+        "lower_bound_witness": result.lower_bound_witness,
         "coloring": _coloring_triples(g, result.coloring) if result.coloring else None,
         "nodes": result.nodes,
     }
@@ -294,8 +301,10 @@ def _theorem_trial(task: tuple[str, int, int]) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the trials, serially or in a pool of ``config.workers``
-    processes; a worker count outside [1..cpu count] raises ValueError
-    before any process starts."""
+    processes; a trial count below 1 or a worker count outside
+    [1..cpu count] raises ValueError before any process starts."""
+    if config.trials < 1:
+        raise ValueError(f"trials must be positive, got {config.trials}")
     cpus = os.cpu_count() or 1
     if not 1 <= config.workers <= cpus:
         raise ValueError(f"workers must be in [1..{cpus}], got {config.workers}")

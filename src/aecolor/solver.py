@@ -8,14 +8,16 @@ ascending order, which leaves one coloring per orbit of color renamings.
 The decision puts one max-degree vertex's edges first, where the reduction
 alone gives them colors 1..d (``_search_order``).  ``_Search.extend_over``
 drives the search for the decision and for the colorer's local repairs on
-a partial coloring; the enumerator runs it directly.
+a partial coloring; the enumerator runs it directly.  ``chi_a_exact``
+starts its upward search at a counting lower bound, a certificate
+re-counted on its witness vertex set, not a guess.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
 from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
@@ -293,29 +295,99 @@ def enumerate_acyclic_colorings(
         yield search.snapshot()
 
 
+def counting_lower_bound(g: Graph) -> tuple[int, list[int]]:
+    """A lower bound on chi'_a(g) and the vertex set W that proves it.
+
+    Take an acyclic k-coloring of g with k >= 2 and a subgraph H of g with
+    vertex set W.  Any two color classes together form a forest, so they
+    hold at most |W| - 1 edges of H.  Summing over the C(k, 2) pairs of
+    classes counts each edge of H k - 1 times, once with each other class:
+
+        (k - 1) e(H) <= C(k, 2) (|W| - 1),  so  k >= 2 e(H) / (|W| - 1).
+
+    Dividing by k - 1 needs k >= 2, which every proper coloring of g has
+    once Delta(g) >= 2.  The step is required: K2 has chi'_a = 1 but its
+    count reads 2.  So with Delta <= 1 the bound is Delta alone.
+
+    The subgraphs counted are those the smallest-last peel of
+    ``deletion_edge_order`` leaves: before each deletion, the live edges
+    and the vertices they touch.  The bound is the larger of Delta and the
+    largest count.  W is the first peel set reaching the bound, or every
+    non-isolated vertex when no count exceeds Delta; either way g[W]
+    contains the counted edges, so ``_count_bound(g, W)`` re-counts at
+    least the bound.  O(m log n), the cost of the peel.
+    """
+    best = g.max_degree()
+    order = deletion_edge_order(g)
+    start = 0
+    if best >= 2:
+        deg = [g.degree(v) for v in range(g.n)]
+        live = sum(1 for d in deg if d)  # non-isolated vertices
+        for i, e in enumerate(order):
+            count = -(-2 * (g.m - i) // (live - 1))
+            if count > best:
+                best, start = count, i
+            for w in g.edges[e]:
+                deg[w] -= 1
+                if not deg[w]:
+                    live -= 1
+    return best, sorted({v for e in order[start:] for v in g.edges[e]})
+
+
+def _count_bound(g: Graph, vertices: list[int]) -> int:
+    """The bound of ``counting_lower_bound`` for H = g[vertices], counted
+    afresh from g's edge list: max(Delta(H), ceil(2 e(H) / (|W| - 1))), or
+    Delta(H) when that is at most 1.  chi'_a(g) >= chi'_a(H) >= it."""
+    deg = dict.fromkeys(vertices, 0)
+    for u, v in g.edges:
+        if u in deg and v in deg:
+            deg[u] += 1
+            deg[v] += 1
+    delta = max(deg.values(), default=0)
+    if delta <= 1:
+        return delta
+    return max(delta, -(-sum(deg.values()) // (len(deg) - 1)))
+
+
 @dataclass
 class ChiAResult:
     chi_a: int | None
     decided_up_to: int
     coloring: EdgeColoring | None = None
     nodes: int = 0
+    lower_bound: int = 0
+    lower_bound_witness: list[int] = field(default_factory=list)
 
 
-def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget()) -> ChiAResult:
-    """Smallest k with an acyclic edge k-coloring, searched upward from the
-    proper-coloring lower bound Delta(g)."""
+def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
+                max_k: int | None = None) -> ChiAResult:
+    """Smallest k with an acyclic edge k-coloring.
+
+    The counting lower bound of ``counting_lower_bound`` is re-counted on
+    its witness, then each k from it upward is decided by
+    ``is_acyclically_k_colorable``.  Every k up to ``decided_up_to`` is
+    decided: below the bound "no" by the count, from it on by the search.
+    The answer is the first "yes", whose coloring the validator checked.
+    An "unknown" ends the run with ``chi_a`` None at ``decided_up_to`` =
+    k - 1.  With ``max_k``, no k above it is searched: if none up to it
+    suffices, ``chi_a`` is None and ``decided_up_to`` >= ``max_k``.
+    """
     if g.m == 0:
         return ChiAResult(0, 0, EdgeColoring(1, {}))
-    k = g.max_degree()
+    bound, witness = counting_lower_bound(g)
+    if _count_bound(g, witness) < bound:
+        raise ValueError(f"lower bound {bound} is not re-counted on its witness")
+    k = bound
     total_nodes = 0
-    while True:
+    while max_k is None or k <= max_k:
         result = is_acyclically_k_colorable(g, k, budget)
         total_nodes += result.nodes
         if result.status == "yes":
-            return ChiAResult(k, k, result.coloring, total_nodes)
+            return ChiAResult(k, k, result.coloring, total_nodes, bound, witness)
         if result.status == "unknown":
-            return ChiAResult(None, k - 1, None, total_nodes)
+            break
         k += 1
+    return ChiAResult(None, k - 1, None, total_nodes, bound, witness)
 
 
 def is_critical(

@@ -207,9 +207,13 @@ def lemma_suite(g: Graph, k: int) -> list[LemmaPredicateResult]:
     """All predicates applicable to a graph hypothesized critical at k.
 
     Predicates tied to the Delta+2 setting run only when k = Delta+2; the
-    Delta+1 corollary runs only at k = Delta+1.
+    Delta+1 corollary runs only at k = Delta+1.  A k below Delta raises
+    ValueError: no proper k-coloring exists, so there is nothing critical
+    to describe.
     """
     delta = g.max_degree()
+    if k < delta:
+        raise ValueError(f"level k = {k} is below Delta(G) = {delta}")
     results = [
         check_2connected(g, k),
         check_2vertex_neighborhood(g, k),

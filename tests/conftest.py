@@ -35,6 +35,13 @@ def cube() -> Graph:
     return build_graph(8, pairs)
 
 
+def hypercube(d: int) -> Graph:
+    # Q_d: vertices are d-bit strings, edges flip one bit
+    n = 1 << d
+    return build_graph(n, [(v, v ^ 1 << b) for v in range(n) for b in range(d)
+                           if v < v ^ 1 << b])
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

@@ -10,7 +10,7 @@ import pytest
 
 import aecolor
 
-from aecolor import cli, structure
+from aecolor import cli, solver, structure
 from aecolor.cli import (
     ExperimentConfig,
     generate_sparse,
@@ -21,7 +21,8 @@ from aecolor.cli import (
 from aecolor.colorer import replay_trace
 from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, parse_coloring
 from aecolor.graph import build_graph, format_edge_list
-from conftest import complete, cycle
+from aecolor.solver import is_acyclically_k_colorable
+from conftest import complete, complete_bipartite, cycle, hypercube
 
 
 def run(capsys, argv):
@@ -48,7 +49,32 @@ def test_chi_a_max_k_exceeded(tmp_path, capsys):
     path = write_graph(tmp_path, complete(4))
     code, payload = run(capsys, ["chi-a", path, "--max-k", "4"])
     assert code == 1
-    assert payload["chi_a"] is None
+    assert payload == {"chi_a": None, "decided_up_to": 4, "note": "exceeds --max-k 4"}
+
+
+def test_chi_a_max_k_stops_the_search(tmp_path, capsys, monkeypatch):
+    levels = []
+    decide = solver.is_acyclically_k_colorable
+    monkeypatch.setattr(solver, "is_acyclically_k_colorable",
+                        lambda g, k, budget: levels.append(k) or decide(g, k, budget))
+    # K5,5 has chi'_a 7; its count 2*25/9 rounds up to 6, so k <= 5 needs
+    # no search and --max-k 6 searches k = 6 alone (the 1.3M nodes of k = 7
+    # are never spent)
+    path = write_graph(tmp_path, complete_bipartite(5, 5))
+    for max_k, searched in [(5, []), (6, [6])]:
+        code, payload = run(capsys, ["chi-a", path, "--max-k", str(max_k)])
+        assert code == 1
+        assert payload == {"chi_a": None, "decided_up_to": max_k,
+                           "note": f"exceeds --max-k {max_k}"}
+        assert levels == searched
+
+
+def test_chi_a_reports_its_lower_bound(tmp_path, capsys):
+    # Q4 counts 2*32/15, which rounds up to 5
+    code, payload = run(capsys, ["chi-a", write_graph(tmp_path, hypercube(4))])
+    assert code == 0
+    assert payload["chi_a"] == payload["lower_bound"] == payload["decided_up_to"] == 5
+    assert payload["lower_bound_witness"] == list(range(16))
 
 
 def test_chi_a_budget_exhaustion_exit_2(tmp_path, capsys):
@@ -199,6 +225,14 @@ def test_lemmas_k4(tmp_path, capsys):
     assert all(p["holds"] for p in payload["predicates"])
 
 
+@pytest.mark.parametrize("k", ["-1", "0", "1"])
+def test_lemmas_below_delta_exit_2(tmp_path, capsys, k):
+    gp = write_graph(tmp_path, cycle(5))
+    code, payload = run(capsys, ["lemmas", gp, "--k", k])
+    assert code == 2
+    assert payload == {"error": f"level k = {k} is below Delta(G) = 2"}
+
+
 def test_lemmas_violation_exit_1(tmp_path, capsys):
     gp = write_graph(tmp_path, cycle(6))
     code, payload = run(capsys, ["lemmas", gp, "--k", "3"])
@@ -316,6 +350,13 @@ def test_experiment_workers_out_of_range_exit_2(capsys, monkeypatch, workers):
     assert payload["error"].startswith("workers must be in [1..")
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_experiment_trials_below_1_exit_2(capsys, trials):
+    code, payload = run(capsys, ["experiment", "colorer", "--n", "3", "--trials", trials])
+    assert code == 2
+    assert payload == {"error": f"trials must be positive, got {trials}"}
+
+
 def test_unexpected_exception_exit_2_with_json(tmp_path, capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")
@@ -339,11 +380,15 @@ def test_zero_budget_exit_2(tmp_path, capsys, flag):
 @pytest.mark.parametrize("n", [1200, 10_000])
 def test_deep_search_chi_a(tmp_path, capsys, n):
     # n frames deep, past the recursion limit: the search keeps them on a list
-    path = write_graph(tmp_path, cycle(n))
+    g = cycle(n)
+    path = write_graph(tmp_path, g)
     code, payload = run(capsys, ["chi-a", path])
     assert code == 0
-    assert payload["chi_a"] == 3
-    assert payload["nodes"] == 2 * n + 1
+    assert payload["chi_a"] == payload["lower_bound"] == 3
+    assert payload["nodes"] == n + 1
+    # the count 2n/(n-1) decides k = 2; the search still refutes it n deep
+    refuted = is_acyclically_k_colorable(g, 2)
+    assert (refuted.status, refuted.nodes) == ("no", n)
 
 
 def test_deep_component_fallback(tmp_path, capsys):

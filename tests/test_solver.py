@@ -2,23 +2,29 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aecolor
 
+from aecolor import solver
 from aecolor.coloring import has_bichromatic_cycle, is_proper
 from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import (
     SolveBudget,
     chi_a_exact,
+    counting_lower_bound,
     deletion_edge_order,
     enumerate_acyclic_colorings,
     is_acyclically_k_colorable,
     is_critical,
 )
-from conftest import complete, complete_bipartite, cycle, petersen, random_graph
+from aecolor.structure import connected_graphs_upto
+from conftest import complete, complete_bipartite, cycle, hypercube, petersen, random_graph
 
 
 def test_c5_three_colorable():
@@ -121,10 +127,11 @@ def test_budget_exhaustion_is_unknown():
 
 
 def test_unknown_propagates_through_chi_a():
+    # K7's count 2*21/6 = 7 decides k <= 6, so the search starts at 7
     g = complete(7)
     result = chi_a_exact(g, SolveBudget(max_nodes=5))
     assert result.chi_a is None
-    assert result.decided_up_to == g.max_degree() - 1
+    assert result.decided_up_to == result.lower_bound - 1 == 6
 
 
 def test_budget_rejects_nonpositive():
@@ -234,3 +241,83 @@ def test_deletion_order_matches_scan():
         assert deletion_edge_order(g) == _deletion_order_scan(g)
         graphs += 1
     assert graphs >= 500
+
+
+# --- the counting lower bound ------------------------------------------------
+
+def _chi_a_from_delta(g):
+    """chi'_a searched upward from Delta alone: the oracle for the
+    bound-started chi_a_exact."""
+    if g.m == 0:
+        return 0
+    k = g.max_degree()
+    while is_acyclically_k_colorable(g, k).status != "yes":
+        k += 1
+    return k
+
+
+def _recount(g, witness):
+    """max(Delta(H), ceil(2e(H)/(|W|-1))) on H = g[witness] built with
+    networkx, or Delta(H) when that is at most 1."""
+    h = nx.Graph(g.edges).subgraph(witness)
+    delta = max((d for _, d in h.degree()), default=0)
+    if delta <= 1:
+        return delta
+    return max(delta, -(-2 * h.number_of_edges() // (len(witness) - 1)))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_counting_bound_is_a_certified_lower_bound(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    all_pairs = list(combinations(range(n), 2))
+    pairs = data.draw(
+        st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs))
+        if all_pairs else st.just([])
+    )
+    g = build_graph(n, pairs)
+    bound, witness = counting_lower_bound(g)
+    assert g.max_degree() <= bound <= _chi_a_from_delta(g)
+    assert _recount(g, witness) >= bound
+
+
+def test_chi_a_matches_delta_start_on_atlas():
+    graphs = list(connected_graphs_upto(7))
+    assert len(graphs) == 996
+    above_delta = 0
+    for g in graphs:
+        result = chi_a_exact(g)
+        assert result.chi_a == _chi_a_from_delta(g)
+        above_delta += result.lower_bound > g.max_degree()
+    assert above_delta == 78  # the peel misses one of the 79 exact maxima
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 5])
+def test_counting_bound_on_matchings_is_delta(pairs):
+    # K2 counts 2/(2-1) = 2 but has chi'_a = 1: the k >= 2 step is needed
+    g = build_graph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
+    assert counting_lower_bound(g) == (1, list(range(2 * pairs)))
+    result = chi_a_exact(g)
+    assert result.chi_a == result.lower_bound == 1
+    assert result.nodes == pairs
+
+
+@pytest.mark.parametrize("name, g, bound", [
+    ("K7", complete(7), 7),
+    ("K3,3", complete_bipartite(3, 3), 4),
+    ("petersen", petersen(), 4),
+    ("Q4", hypercube(4), 5),
+])
+def test_counting_bound_values(name, g, bound):
+    got, witness = counting_lower_bound(g)
+    assert got == bound
+    assert _recount(g, witness) >= bound
+
+
+def test_forged_bound_is_rejected(monkeypatch):
+    """A bound its witness does not re-count to stops chi_a_exact before
+    any search."""
+    monkeypatch.setattr(solver, "counting_lower_bound", lambda g: (4, [0, 1, 2]))
+    with pytest.raises(ValueError, match="not re-counted"):
+        chi_a_exact(cycle(5))
+
