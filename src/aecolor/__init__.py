@@ -8,21 +8,17 @@ arguments at desk scale.
 
 from .coloring import (
     BichromaticTrace,
-    ColorSets,
     EdgeColoring,
-    color_sets,
-    exists_critical_path,
     has_bichromatic_cycle,
     is_proper,
     trace_bichromatic,
 )
 from .colorer import ColoringReport, choose_palette, color_graph, extend_one_edge
-from .density import density_at_least, mad_brute, mad_exact, planar_girth_bound
+from .density import density_at_least, mad_exact
 from .graph import (
     Graph,
     GraphError,
     build_graph,
-    degree_profile,
     delete_edge,
     girth,
     is_2_connected,
@@ -46,14 +42,12 @@ from .structure import (
 )
 
 __all__ = [
-    "BichromaticTrace", "BudgetExhausted", "ChargeState", "ColorSets",
-    "ColoringReport", "CriticalityReport", "EdgeColoring", "Graph",
-    "GraphError", "SolveBudget", "build_graph", "chi_a_exact",
-    "choose_palette", "color_graph", "color_sets", "critical_sweep",
-    "degree_profile", "delete_edge", "density_at_least", "discharge",
-    "discharging_contradiction_report", "exists_critical_path",
-    "extend_one_edge", "fact2_verify", "girth", "has_bichromatic_cycle",
-    "is_2_connected", "is_acyclically_k_colorable", "is_critical", "is_proper",
-    "lemma_suite", "mad_brute", "mad_exact", "parse_edge_list",
-    "planar_girth_bound", "trace_bichromatic",
+    "BichromaticTrace", "BudgetExhausted", "ChargeState", "ColoringReport",
+    "CriticalityReport", "EdgeColoring", "Graph", "GraphError",
+    "SolveBudget", "build_graph", "chi_a_exact", "choose_palette",
+    "color_graph", "critical_sweep", "delete_edge", "density_at_least",
+    "discharge", "discharging_contradiction_report", "extend_one_edge",
+    "fact2_verify", "girth", "has_bichromatic_cycle", "is_2_connected",
+    "is_acyclically_k_colorable", "is_critical", "is_proper", "lemma_suite",
+    "mad_exact", "parse_edge_list", "trace_bichromatic",
 ]

@@ -19,7 +19,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import coloring as ck
@@ -253,15 +252,6 @@ def cmd_critical_sweep(args) -> int:
 EDGE_FACTOR = 1.9  # a trial's largest m as a fraction of n
 
 
-@dataclass
-class ExperimentConfig:
-    name: str
-    n: int
-    trials: int
-    seed: int
-    workers: int = 1
-
-
 def _theorem_trial(task: tuple[str, int, int]) -> dict:
     """One experiment instance; runs in a worker process."""
     name, n, seed = task
@@ -299,27 +289,27 @@ def _theorem_trial(task: tuple[str, int, int]) -> dict:
     return record
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the trials, serially or in a pool of ``config.workers``
-    processes; a trial count below 1 or a worker count outside
-    [1..cpu count] raises ValueError before any process starts."""
-    if config.trials < 1:
-        raise ValueError(f"trials must be positive, got {config.trials}")
+def run_experiment(name: str, n: int, trials: int, seed: int,
+                   workers: int = 1) -> dict:
+    """Run the trials, serially or in a pool of ``workers`` processes; a
+    trial count below 1 or a worker count outside [1..cpu count] raises
+    ValueError before any process starts."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     cpus = os.cpu_count() or 1
-    if not 1 <= config.workers <= cpus:
-        raise ValueError(f"workers must be in [1..{cpus}], got {config.workers}")
-    tasks = [(config.name, config.n, config.seed * 1_000_003 + i)
-             for i in range(config.trials)]
-    if config.workers > 1:
-        with Pool(config.workers) as pool:
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must be in [1..{cpus}], got {workers}")
+    tasks = [(name, n, seed * 1_000_003 + i) for i in range(trials)]
+    if workers > 1:
+        with Pool(workers) as pool:
             records = pool.map(_theorem_trial, tasks)  # preserves input order
     else:
         records = [_theorem_trial(t) for t in tasks]
     usable = [r for r in records if "skipped" not in r]
     failures = [r for r in usable if not r.get("ok")]
     return {
-        "experiment": config.name,
-        "trials": config.trials,
+        "experiment": name,
+        "trials": trials,
         "usable": len(usable),
         "violations": len(failures),
         "records": records,
@@ -327,10 +317,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def cmd_experiment(args) -> int:
-    summary = run_experiment(ExperimentConfig(
-        name=args.name, n=args.n, trials=args.trials,
-        seed=args.seed, workers=args.workers,
-    ))
+    summary = run_experiment(args.name, args.n, args.trials, args.seed,
+                             args.workers)
     _emit(summary)
     return EXIT_FALSE if summary["violations"] else EXIT_OK
 

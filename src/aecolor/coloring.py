@@ -53,15 +53,6 @@ class EdgeColoring:
 
 
 @dataclass(frozen=True)
-class ColorSets:
-    """F_v: colors at v; C_v: palette complement; S_uv: F_v minus phi(uv)."""
-
-    present: frozenset[int]
-    free: frozenset[int]
-    present_minus_edge: frozenset[int] | None = None
-
-
-@dataclass(frozen=True)
 class BichromaticTrace:
     """Maximal two-color component: alternating open path or even cycle."""
 
@@ -106,24 +97,6 @@ def properness_violation(g: Graph, c: EdgeColoring) -> int | None:
             elif bad is None or x < bad:
                 bad = x
     return bad
-
-
-def color_sets(g: Graph, c: EdgeColoring, v: int, uv: int | None = None) -> ColorSets:
-    present = frozenset(
-        col for w in g.neighbors(v)
-        if (col := c.get(g.edge_id(v, w))) is not None
-    )
-    free = frozenset(range(1, c.k + 1)) - present
-    minus = None
-    if uv is not None:
-        a, b = g.endpoints(uv)
-        if v not in (a, b):
-            raise ColoringError(f"edge {uv} not incident to vertex {v}")
-        col = c.get(uv)
-        if col is None:
-            raise ColoringError(f"edge {uv} is uncolored")
-        minus = present - {col}
-    return ColorSets(present, free, minus)
 
 
 def trace_bichromatic(
@@ -311,25 +284,6 @@ class ColorState:
         """Would coloring the uncolored edge uv with gamma, a color free at
         both ends, close a bichromatic cycle?"""
         return self.walk_ends_at(u, v, self.used_mask[u] & self.used_mask[v], gamma)
-
-
-def exists_critical_path(
-    g: Graph, c: EdgeColoring, alpha: int, beta: int, u: int, v: int
-) -> bool:
-    """True iff the maximal (alpha,beta) path leaving u on an alpha edge
-    terminates at v through an alpha edge.
-
-    Walked from u, per the definition fixing the start-edge color at u.
-    The path must actually end at v: if it passes through v and continues,
-    there is no critical path.
-    """
-    if alpha == beta:
-        raise ColoringError("the two colors must differ")
-    if not (1 <= alpha <= c.k and 1 <= beta <= c.k):
-        raise ColoringError(f"colors {alpha}, {beta} outside [1..{c.k}]")
-    state = ColorState(g, c.k)
-    state.load(c)
-    return state.walk_ends_at(u, v, state.used_mask[u] & 1 << alpha, beta)
 
 
 # --- coloring file format ---------------------------------------------------

@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from .graph import Graph
 
-INF = float("inf")
-
 
 class _Dinic:
     """Max flow with integer capacities and deterministic arc order.
@@ -242,40 +240,3 @@ def mad_witness(g: Graph) -> tuple[Fraction, list[int]]:
     the same min-cuts that compute the value."""
     value, witness = _dinkelbach(g)
     return value, sorted(witness)
-
-
-def mad_brute(g: Graph) -> Fraction:
-    """Brute-force oracle: maximum density over all nonempty vertex subsets.
-
-    Exponential; intended for graphs with at most ~20 vertices.
-    """
-    if g.n > 22:
-        raise ValueError("brute-force mad limited to small graphs")
-    if g.m == 0:
-        return Fraction(0)
-    adj_mask = [0] * g.n
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    best = Fraction(0)
-    for s in range(1, 1 << g.n):
-        edges = 0
-        size = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            size += 1
-            edges += (adj_mask[v] & s & (low - 1)).bit_count()
-        best = max(best, Fraction(2 * edges, size))
-    return best
-
-
-def planar_girth_bound(girth: int | float) -> Fraction:
-    """The Euler-formula bound 2g/(g-2) on mad for planar graphs of girth g."""
-    if girth == INF or not isinstance(girth, int):
-        raise ValueError("girth bound needs a finite integer girth")
-    if girth <= 2:
-        raise ValueError("girth must be at least 3")
-    return Fraction(2 * girth, girth - 2)

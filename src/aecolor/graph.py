@@ -84,16 +84,6 @@ def build_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(edges), tuple(frozenset(a) for a in adj), edge_id)
 
 
-def degree_profile(g: Graph, v: int) -> tuple[int, dict[int, int]]:
-    """Return (d(v), {k: number of neighbors of degree exactly k})."""
-    nbrs = g.neighbors(v)
-    counts: dict[int, int] = {}
-    for w in nbrs:
-        k = g.degree(w)
-        counts[k] = counts.get(k, 0) + 1
-    return len(nbrs), counts
-
-
 def n_k(g: Graph, v: int, k: int) -> int:
     """Number of neighbors of v with degree exactly k."""
     return sum(1 for w in g.neighbors(v) if g.degree(w) == k)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
 from typing import Iterator, Literal
 
 import networkx as nx
 
-from .coloring import EdgeColoring, has_bichromatic_cycle
+from .coloring import EdgeColoring, _color_at, has_bichromatic_cycle
 from .density import mad_exact
-from .graph import Graph, build_graph, delete_edge, is_2_connected, is_connected, n_k
+from .graph import Graph, build_graph, delete_edge, is_2_connected, n_k
 from .solver import (
     CriticalityReport,
     SolveBudget,
@@ -256,16 +255,7 @@ def fact2_verify(g: Graph, k: int, e: int, c: EdgeColoring) -> Fact2Result:
     # an improper coloring raises ImproperColoringError, a ValueError
     if has_bichromatic_cycle(gm, c) is not None:
         raise ValueError("coloring of g - e is not acyclic")
-
-    def colors_at(x: int) -> dict[int, int]:
-        out = {}
-        for w in gm.neighbors(x):
-            col = c.get(gm.edge_id(x, w))
-            if col is not None:
-                out[col] = w
-        return out
-
-    fu, fv = colors_at(u), colors_at(v)
+    fu, fv = _color_at(gm, c, u), _color_at(gm, c, v)
     shared = sorted(set(fu) & set(fv))
     du, dv = g.degree(u), g.degree(v)
     if not shared:
@@ -433,48 +423,6 @@ def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
             break
         if ag.number_of_nodes() >= 1 and nx.is_connected(ag):
             yield build_graph(ag.number_of_nodes(), sorted(ag.edges()))
-
-
-def enumerate_connected_labeled(n: int) -> Iterator[Graph]:
-    """Every labeled connected graph on exactly n vertices."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
-        g = build_graph(n, chosen)
-        if is_connected(g):
-            yield g
-
-
-def _are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    da = sorted(a.degree(v) for v in range(a.n))
-    db = sorted(b.degree(v) for v in range(b.n))
-    if da != db:
-        return False
-    edges_b = set(b.edges)
-    for perm in permutations(range(a.n)):
-        if all(a.degree(v) == b.degree(perm[v]) for v in range(a.n)):
-            if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges_b
-                   for u, v in a.edges):
-                return True
-    return False
-
-
-def dedup_isomorphs(graphs: Iterator[Graph]) -> list[Graph]:
-    """Degree-sequence prefilter, then brute-force isomorphism on survivors."""
-    groups: dict[tuple, list[Graph]] = {}
-    out: list[Graph] = []
-    for g in graphs:
-        profile = tuple(sorted(
-            (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))))
-            for v in range(g.n)
-        ))
-        bucket = groups.setdefault(profile, [])
-        if not any(_are_isomorphic(g, h) for h in bucket):
-            bucket.append(g)
-            out.append(g)
-    return out
 
 
 @dataclass

@@ -10,29 +10,29 @@ from fractions import Fraction
 
 from aecolor.colorer import color_graph
 from aecolor.coloring import has_bichromatic_cycle, is_proper, trace_bichromatic
-from aecolor.density import mad_brute, mad_exact
+from aecolor.density import mad_exact
 from aecolor.graph import build_graph, is_2_connected
 from aecolor.solver import chi_a_exact, is_critical
 from aecolor.structure import (
     critical_sweep,
-    dedup_isomorphs,
     discharge,
-    enumerate_connected_labeled,
     fact2_sweep,
     lemma_suite,
 )
 from conftest import complete, complete_bipartite, cycle, random_graph
+from oracles import connected_classes, mad_brute
 
 _cache = {}
 
 
 def small_connected_classes():
-    """Connected graphs on <= 6 vertices, one per isomorphism class, built by
-    exhaustive labeled enumeration plus degree-profile deduplication."""
+    """Connected graphs on 2..6 vertices, one per isomorphism class, from the
+    orbit enumeration of ``oracles.connected_classes`` (independent of the
+    networkx atlas that ``critical_sweep`` reads)."""
     if "classes" not in _cache:
         graphs = []
         for n in range(2, 7):
-            graphs.extend(dedup_isomorphs(enumerate_connected_labeled(n)))
+            graphs.extend(connected_classes(n))
         _cache["classes"] = graphs
     return _cache["classes"]
 

@@ -12,7 +12,6 @@ import aecolor
 
 from aecolor import cli, solver, structure
 from aecolor.cli import (
-    ExperimentConfig,
     generate_sparse,
     main,
     run_experiment,
@@ -314,7 +313,7 @@ def test_generate_sparse_rejects_too_many_edges():
 
 
 def test_experiment_theorem3_small():
-    summary = run_experiment(ExperimentConfig("theorem3", n=8, trials=6, seed=1))
+    summary = run_experiment("theorem3", n=8, trials=6, seed=1)
     assert summary["violations"] == 0
     assert len(summary["records"]) == 6
 
@@ -327,14 +326,12 @@ def test_experiment_cli_exit_codes(capsys):
 
 
 def test_experiment_workers_preserve_order():
-    cfg1 = ExperimentConfig("theorem3", n=7, trials=4, seed=5, workers=1)
-    cfg2 = ExperimentConfig("theorem3", n=7, trials=4, seed=5, workers=2)
-
     def strip_timing(records):
         return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
 
-    assert strip_timing(run_experiment(cfg1)["records"]) == \
-        strip_timing(run_experiment(cfg2)["records"])
+    serial = run_experiment("theorem3", n=7, trials=4, seed=5, workers=1)
+    pooled = run_experiment("theorem3", n=7, trials=4, seed=5, workers=2)
+    assert strip_timing(serial["records"]) == strip_timing(pooled["records"])
 
 
 @pytest.mark.parametrize("workers", [0, -1, pytest.param((os.cpu_count() or 1) + 1,

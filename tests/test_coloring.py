@@ -9,8 +9,6 @@ from aecolor.coloring import (
     ColorState,
     EdgeColoring,
     ImproperColoringError,
-    color_sets,
-    exists_critical_path,
     format_coloring,
     has_bichromatic_cycle,
     is_proper,
@@ -58,33 +56,36 @@ def test_is_proper_partial_allowed():
     assert is_proper(g, EdgeColoring(5, {0: 1}))
 
 
+def _loaded(g, c):
+    state = ColorState(g, c.k)
+    state.load(c)
+    return state
+
+
+def _colors(mask):
+    return {col for col in range(mask.bit_length()) if mask >> col & 1}
+
+
 def test_color_sets_complement():
-    g = path(3)
-    c = EdgeColoring(5, {0: 1, 1: 3})
-    cs = color_sets(g, c, 1)
-    assert cs.present == {1, 3}
-    assert cs.free == {2, 4, 5}
+    # F_v is the kernel's used_mask[v]; C_v is the rest of the palette
+    state = _loaded(path(3), EdgeColoring(5, {0: 1, 1: 3}))
+    present = _colors(state.used_mask[1])
+    assert present == {1, 3}
+    assert set(range(1, 6)) - present == {2, 4, 5}
 
 
 def test_color_sets_s_uv():
-    g = path(3)
-    c = EdgeColoring(5, {0: 1, 1: 3})
-    cs = color_sets(g, c, 1, uv=1)
-    assert cs.present_minus_edge == {1}
+    # S_uv = F_v minus phi(uv): what used_mask[v] holds once uv is unset
+    state = _loaded(path(3), EdgeColoring(5, {0: 1, 1: 3}))
+    state.unset(1)
+    assert _colors(state.used_mask[1]) == {1}
+    assert state.col_nbr[1][3] == -1
 
 
 def test_color_sets_isolated_vertex():
-    g = path(3)
-    cs = color_sets(g, EdgeColoring(4, {}), 0)
-    assert cs.present == set()
-    assert cs.free == {1, 2, 3, 4}
-
-
-def test_color_sets_rejects_nonincident_edge():
-    g = path(3)
-    c = EdgeColoring(3, {0: 1, 1: 2})
-    with pytest.raises(ColoringError):
-        color_sets(g, c, 0, uv=1)
+    state = _loaded(path(3), EdgeColoring(4, {}))
+    assert state.used_mask[0] == 0
+    assert set(range(1, 5)) - _colors(state.used_mask[0]) == {1, 2, 3, 4}
 
 
 def test_trace_open_path():
@@ -185,31 +186,40 @@ def test_one_pass_properness_matches_vertex_scan():
     assert verdicts == {True, False}
 
 
+def _critical_path(g, c, alpha, beta, u, v):
+    """Does the maximal (alpha,beta) path leaving u on an alpha edge end at
+    v through an alpha edge?  walk_ends_at needs each mu present at u."""
+    state = _loaded(g, c)
+    return state.walk_ends_at(u, v, state.used_mask[u] & 1 << alpha, beta)
+
+
 def test_critical_path_parity():
     # u - a - v colored alpha, beta: ends at v via beta, so no critical path
     g = path(3)
     c = EdgeColoring(3, {0: 1, 1: 2})
-    assert not exists_critical_path(g, c, 1, 2, 0, 2)
+    assert not _critical_path(g, c, 1, 2, 0, 2)
 
 
 def test_critical_path_found():
     # u - a - b - v colored alpha, beta, alpha
     g = path(4)
     c = EdgeColoring(3, {0: 1, 1: 2, 2: 1})
-    assert exists_critical_path(g, c, 1, 2, 0, 3)
+    assert _critical_path(g, c, 1, 2, 0, 3)
+
+
+def test_critical_path_passes_v_and_continues():
+    # u - a - b - v - w colored alpha, beta, alpha, beta: the path reaches v
+    # on alpha but goes on to w, where it ends on beta
+    g = path(5)
+    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2})
+    assert not _critical_path(g, c, 1, 2, 0, 3)
+    assert not _critical_path(g, c, 1, 2, 0, 4)
 
 
 def test_critical_path_no_alpha_at_start():
     g = path(4)
     c = EdgeColoring(3, {0: 2, 1: 1, 2: 2})
-    assert not exists_critical_path(g, c, 1, 2, 0, 3)
-
-
-def test_two_color_helpers_reject_colors_outside_palette():
-    g = path(3)
-    c = EdgeColoring(2, {0: 1, 1: 2})
-    with pytest.raises(ColoringError, match="outside"):
-        exists_critical_path(g, c, 1, 3, 0, 2)
+    assert not _critical_path(g, c, 1, 2, 0, 3)
 
 
 def test_fact1_two_color_subgraph_degree_bound():

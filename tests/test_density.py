@@ -10,14 +10,13 @@ from aecolor import density
 from aecolor.cli import generate_sparse
 from aecolor.density import (
     density_at_least,
-    mad_brute,
     mad_exact,
     mad_witness,
-    planar_girth_bound,
     subgraph_edge_count,
 )
 from aecolor.graph import build_graph
 from conftest import complete, complete_bipartite, cycle, path, random_graph, star
+from oracles import mad_brute
 
 
 def test_mad_k4():
@@ -53,18 +52,6 @@ def test_mad_dense_subgraph_dominates():
 
 def test_mad_k33():
     assert mad_exact(complete_bipartite(3, 3)) == 3
-
-
-def test_planar_girth_bound_values():
-    assert planar_girth_bound(3) == 6
-    assert planar_girth_bound(4) == 4
-    assert planar_girth_bound(5) == Fraction(10, 3)
-    assert planar_girth_bound(6) == 3
-
-
-def test_planar_girth_bound_rejects_forest():
-    with pytest.raises(ValueError):
-        planar_girth_bound(float("inf"))
 
 
 def test_density_at_least_witness_is_valid():

@@ -8,12 +8,12 @@ from aecolor.graph import (
     GraphError,
     ParseError,
     build_graph,
-    degree_profile,
     delete_edge,
     format_edge_list,
     girth,
     is_2_connected,
     is_connected,
+    n_k,
     parse_edge_list,
 )
 from conftest import complete, cube, cycle, path, random_graph, star
@@ -53,26 +53,26 @@ def test_edge_ids_first_seen_order():
 
 
 def test_degree_profile_k4():
-    d, counts = degree_profile(complete(4), 0)
-    assert d == 3
-    assert counts == {3: 3}
+    g = complete(4)
+    assert g.degree(0) == 3
+    assert [n_k(g, 0, k) for k in range(g.n)] == [0, 0, 0, 3]
 
 
 def test_degree_profile_star_center():
-    d, counts = degree_profile(star(4), 0)
-    assert d == 4
-    assert counts == {1: 4}
+    g = star(4)
+    assert g.degree(0) == 4
+    assert [n_k(g, 0, k) for k in range(g.n)] == [0, 4, 0, 0, 0]
 
 
 def test_degree_profile_path_middle():
-    d, counts = degree_profile(path(3), 1)
-    assert d == 2
-    assert counts == {1: 2}
+    g = path(3)
+    assert g.degree(1) == 2
+    assert [n_k(g, 1, k) for k in range(g.n)] == [0, 2, 0]
 
 
 def test_degree_profile_invalid_vertex():
     with pytest.raises(GraphError):
-        degree_profile(path(3), 7)
+        n_k(path(3), 7, 1)
 
 
 def test_handshake_sum_random():
