@@ -13,7 +13,13 @@ from .coloring import (
     is_proper,
     trace_bichromatic,
 )
-from .colorer import ColoringReport, choose_palette, color_graph, extend_one_edge
+from .colorer import (
+    ColoringReport,
+    choose_palette,
+    color_graph,
+    extend_one_edge,
+    peel_palette,
+)
 from .density import density_at_least, mad_exact
 from .graph import (
     Graph,
@@ -49,5 +55,5 @@ __all__ = [
     "discharge", "discharging_contradiction_report", "extend_one_edge",
     "fact2_verify", "girth", "has_bichromatic_cycle", "is_2_connected",
     "is_acyclically_k_colorable", "is_critical", "is_proper", "lemma_suite",
-    "mad_exact", "parse_edge_list", "trace_bichromatic",
+    "mad_exact", "parse_edge_list", "peel_palette", "trace_bichromatic",
 ]

@@ -21,9 +21,10 @@ import sys
 import time
 from multiprocessing import Pool
 
+from . import colorer
 from . import coloring as ck
 from . import graph as gc
-from .colorer import choose_palette, color_graph
+from .colorer import choose_palette, color_graph, peel_palette
 from .density import mad_exact, mad_witness
 from .graph import Graph, girth, load_graph
 from .solver import SolveBudget, chi_a_exact
@@ -74,8 +75,8 @@ def generate_sparse(n: int, m: int, seed: int) -> Graph:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    # one line: json.dumps runs the C encoder, json.dump and indent do not
+    sys.stdout.write(json.dumps(payload, default=str) + "\n")
     sys.stdout.flush()  # a closed stdout fails here, inside main's handlers
 
 
@@ -155,21 +156,27 @@ def cmd_check(args) -> int:
 
 def cmd_color(args) -> int:
     g = load_graph(args.file)
+    # the colorer's smallest-last order, computed once: walked for the
+    # palette, then reversed to insert the edges
+    order = colorer.deletion_edge_order(g)
     if args.k is not None:
-        k = args.k
-        guarantee = "explicit"
+        k, guarantee, palette_from = args.k, "explicit", "explicit"
+    elif (palette := peel_palette(g, order)) is not None:
+        (k, guarantee), palette_from = palette, "peel"
     else:
-        k, guarantee = choose_palette(g, mad_exact(g))
+        (k, guarantee), palette_from = choose_palette(g, mad_exact(g)), "mad"
     report = color_graph(
         g, k,
         move_budget=args.move_budget,
         fallback=not args.no_fallback,
         solve_budget=SolveBudget(args.budget_nodes, args.budget_secs),
+        order=order,
     )
     payload = {
         "outcome": report.outcome,
         "k": k,
         "guarantee": guarantee,
+        "palette_from": palette_from,
         "colors_used": report.colors_used,
         "move_counts": report.move_counts,
         "moves_spent": report.moves_spent,

@@ -22,7 +22,7 @@ from typing import Iterable, Literal
 
 from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph
-from .solver import SolveBudget, _Search, deletion_edge_order
+from .solver import SolveBudget, _Search, deletion_edge_order, walk_peel
 
 Move = tuple  # ("assign", e, c) | ("repair", (edges...), (colors...))
 
@@ -49,16 +49,48 @@ def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:
     return delta + 2, "no-guarantee"
 
 
+def peel_palette(g: Graph, order: list[int]) -> tuple[int, str] | None:
+    """``choose_palette(g, mad_exact(g))``, when one walk of g's edge
+    deletion order ``order`` (``walk_peel``) settles which side of 3 and 4
+    mad(g) lies on; None when it does not.
+
+    Each peel set is a subgraph of g, so mad >= ``densest``.  By
+    ``walk_peel``, every subgraph H with an edge has a vertex of degree at
+    most D = ``degeneracy`` in H; deleting such vertices one by one while
+    an edge is left takes at most |H| - 1 steps of at most D edges each,
+    so e(H) <= D(|H| - 1).  And 2e(H) is the degree sum of H, at most
+    Delta |H|.  So each rule answers as mad would:
+
+    - ``densest`` >= 4: mad >= 4, "no-guarantee";
+    - D <= 1: 2e(H)/|H| < 2D <= 2; or Delta <= 2: 2e(H)/|H| <= 2.
+      Either way mad < 3, "mad<3";
+    - ``densest`` >= 3, so mad >= 3, and D <= 2 (2e(H)/|H| < 4) or
+      Delta <= 3 (2e(H)/|H| <= 3), so mad < 4: "mad<4".
+    """
+    peel = walk_peel(g, order)
+    delta = g.max_degree()
+    if peel.densest >= 4:
+        return delta + 2, "no-guarantee"
+    if peel.degeneracy <= 1 or delta <= 2:
+        return delta + 1, "mad<3"
+    if peel.densest >= 3 and (peel.degeneracy <= 2 or delta <= 3):
+        return delta + 2, "mad<4"
+    return None
+
+
 class _Colorer(_Search):
     """The search kernel plus the colorer's insertion order, move budget
     and move log.  One node counter, ``nodes``, counts M1's color tries and
     the bounded repairs' search nodes against the move budget."""
 
-    def __init__(self, g: Graph, k: int, move_budget: int):
+    def __init__(self, g: Graph, k: int, move_budget: int,
+                 order: list[int] | None = None):
         if move_budget < 1:
             raise ValueError("move budget must be positive")
         super().__init__(g, k, move_budget)
-        self.insertion = list(reversed(deletion_edge_order(g)))
+        if order is None:
+            order = deletion_edge_order(g)
+        self.insertion = order[::-1]
         self.pos = {e: i for i, e in enumerate(self.insertion)}
         self.trace: list[Move] = []
         self.counts = {"assign": 0, "repair": 0}
@@ -168,19 +200,21 @@ def color_graph(
     move_budget: int | None = None,
     fallback: bool = True,
     solve_budget: SolveBudget | None = None,
+    order: list[int] | None = None,
 ) -> ColoringReport:
     """Color all edges of g with palette [1..k], acyclically.
 
-    Processes edges in reverse smallest-last deletion order, placing each
-    by M1 or a bounded repair; with the fallback on, an edge these cannot
-    place gets its whole component recolored by exact search, and the
-    outcome is "fallback-success".  A move budget below 1 raises ValueError.
+    Processes edges in reverse smallest-last deletion order (``order``, if
+    the caller already has ``deletion_edge_order(g)``), placing each by M1
+    or a bounded repair; with the fallback on, an edge these cannot place
+    gets its whole component recolored by exact search, and the outcome is
+    "fallback-success".  A move budget below 1 raises ValueError.
     """
     if k < g.max_degree():
         raise ValueError("palette smaller than the maximum degree")
     if move_budget is None:
         move_budget = 50 * max(g.m, 1)
-    engine = _Colorer(g, k, move_budget)
+    engine = _Colorer(g, k, move_budget, order)
     outcome = "success"
     for e in engine.insertion:
         if engine.assign[e] or engine.place(e):

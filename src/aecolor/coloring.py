@@ -300,6 +300,8 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
             continue
         parts = line.split()
         if parts[0] == "k":
+            if k is not None:
+                raise ColoringError(f"line {lineno}: duplicate 'k' header")
             if len(parts) != 2:
                 raise ColoringError(f"line {lineno}: expected 'k <K>'")
             try:

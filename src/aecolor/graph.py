@@ -23,6 +23,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     _adj: tuple[frozenset[int], ...] = field(repr=False)
     _edge_id: dict[tuple[int, int], int] = field(repr=False)
+    _inc: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -54,8 +55,14 @@ class Graph:
         return self.edges[e]
 
     def incident_edges(self, v: int) -> list[int]:
+        """Ids of the edges at v, in ascending order of the other end."""
         self._check_vertex(v)
         return [self.edge_id(v, w) for w in sorted(self._adj[v])]
+
+    def incident_edge_ids(self, v: int) -> tuple[int, ...]:
+        """Ids of the edges at v, in ascending id order."""
+        self._check_vertex(v)
+        return self._inc[v]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -67,6 +74,7 @@ def build_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     adj: list[set[int]] = [set() for _ in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
     edge_id: dict[tuple[int, int], int] = {}
     for u, v in pairs:
@@ -77,11 +85,15 @@ def build_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
         key = (min(u, v), max(u, v))
         if key in edge_id:
             raise GraphError(f"duplicate edge ({u},{v})")
-        edge_id[key] = len(edges)
+        e = len(edges)
+        edge_id[key] = e
         edges.append(key)
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(edges), tuple(frozenset(a) for a in adj), edge_id)
+        inc[u].append(e)
+        inc[v].append(e)
+    return Graph(n, tuple(edges), tuple(frozenset(a) for a in adj), edge_id,
+                 tuple(map(tuple, inc)))
 
 
 def n_k(g: Graph, v: int, k: int) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Literal
 
 from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
@@ -68,8 +69,8 @@ def deletion_edge_order(g: Graph) -> list[int]:
     both the solver and the constructive colorer (smallest-last).  A heap
     of (degree, vertex) entries, skipped once stale, makes it O(m log n)."""
     deg = [g.degree(v) for v in range(g.n)]
-    # incident edge ids, highest first, so the lowest alive one pops off the end
-    inc = [sorted(g.incident_edges(v), reverse=True) for v in range(g.n)]
+    inc = [g.incident_edge_ids(v) for v in range(g.n)]  # ascending ids
+    first = [0] * g.n  # inc[v][:first[v]] are deleted
     heap = [(d, v) for v, d in enumerate(deg) if d]
     heapq.heapify(heap)
     alive = [True] * g.m
@@ -78,9 +79,11 @@ def deletion_edge_order(g: Graph) -> list[int]:
         d, v = heapq.heappop(heap)
         if d != deg[v]:
             continue
-        while not alive[inc[v][-1]]:
-            inc[v].pop()
-        e = inc[v].pop()
+        i = first[v]
+        while not alive[inc[v][i]]:
+            i += 1
+        e = inc[v][i]
+        first[v] = i + 1
         alive[e] = False
         order.append(e)
         for w in g.edges[e]:
@@ -295,6 +298,62 @@ def enumerate_acyclic_colorings(
         yield search.snapshot()
 
 
+@dataclass(frozen=True)
+class Peel:
+    """What one walk of an edge deletion order finds (see ``walk_peel``)."""
+
+    bound: int          # the counting lower bound on chi'_a
+    start: int          # deletions before the first peel set reaching it
+    degeneracy: int     # the largest smaller live end degree of a deleted edge
+    densest: Fraction   # the largest 2e/|W| of a peel set
+
+
+def walk_peel(g: Graph, order: list[int]) -> Peel:
+    """Walk the edge deletion sequence ``order`` of g once.
+
+    Before each deletion the live edges, e of them, and the |W| vertices
+    they touch form a peel set, a subgraph of g.  The walk keeps three
+    maxima over the peel sets:
+
+    - ``bound``: max(Delta, ceil(2e / (|W| - 1))), the count of
+      ``counting_lower_bound``, which reads Delta alone when Delta <= 1;
+      ``start`` is the number of deletions before the first set reaching
+      it (0 when none exceeds Delta);
+    - ``densest``: 2e / |W|, a lower bound on mad(g) (0 with no edges);
+    - ``degeneracy``: the smaller live degree of the ends of the edge being
+      deleted.  Every subgraph H of g with an edge has a vertex of degree
+      at most ``degeneracy`` in H: at the deletion of H's first edge all of
+      H is live, and that edge's end of smaller live degree has at most as
+      many edges in H.  For ``deletion_edge_order``, whose deleted edge has
+      an end of least live degree, it is the degeneracy of g.
+
+    O(m) on top of the order.
+    """
+    delta = g.max_degree()
+    bound, start = delta, 0
+    degeneracy = 0
+    dense_e, dense_w = 0, 1
+    deg = [g.degree(v) for v in range(g.n)]
+    live = sum(1 for d in deg if d)  # non-isolated vertices
+    edges, m = g.edges, g.m
+    for i, e in enumerate(order):
+        u, w = edges[e]
+        du, dw = deg[u], deg[w]
+        low = du if du < dw else dw
+        if low > degeneracy:
+            degeneracy = low
+        left = m - i
+        if left * dense_w > dense_e * live:
+            dense_e, dense_w = left, live
+        if delta >= 2:
+            count = -(-2 * left // (live - 1))
+            if count > bound:
+                bound, start = count, i
+        deg[u], deg[w] = du - 1, dw - 1
+        live -= (du == 1) + (dw == 1)
+    return Peel(bound, start, degeneracy, Fraction(2 * dense_e, dense_w))
+
+
 def counting_lower_bound(g: Graph) -> tuple[int, list[int]]:
     """A lower bound on chi'_a(g) and the vertex set W that proves it.
 
@@ -309,29 +368,17 @@ def counting_lower_bound(g: Graph) -> tuple[int, list[int]]:
     once Delta(g) >= 2.  The step is required: K2 has chi'_a = 1 but its
     count reads 2.  So with Delta <= 1 the bound is Delta alone.
 
-    The subgraphs counted are those the smallest-last peel of
-    ``deletion_edge_order`` leaves: before each deletion, the live edges
-    and the vertices they touch.  The bound is the larger of Delta and the
-    largest count.  W is the first peel set reaching the bound, or every
-    non-isolated vertex when no count exceeds Delta; either way g[W]
-    contains the counted edges, so ``_count_bound(g, W)`` re-counts at
-    least the bound.  O(m log n), the cost of the peel.
+    The subgraphs counted are the peel sets of ``deletion_edge_order``
+    (``walk_peel``): before each deletion, the live edges and the vertices
+    they touch.  The bound is the larger of Delta and the largest count.
+    W is the first peel set reaching the bound, or every non-isolated
+    vertex when no count exceeds Delta; either way g[W] contains the
+    counted edges, so ``_count_bound(g, W)`` re-counts at least the bound.
+    O(m log n), the cost of the peel.
     """
-    best = g.max_degree()
     order = deletion_edge_order(g)
-    start = 0
-    if best >= 2:
-        deg = [g.degree(v) for v in range(g.n)]
-        live = sum(1 for d in deg if d)  # non-isolated vertices
-        for i, e in enumerate(order):
-            count = -(-2 * (g.m - i) // (live - 1))
-            if count > best:
-                best, start = count, i
-            for w in g.edges[e]:
-                deg[w] -= 1
-                if not deg[w]:
-                    live -= 1
-    return best, sorted({v for e in order[start:] for v in g.edges[e]})
+    peel = walk_peel(g, order)
+    return peel.bound, sorted({v for e in order[peel.start:] for v in g.edges[e]})
 
 
 def _count_bound(g: Graph, vertices: list[int]) -> int:

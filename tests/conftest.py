@@ -52,3 +52,9 @@ def petersen() -> Graph:
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
     pairs = rng.sample(list(combinations(range(n), 2)), m)
     return build_graph(n, pairs)
+
+
+def from_networkx(h) -> Graph:
+    """A networkx graph with its vertices renumbered 0..n-1 in sorted order."""
+    index = {v: i for i, v in enumerate(sorted(h.nodes()))}
+    return build_graph(len(index), [(index[u], index[v]) for u, v in h.edges()])

@@ -10,7 +10,7 @@ import pytest
 
 import aecolor
 
-from aecolor import cli, solver, structure
+from aecolor import cli, colorer, solver, structure
 from aecolor.cli import (
     generate_sparse,
     main,
@@ -21,7 +21,7 @@ from aecolor.colorer import replay_trace
 from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, parse_coloring
 from aecolor.graph import build_graph, format_edge_list
 from aecolor.solver import is_acyclically_k_colorable
-from conftest import complete, complete_bipartite, cycle, hypercube
+from conftest import complete, complete_bipartite, cycle, from_networkx, hypercube
 
 
 def run(capsys, argv):
@@ -144,6 +144,15 @@ def test_check_negative_palette_exit_2(tmp_path, capsys):
     assert payload["error"] == "line 1: negative palette size -3"
 
 
+def test_check_second_palette_header_exit_2(tmp_path, capsys):
+    gp = write_graph(tmp_path, cycle(4))
+    cp = tmp_path / "c.txt"
+    cp.write_text("k 3\n0 1 1\nk 5\n1 2 5\n")
+    code, payload = run(capsys, ["check", gp, str(cp)])
+    assert code == 2
+    assert payload["error"] == "line 3: duplicate 'k' header"
+
+
 def test_malformed_graph_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("p 3 1\ne 0 zero\n")
@@ -193,6 +202,42 @@ def test_color_auto_palette(tmp_path, capsys):
     assert code == 0
     assert payload["k"] == 3  # mad(C6) = 2 < 3 gives Delta + 1
     assert payload["guarantee"] == "mad<3"
+
+
+GRID = from_networkx(nx.grid_2d_graph(10, 10))     # mad 3.6, degeneracy 2
+HEX = from_networkx(nx.hexagonal_lattice_graph(8, 8))  # mad < 3, degeneracy 2, Delta 3
+
+
+@pytest.mark.parametrize("g, flags, k, guarantee, palette_from", [
+    (GRID, [], 6, "mad<4", "peel"),
+    (HEX, [], 4, "mad<3", "mad"),
+    (HEX, ["--k", "5"], 5, "explicit", "explicit"),
+])
+def test_color_palette_from(tmp_path, capsys, monkeypatch, g, flags, k,
+                            guarantee, palette_from):
+    """The palette comes from the peel when it settles mad's side of 3 and
+    4, from exact mad otherwise; either way the edges are ordered once."""
+    orders = []
+    original = solver.deletion_edge_order
+
+    def counted(graph):
+        orders.append(graph.m)
+        return original(graph)
+
+    for module in (solver, colorer):
+        monkeypatch.setattr(module, "deletion_edge_order", counted)
+    code, payload = run(capsys, ["color", write_graph(tmp_path, g), *flags])
+    assert code == 0
+    assert (payload["k"], payload["guarantee"], payload["palette_from"]) == \
+        (k, guarantee, palette_from)
+    assert orders == [g.m]
+
+
+def test_report_is_one_line(tmp_path, capsys):
+    assert main(["color", write_graph(tmp_path, cycle(5))]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert '"k": 3' in out
 
 
 def test_color_failure_exit_1(tmp_path, capsys):

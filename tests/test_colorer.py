@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecolor.cli import generate_sparse
 from aecolor.colorer import (
     _Colorer,
     choose_palette,
     color_graph,
     extend_one_edge,
+    peel_palette,
     replay_trace,
 )
 from aecolor.coloring import (
@@ -24,9 +26,14 @@ from aecolor.coloring import (
     trace_bichromatic,
 )
 from aecolor.density import mad_exact
-from aecolor.graph import build_graph
-from aecolor.solver import SolveBudget, chi_a_exact, is_acyclically_k_colorable
-from conftest import complete, cube, cycle, path, petersen, random_graph
+from aecolor.graph import build_graph, delete_edge
+from aecolor.solver import (
+    SolveBudget,
+    chi_a_exact,
+    deletion_edge_order,
+    is_acyclically_k_colorable,
+)
+from conftest import complete, cube, cycle, from_networkx, path, petersen, random_graph
 
 
 def sparse_random_graph(rng, n):
@@ -274,6 +281,62 @@ def test_palette_guarantee_sound_small():
         if guarantee == "no-guarantee":
             continue
         assert chi_a_exact(g).chi_a <= k
+
+
+def _palette_corpus():
+    """Seeded sparse graphs on both sides of mad 3: uniform with m = 1.5n,
+    grids, hexagonal lattices, and 3- and 4-regular graphs minus an edge."""
+    for seed in range(12):
+        n = 20 + 40 * seed
+        yield generate_sparse(n, 3 * n // 2, seed)
+    for rows in range(2, 11, 2):
+        for cols in range(2, 11, 3):
+            yield from_networkx(nx.grid_2d_graph(rows, cols))
+    for rows in range(1, 9, 2):
+        for cols in range(1, 9, 3):
+            yield from_networkx(nx.hexagonal_lattice_graph(rows, cols))
+    for d in (3, 4):
+        for n in (10, 30, 60):
+            for seed in range(3):
+                g = from_networkx(nx.random_regular_graph(d, n, seed=seed))
+                yield delete_edge(g, seed)
+
+
+def test_peel_palette_is_the_mad_palette():
+    """Wherever the peel settles the palette, it is the one exact mad picks:
+    on every atlas graph with n <= 7 and on the seeded sparse corpus."""
+    atlas = [build_graph(a.number_of_nodes(), sorted(a.edges()))
+             for a in nx.graph_atlas_g()[1:]]
+    assert len(atlas) == 1252
+    settled = Counter()
+    for name, graphs in (("atlas", atlas), ("seeded", _palette_corpus())):
+        for g in graphs:
+            palette = peel_palette(g, deletion_edge_order(g))
+            if palette is not None:
+                assert palette == choose_palette(g, mad_exact(g))
+                settled[name, palette[1]] += 1
+    assert settled == {
+        ("atlas", "mad<3"): 108, ("atlas", "mad<4"): 138,
+        ("atlas", "no-guarantee"): 186,
+        ("seeded", "mad<3"): 2, ("seeded", "mad<4"): 19,
+    }
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_peel_palette_is_sound_on_any_order(data):
+    """The rules hold for any deletion order, not only the smallest-last
+    one: each answer equals the palette exact mad picks."""
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    all_pairs = list(combinations(range(n), 2))
+    pairs = data.draw(
+        st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs))
+        if all_pairs else st.just([])
+    )
+    g = build_graph(n, pairs)
+    want = choose_palette(g, mad_exact(g))
+    for order in (deletion_edge_order(g), data.draw(st.permutations(range(g.m)))):
+        assert peel_palette(g, order) in (None, want)
 
 
 def test_tiny_move_budget_reports_failure_or_falls_back():

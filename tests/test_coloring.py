@@ -346,6 +346,12 @@ def test_coloring_file_rejects_bad_color():
         parse_coloring("k 2\n0 1 3\n", g)
 
 
+def test_coloring_file_rejects_a_second_header():
+    # a second header must not replace the palette the lines before it used
+    with pytest.raises(ColoringError, match="line 3: duplicate 'k' header"):
+        parse_coloring("k 3\n0 1 1\nk 5\n1 2 5\n", path(3))
+
+
 def test_coloring_file_rejects_unknown_edge():
     g = path(3)
     with pytest.raises(ColoringError):

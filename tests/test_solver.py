@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
@@ -22,7 +23,9 @@ from aecolor.solver import (
     enumerate_acyclic_colorings,
     is_acyclically_k_colorable,
     is_critical,
+    walk_peel,
 )
+from aecolor.density import mad_exact
 from aecolor.structure import connected_graphs_upto
 from conftest import complete, complete_bipartite, cycle, hypercube, petersen, random_graph
 
@@ -312,6 +315,48 @@ def test_counting_bound_values(name, g, bound):
     got, witness = counting_lower_bound(g)
     assert got == bound
     assert _recount(g, witness) >= bound
+
+
+def _counting_bound_alone(g):
+    """counting_lower_bound as it was written before walk_peel: its own walk
+    of the peel, counting nothing else."""
+    best = g.max_degree()
+    order = deletion_edge_order(g)
+    start = 0
+    if best >= 2:
+        deg = [g.degree(v) for v in range(g.n)]
+        live = sum(1 for d in deg if d)
+        for i, e in enumerate(order):
+            count = -(-2 * (g.m - i) // (live - 1))
+            if count > best:
+                best, start = count, i
+            for w in g.edges[e]:
+                deg[w] -= 1
+                if not deg[w]:
+                    live -= 1
+    return best, sorted({v for e in order[start:] for v in g.edges[e]})
+
+
+def test_walk_peel_on_atlas():
+    """The shared walk keeps the counting bound and its witness; its
+    degeneracy is networkx's largest core number, and its densest peel set
+    is no denser than mad."""
+    for a in nx.graph_atlas_g()[1:]:
+        g = build_graph(a.number_of_nodes(), sorted(a.edges()))
+        assert counting_lower_bound(g) == _counting_bound_alone(g)
+        peel = walk_peel(g, deletion_edge_order(g))
+        assert peel.degeneracy == max(nx.core_number(a).values())
+        assert peel.densest <= mad_exact(g)
+
+
+def test_walk_peel_densest_is_the_best_peel_set():
+    # K4 with a pendant path: the peel strips the path, then K4 has 12/4
+    g = build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                        (3, 4), (4, 5), (5, 6)])
+    peel = walk_peel(g, deletion_edge_order(g))
+    assert peel.densest == Fraction(3) == mad_exact(g)
+    assert peel.degeneracy == 3
+    assert walk_peel(build_graph(3, []), []) == solver.Peel(0, 0, 0, Fraction(0))
 
 
 def test_forged_bound_is_rejected(monkeypatch):
