@@ -6,7 +6,7 @@ that passes the kernel's Fact-1 cycle test.  An edge M1 cannot place gets a
 local exact repair: uncolor the colored edges of the ball of radius r
 around it, keep every other color fixed, and search the ball exhaustively
 for colors that extend the rest, committing only a full extension.  Radii
-1, 2 and 3 run under the move budget; with the fallback on, a last radius
+1 and 2 run under the move budget; with the fallback on, a last radius
 takes the edge's whole component under the solver's budget, which makes
 the procedure total.  A finished coloring is re-checked by the independent
 validator.
@@ -136,7 +136,7 @@ class _Colorer(_Search):
         return sorted(edges, key=self.pos.__getitem__)
 
     def place(self, e: int) -> bool:
-        """M1, then exact repairs of radius 1, 2 and 3, all under the move
+        """M1, then exact repairs of radius 1 and 2, all under the move
         budget.  A radius whose ball is no larger than the last one's is
         skipped.  Nothing runs once the budget is spent, so a run that
         runs out reports ``moves_spent`` = budget + 1: the node that
@@ -146,7 +146,7 @@ class _Colorer(_Search):
         if self.try_direct(e):
             return True
         size = 1
-        for r in (1, 2, 3):
+        for r in (1, 2):
             if self.nodes > self.max_nodes:
                 return False
             ball = self.ball(e, r)
@@ -176,12 +176,12 @@ def extend_one_edge(
 ) -> tuple[EdgeColoring, list[Move]] | None:
     """Color the single edge uv on top of a proper acyclic partial coloring.
 
-    Runs M1, then the bounded repairs of radius 1, 2 and 3 (no whole-
-    component search).  Returns the extended coloring, re-checked by the
-    independent validator, and the committed moves, or None when stuck.  An
-    input that is not proper and acyclic raises ColoringError: the search
-    only checks for cycles through the edges it colors.  A move budget below
-    1 raises ValueError.
+    Runs M1, then the bounded repairs of radius 1 and 2 (no whole-component
+    search).  Returns the extended coloring, re-checked by the independent
+    validator, and the committed moves, or None when stuck.  An input that
+    is not proper and acyclic raises ColoringError: the search only checks
+    for cycles through the edges it colors.  A move budget below 1 raises
+    ValueError.
     """
     if c.get(uv) is not None:
         raise ValueError(f"edge {uv} is already colored")

@@ -54,11 +54,6 @@ class Graph:
             raise GraphError(f"edge id {e} out of range")
         return self.edges[e]
 
-    def incident_edges(self, v: int) -> list[int]:
-        """Ids of the edges at v, in ascending order of the other end."""
-        self._check_vertex(v)
-        return [self.edge_id(v, w) for w in sorted(self._adj[v])]
-
     def incident_edge_ids(self, v: int) -> tuple[int, ...]:
         """Ids of the edges at v, in ascending id order."""
         self._check_vertex(v)

@@ -5,12 +5,12 @@ validated against, so it favors transparent exhaustive search over clever
 encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
 check, and one sound symmetry reduction: new colors are introduced in
 ascending order, which leaves one coloring per orbit of color renamings.
-The decision puts one max-degree vertex's edges first, where the reduction
-alone gives them colors 1..d (``_search_order``).  ``_Search.extend_over``
-drives the search for the decision and for the colorer's local repairs on
-a partial coloring; the enumerator runs it directly.  ``chi_a_exact``
-starts its upward search at a counting lower bound, a certificate
-re-counted on its witness vertex set, not a guess.
+The decision and the enumerator search the same smallest-last insertion
+order as the colorer.  ``_Search.extend_over`` drives the search for the
+decision and for the colorer's local repairs on a partial coloring; the
+enumerator runs it directly.  ``chi_a_exact`` starts its upward search at
+a counting lower bound, a certificate re-counted on its witness vertex
+set, not a guess.
 """
 
 from __future__ import annotations
@@ -91,35 +91,6 @@ def deletion_edge_order(g: Graph) -> list[int]:
             if deg[w]:
                 heapq.heappush(heap, (deg[w], w))
     return order
-
-
-def _search_order(g: Graph) -> list[int]:
-    """The whole-graph search's edge order: the star of v0, the lowest-id
-    vertex of maximum degree d, in ascending neighbour order, then every
-    other edge in smallest-last insertion order.  g must have an edge.
-
-    Searched from the empty coloring with the renaming reduction on from 0
-    and k >= d, the i-th star edge v0w_i can take only color i, so the star
-    gets colors 1..d, one node each and never retried.  By induction the
-    star edges before it carry colors 1..i-1 and nothing else is colored:
-
-    - colors 1..i-1 are at v0, so none of them is free for v0w_i;
-    - the peak is i-1, so the only color above it offered is i <= d <= k;
-    - w_i has no colored edge, since the star's other ends are distinct,
-      so i is free at w_i and no color is common to both ends: Fact 1 sees
-      no cycle and the first try succeeds.
-
-    No orbit is lost: by the orbit argument of
-    ``enumerate_acyclic_colorings``, which holds for any edge order, every
-    acyclic k-coloring has a renaming whose colors first appear as 1, 2,
-    ..., j along this order, and its star edges, which come first and carry
-    distinct colors, then have colors 1..d in order.  So the search finds a
-    coloring iff g has one.
-    """
-    v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
-    star = g.incident_edges(v0)
-    in_star = set(star)
-    return star + [e for e in reversed(deletion_edge_order(g)) if e not in in_star]
 
 
 class _Search(ColorState):
@@ -238,6 +209,12 @@ def is_acyclically_k_colorable(
 ) -> SolveResult:
     """Decide whether g admits a total acyclic edge k-coloring.
 
+    The search runs from the empty coloring over the smallest-last
+    insertion order with the renaming reduction on from 0, the order and
+    reduction ``enumerate_acyclic_colorings`` iterates; its orbit argument
+    holds for any edge order, so the search finds a coloring iff g has one,
+    and a "yes" coloring is the enumeration's first.
+
     "yes" answers carry a coloring re-checked by the independent validator
     (an invalid one raises ColoringError); "no" means the search space was
     exhausted; "unknown" means the budget ran out before a decision.
@@ -249,7 +226,7 @@ def is_acyclically_k_colorable(
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
     search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
-    status = search.extend_over(_search_order(g), 0)
+    status = search.extend_over(list(reversed(deletion_edge_order(g))), 0)
     if status != "yes":
         return SolveResult(status, None, search.nodes)
     c = search.snapshot()

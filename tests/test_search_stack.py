@@ -1,15 +1,13 @@
-"""The exact search against the recursive search and set-up it replaced.
+"""The exact search against the recursive search it replaced.
 
-``_RecursiveSearch`` keeps, verbatim, the recursive ``_extend``/``_enum``
-pair, the ``solve``/``extend_over``/``enumerate`` that drove them and the
-``whole_graph`` set-up that pinned the edges of a max-degree vertex v0 to
-colors 1..d (``fixed``, ``base_colors``, ``symmetry_break``).  It stands
-on the coloring kernel alone.  The search now puts v0's star first and
-lets the renaming reduction give it colors 1..d, so on the same graph,
-palette and node budget both must try the same colors in the same order:
-statuses, node counts, colorings, enumeration order and the state left
-after a restore all match.  Budgets small enough to run out mid-search
-compare the restore path too.
+``_RecursiveSearch`` keeps the recursive ``_extend``/``_enum``
+pair and the ``solve``/``extend_over``/``enumerate`` that drove them, with
+``whole_graph`` setting up the smallest-last insertion order.  It stands
+on the coloring kernel alone.  On the same graph, palette and node budget
+both must try the same colors in the same order: statuses, node counts,
+colorings, enumeration order and the state left after a restore all
+match.  Budgets small enough to run out mid-search compare the restore
+path too.
 
 The reduction itself is checked against a plain backtracker with none.
 """
@@ -43,22 +41,11 @@ class _RecursiveSearch(ColorState):
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.order = []
-        self.fixed = {}
-        self.base_colors = 0
 
     @classmethod
-    def whole_graph(cls, g, k, budget, symmetry_break=True):
+    def whole_graph(cls, g, k, budget):
         s = cls(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
         s.order = list(reversed(deletion_edge_order(g)))
-        if symmetry_break and g.m > 0:
-            v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
-            for i, e in enumerate(g.incident_edges(v0), start=1):
-                if i > k:
-                    break
-                s.fixed[e] = i
-            s.base_colors = min(g.degree(v0), k)
-            pos = {e: i for i, e in enumerate(s.order)}
-            s.order.sort(key=lambda e: (e not in s.fixed, pos[e]))
         return s
 
     def _tick(self):
@@ -71,7 +58,7 @@ class _RecursiveSearch(ColorState):
 
     def solve(self):
         try:
-            found = self._extend(0, self.base_colors)
+            found = self._extend(0, 0)
         except _Exhausted:
             return SolveResult("unknown", None, self.nodes)
         if not found:
@@ -102,12 +89,9 @@ class _RecursiveSearch(ColorState):
         e = self.order[idx]
         u, v = self.g.edges[e]
         taken = self.used_mask[u] | self.used_mask[v]
-        if e in self.fixed:
-            colors = [self.fixed[e]]
-        else:
-            # colors above max_used are interchangeable: try only the first
-            limit = min(self.k, max_used + 1)
-            colors = [c for c in range(1, limit + 1) if not taken >> c & 1]
+        # colors above max_used are interchangeable: try only the first
+        limit = min(self.k, max_used + 1)
+        colors = [c for c in range(1, limit + 1) if not taken >> c & 1]
         common = self.used_mask[u] & self.used_mask[v]
         for c in colors:
             self._tick()
@@ -120,8 +104,6 @@ class _RecursiveSearch(ColorState):
         return False
 
     def enumerate(self):
-        if self.fixed:
-            raise ValueError("enumerate requires symmetry_break=False")
         yield from self._enum(0, 0)
 
     def _enum(self, idx, max_used):
@@ -190,7 +172,7 @@ def test_enumerate_matches_recursive():
         for k in range(delta, delta + 2):
             for budget in _budgets(rng):
                 new = _drain(enumerate_acyclic_colorings(g, k, budget), BudgetExhausted)
-                old = _RecursiveSearch.whole_graph(g, k, budget, symmetry_break=False)
+                old = _RecursiveSearch.whole_graph(g, k, budget)
                 assert new == _drain(old.enumerate(), _Exhausted), (g.edges, k, budget)
                 total += len(new)
                 if "exhausted" in new:
@@ -272,10 +254,10 @@ def has_acyclic_coloring(g, k):
 
 
 def test_decision_matches_full_search():
-    """The star-first order with the renaming reduction says "yes" iff
-    some acyclic k-coloring exists, and a "yes" coloring gives the edges of
-    v0 (the lowest-id vertex of maximum degree) colors 1..d in ascending
-    neighbour order."""
+    """The decision with the renaming reduction says "yes" iff some acyclic
+    k-coloring exists, and its "yes" coloring is the first one the
+    enumeration yields: both search the same order from the empty
+    coloring."""
     rng = random.Random(83)
     graphs = [complete(4), complete_bipartite(3, 3)]
     for _ in range(60):
@@ -284,12 +266,10 @@ def test_decision_matches_full_search():
     seen = set()
     for g in graphs:
         delta = g.max_degree()
-        v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
         for k in range(delta, delta + 3):
             result = is_acyclically_k_colorable(g, k)
             assert (result.status == "yes") == has_acyclic_coloring(g, k), (g.edges, k)
             if result.status == "yes":
-                star = [result.coloring.get(e) for e in g.incident_edges(v0)]
-                assert star == list(range(1, delta + 1))
+                assert result.coloring == next(enumerate_acyclic_colorings(g, k))
             seen.add(result.status)
     assert seen == {"yes", "no"}

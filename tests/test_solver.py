@@ -123,6 +123,18 @@ def test_critical_graphs_have_delta_at_least_3():
         assert g.max_degree() >= 3
 
 
+@pytest.mark.parametrize("name, g, nodes", [
+    ("Q4", hypercube(4), 2081),
+    ("petersen", petersen(), 40),
+    ("K7", complete(7), 495),
+])
+def test_refutation_nodes_at_delta(name, g, nodes):
+    """The decision's "no" at k = Delta, in smallest-last insertion order
+    with the renaming reduction from 0, takes exactly these nodes."""
+    result = is_acyclically_k_colorable(g, g.max_degree())
+    assert (result.status, result.nodes) == ("no", nodes)
+
+
 def test_budget_exhaustion_is_unknown():
     g = complete(7)
     result = is_acyclically_k_colorable(g, 7, SolveBudget(max_nodes=5))
@@ -280,7 +292,9 @@ def test_counting_bound_is_a_certified_lower_bound(data):
     )
     g = build_graph(n, pairs)
     bound, witness = counting_lower_bound(g)
-    assert g.max_degree() <= bound <= _chi_a_from_delta(g)
+    assert g.max_degree() <= bound
+    # colorability is monotone in k, so bound <= chi'_a iff bound - 1 fails
+    assert bound == g.max_degree() or is_acyclically_k_colorable(g, bound - 1).status == "no"
     assert _recount(g, witness) >= bound
 
 
