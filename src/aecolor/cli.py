@@ -13,6 +13,7 @@ exits 2, reported with its type name.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -332,7 +333,14 @@ def cmd_experiment(args) -> int:
 
 # --- parser --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    Building it costs about as much as a small ``chi-a``, so in-process
+    callers of ``main`` pay it once; it is not built at import.  It holds
+    no handlers: ``main`` looks ``cmd_<command>`` up when it is called.
+    """
     parser = argparse.ArgumentParser(
         prog="aecolor",
         description="Acyclic edge coloring: exact solver, heuristic colorer, "
@@ -348,16 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-k", type=int, default=None)
     budget_flags(p)
-    p.set_defaults(func=cmd_chi_a)
 
     p = sub.add_parser("mad", help="exact maximum average degree")
     p.add_argument("file")
-    p.set_defaults(func=cmd_mad)
 
     p = sub.add_parser("check", help="validate a coloring file")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("color", help="constructive acyclic coloring")
     p.add_argument("file")
@@ -368,22 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write move trace JSON here")
     p.add_argument("--dot", default=None, help="write DOT drawing here")
     budget_flags(p)
-    p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("lemmas", help="critical-graph lemma predicates")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("discharge", help="run a discharging rule set")
     p.add_argument("file")
     p.add_argument("--rules", choices=["mad4", "mad3"], required=True)
-    p.set_defaults(func=cmd_discharge)
 
     p = sub.add_parser("critical-sweep", help="find small critical graphs")
     p.add_argument("--n-max", type=int, default=7)
     budget_flags(p)
-    p.set_defaults(func=cmd_critical_sweep)
 
     p = sub.add_parser("experiment", help="randomized experiment harness")
     p.add_argument("name", choices=["theorem2", "theorem3", "colorer"])
@@ -391,15 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except BrokenPipeError:
         # the reader closed stdout: nothing can be reported, and the
         # interpreter's exit flush must not fail again on the dead pipe

@@ -205,7 +205,8 @@ class _Search(ColorState):
 
 
 def is_acyclically_k_colorable(
-    g: Graph, k: int, budget: SolveBudget = SolveBudget()
+    g: Graph, k: int, budget: SolveBudget = SolveBudget(),
+    order: list[int] | None = None,
 ) -> SolveResult:
     """Decide whether g admits a total acyclic edge k-coloring.
 
@@ -213,7 +214,8 @@ def is_acyclically_k_colorable(
     insertion order with the renaming reduction on from 0, the order and
     reduction ``enumerate_acyclic_colorings`` iterates; its orbit argument
     holds for any edge order, so the search finds a coloring iff g has one,
-    and a "yes" coloring is the enumeration's first.
+    and a "yes" coloring is the enumeration's first.  ``order``, if given,
+    is ``deletion_edge_order(g)``, passed in by a caller that has it.
 
     "yes" answers carry a coloring re-checked by the independent validator
     (an invalid one raises ColoringError); "no" means the search space was
@@ -226,7 +228,9 @@ def is_acyclically_k_colorable(
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
     search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
-    status = search.extend_over(list(reversed(deletion_edge_order(g))), 0)
+    if order is None:
+        order = deletion_edge_order(g)
+    status = search.extend_over(order[::-1], 0)
     if status != "yes":
         return SolveResult(status, None, search.nodes)
     c = search.snapshot()
@@ -331,7 +335,8 @@ def walk_peel(g: Graph, order: list[int]) -> Peel:
     return Peel(bound, start, degeneracy, Fraction(2 * dense_e, dense_w))
 
 
-def counting_lower_bound(g: Graph) -> tuple[int, list[int]]:
+def counting_lower_bound(g: Graph, order: list[int] | None = None
+                         ) -> tuple[int, list[int]]:
     """A lower bound on chi'_a(g) and the vertex set W that proves it.
 
     Take an acyclic k-coloring of g with k >= 2 and a subgraph H of g with
@@ -351,9 +356,11 @@ def counting_lower_bound(g: Graph) -> tuple[int, list[int]]:
     W is the first peel set reaching the bound, or every non-isolated
     vertex when no count exceeds Delta; either way g[W] contains the
     counted edges, so ``_count_bound(g, W)`` re-counts at least the bound.
-    O(m log n), the cost of the peel.
+    O(m log n), the cost of the peel; O(m) given ``order``, which is then
+    ``deletion_edge_order(g)``.
     """
-    order = deletion_edge_order(g)
+    if order is None:
+        order = deletion_edge_order(g)
     peel = walk_peel(g, order)
     return peel.bound, sorted({v for e in order[peel.start:] for v in g.edges[e]})
 
@@ -389,7 +396,8 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
 
     The counting lower bound of ``counting_lower_bound`` is re-counted on
     its witness, then each k from it upward is decided by
-    ``is_acyclically_k_colorable``.  Every k up to ``decided_up_to`` is
+    ``is_acyclically_k_colorable``; the bound and every level share one
+    smallest-last order.  Every k up to ``decided_up_to`` is
     decided: below the bound "no" by the count, from it on by the search.
     The answer is the first "yes", whose coloring the validator checked.
     An "unknown" ends the run with ``chi_a`` None at ``decided_up_to`` =
@@ -398,13 +406,14 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
     """
     if g.m == 0:
         return ChiAResult(0, 0, EdgeColoring(1, {}))
-    bound, witness = counting_lower_bound(g)
+    order = deletion_edge_order(g)
+    bound, witness = counting_lower_bound(g, order)
     if _count_bound(g, witness) < bound:
         raise ValueError(f"lower bound {bound} is not re-counted on its witness")
     k = bound
     total_nodes = 0
     while max_k is None or k <= max_k:
-        result = is_acyclically_k_colorable(g, k, budget)
+        result = is_acyclically_k_colorable(g, k, budget, order)
         total_nodes += result.nodes
         if result.status == "yes":
             return ChiAResult(k, k, result.coloring, total_nodes, bound, witness)

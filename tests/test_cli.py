@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -55,7 +56,8 @@ def test_chi_a_max_k_stops_the_search(tmp_path, capsys, monkeypatch):
     levels = []
     decide = solver.is_acyclically_k_colorable
     monkeypatch.setattr(solver, "is_acyclically_k_colorable",
-                        lambda g, k, budget: levels.append(k) or decide(g, k, budget))
+                        lambda g, k, budget, order: levels.append(k)
+                        or decide(g, k, budget, order))
     # K5,5 has chi'_a 7; its count 2*25/9 rounds up to 6, so k <= 5 needs
     # no search and --max-k 6 searches k = 6 alone (the 1.3M nodes of k = 7
     # are never spent)
@@ -74,6 +76,24 @@ def test_chi_a_reports_its_lower_bound(tmp_path, capsys):
     assert code == 0
     assert payload["chi_a"] == payload["lower_bound"] == payload["decided_up_to"] == 5
     assert payload["lower_bound_witness"] == list(range(16))
+
+
+def test_chi_a_orders_the_edges_once(tmp_path, capsys, monkeypatch):
+    """The counting bound and every level searched share one smallest-last
+    order."""
+    orders = []
+    original = solver.deletion_edge_order
+
+    def counted(graph):
+        orders.append(graph.m)
+        return original(graph)
+
+    monkeypatch.setattr(solver, "deletion_edge_order", counted)
+    # K4 counts 2*6/3 = 4 but has chi'_a 5: levels 4 and 5 are searched
+    code, payload = run(capsys, ["chi-a", write_graph(tmp_path, complete(4))])
+    assert code == 0
+    assert (payload["lower_bound"], payload["chi_a"]) == (4, 5)
+    assert orders == [6]
 
 
 def test_chi_a_budget_exhaustion_exit_2(tmp_path, capsys):
@@ -409,6 +429,54 @@ def test_unexpected_exception_exit_2_with_json(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert json.loads(captured.out) == {"error": "RuntimeError: boom"}
     assert captured.err == ""
+
+
+def test_one_parser_per_process_late_bound_handlers(tmp_path, capsys,
+                                                    monkeypatch):
+    """Two calls build one parser, and the handler is looked up per call,
+    so a handler patched after the parser was built still runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    path = write_graph(tmp_path, cycle(5))
+    code, payload = run(capsys, ["mad", path])
+    assert code == 0 and payload["mad"] == "2"
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_mad", boom)
+    code, payload = run(capsys, ["mad", path])
+    assert code == 2
+    assert payload == {"error": "RuntimeError: boom"}
+    assert built.count("aecolor") == 1
+
+
+def test_no_parse_state_leaks_between_calls(tmp_path, capsys):
+    path = write_graph(tmp_path, GRID)
+    out = str(tmp_path / "c.txt")
+    code, payload = run(capsys, ["color", path, "--k", "7", "--out", out,
+                                 "--no-fallback"])
+    assert code == 0
+    assert payload["palette_from"] == "explicit" and payload["coloring_file"] == out
+    code, payload = run(capsys, ["color", path])
+    assert code == 0
+    assert payload["palette_from"] in ("peel", "mad")
+    assert "coloring_file" not in payload
+    # usage errors still exit 2 on the shared parser, and leave it usable
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["color"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+    code, payload = run(capsys, ["color", path])
+    assert code == 0 and payload["outcome"] == "success"
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-secs"])

@@ -376,7 +376,7 @@ def test_walk_peel_densest_is_the_best_peel_set():
 def test_forged_bound_is_rejected(monkeypatch):
     """A bound its witness does not re-count to stops chi_a_exact before
     any search."""
-    monkeypatch.setattr(solver, "counting_lower_bound", lambda g: (4, [0, 1, 2]))
+    monkeypatch.setattr(solver, "counting_lower_bound", lambda g, order: (4, [0, 1, 2]))
     with pytest.raises(ValueError, match="not re-counted"):
         chi_a_exact(cycle(5))
 
