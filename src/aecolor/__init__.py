@@ -17,7 +17,6 @@ from .colorer import (
     ColoringReport,
     choose_palette,
     color_graph,
-    extend_one_edge,
     peel_palette,
 )
 from .density import density_at_least, mad_exact
@@ -52,8 +51,8 @@ __all__ = [
     "CriticalityReport", "EdgeColoring", "Graph", "GraphError",
     "SolveBudget", "build_graph", "chi_a_exact", "choose_palette",
     "color_graph", "critical_sweep", "delete_edge", "density_at_least",
-    "discharge", "discharging_contradiction_report", "extend_one_edge",
-    "fact2_verify", "girth", "has_bichromatic_cycle", "is_2_connected",
-    "is_acyclically_k_colorable", "is_critical", "is_proper", "lemma_suite",
-    "mad_exact", "parse_edge_list", "peel_palette", "trace_bichromatic",
+    "discharge", "discharging_contradiction_report", "fact2_verify", "girth",
+    "has_bichromatic_cycle", "is_2_connected", "is_acyclically_k_colorable",
+    "is_critical", "is_proper", "lemma_suite", "mad_exact", "parse_edge_list",
+    "peel_palette", "trace_bichromatic",
 ]

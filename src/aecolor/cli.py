@@ -230,8 +230,8 @@ def cmd_discharge(args) -> int:
     }
     if report is not None:
         payload["contradiction_report"] = {
-            "total_initial_negative": report.total_initial < 0,
-            "negative_vertices": report.negative_vertices,
+            "total_initial_negative": state.total_initial < 0,
+            "negative_vertices": state.negative_vertices(),
             "failing_predicates": [r.lemma_id for r in report.failing_predicates],
         }
     else:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Literal
+from typing import Literal
 
 from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph
@@ -105,6 +105,11 @@ class _Colorer(_Search):
     def try_direct(self, e: int) -> bool:
         """M1: the lowest color free at both ends that passes the Fact-1
         cycle test.  Each color tried is one node."""
+        # A one-edge repair, _recolor([e], self.k), picks the same color in
+        # the same nodes, but each call pays for the search's generator,
+        # budget exception and saved colors.  Placing every edge that way
+        # took the benchmark's regular_tight pass from 0.20 s to 0.27 s and
+        # sparse_auto's from 0.088 s to 0.10 s (2-core machine).
         u, v = self.g.edges[e]
         taken = self.used_mask[u] | self.used_mask[v]
         for c in range(1, self.k + 1):
@@ -171,29 +176,6 @@ class _Colorer(_Search):
             self.nodes, self.max_nodes, self.deadline = spent, limit, None
 
 
-def extend_one_edge(
-    g: Graph, c: EdgeColoring, uv: int, move_budget: int = 1000
-) -> tuple[EdgeColoring, list[Move]] | None:
-    """Color the single edge uv on top of a proper acyclic partial coloring.
-
-    Runs M1, then the bounded repairs of radius 1 and 2 (no whole-component
-    search).  Returns the extended coloring, re-checked by the independent
-    validator, and the committed moves, or None when stuck.  An input that
-    is not proper and acyclic raises ColoringError: the search only checks
-    for cycles through the edges it colors.  A move budget below 1 raises
-    ValueError.
-    """
-    if c.get(uv) is not None:
-        raise ValueError(f"edge {uv} is already colored")
-    if has_bichromatic_cycle(g, c) is not None:
-        raise ColoringError("input coloring has a bichromatic cycle")
-    engine = _Colorer(g, c.k, move_budget)
-    engine.load(c)
-    if engine.place(uv):
-        return _validate(g, engine.snapshot(), [*c.assignment, uv]), engine.trace
-    return None
-
-
 def color_graph(
     g: Graph,
     k: int,
@@ -225,21 +207,14 @@ def color_graph(
         outcome = "failure"
         break
     coloring = engine.snapshot()
-    if outcome != "failure":
-        _validate(g, coloring, range(g.m))
+    # has_bichromatic_cycle also raises on an improper coloring
+    if outcome != "failure" and (
+            not coloring.is_total(g) or has_bichromatic_cycle(g, coloring) is not None):
+        raise ColoringError("colorer produced an invalid coloring")
     return ColoringReport(
         outcome, k, coloring, len(coloring.colors_used()),
         dict(engine.counts), engine.nodes, engine.trace,
     )
-
-
-def _validate(g: Graph, c: EdgeColoring, colored: Iterable[int]) -> EdgeColoring:
-    """c, once the validator finds it proper and acyclic with every edge id
-    of ``colored`` colored; otherwise ColoringError."""
-    # has_bichromatic_cycle also raises on an improper coloring
-    if any(c.get(e) is None for e in colored) or has_bichromatic_cycle(g, c) is not None:
-        raise ColoringError("colorer produced an invalid coloring")
-    return c
 
 
 def replay_trace(g: Graph, k: int, trace: list[Move]) -> EdgeColoring:

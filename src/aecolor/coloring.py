@@ -160,7 +160,10 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     Rejects an improper coloring with ImproperColoringError, naming the
     vertex ``properness_violation`` returns, and an edge id outside
     [0..m-1] with ColoringError.  A union-find (path halving) per color pair
-    finds the first pair with a cycle in O(k*m).
+    finds the first pair with a cycle in O(k*m).  The edge that closes it
+    lies on the cycle, which is the whole (a,b)-component of its ends, so
+    tracing from one end finds the cycle; it is reported as traced from its
+    lowest vertex.
     """
     bad = properness_violation(g, c)
     if bad is not None:
@@ -171,40 +174,26 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     used = sorted(by_color)
     for i, a in enumerate(used):
         for b in used[i + 1:]:
-            if _has_cycle(by_color[a] + by_color[b]):
-                return _find_cycle_two_colors(g, c, a, b)
+            v = _closing_end(by_color[a] + by_color[b])
+            if v is not None:
+                cycle = trace_bichromatic(g, c, a, b, v)
+                return trace_bichromatic(g, c, a, b, min(cycle.vertices))
     return None
 
 
-def _has_cycle(edges: list[tuple[int, int]]) -> bool:
+def _closing_end(edges: list[tuple[int, int]]) -> int | None:
+    """An end of the first edge that closes a cycle, or None if the edges
+    form a forest."""
     root: dict[int, int] = {}
-    for u, v in edges:
+    for end, v in edges:
+        u = end
         while root.get(u, u) != u:
             root[u] = u = root.get(root[u], root[u])
         while root.get(v, v) != v:
             root[v] = v = root.get(root[v], root[v])
         if u == v:
-            return True
+            return end
         root[u] = v
-    return False
-
-
-def _find_cycle_two_colors(
-    g: Graph, c: EdgeColoring, a: int, b: int
-) -> BichromaticTrace | None:
-    seen: set[int] = set()
-    for v in range(g.n):
-        if v in seen:
-            continue
-        nbrs = _bichrom_nbrs(g, c, v, a, b)
-        if len(nbrs) < 2:
-            continue
-        trace = trace_bichromatic(g, c, a, b, v)
-        if trace is None:
-            continue
-        seen.update(trace.vertices)
-        if trace.is_cycle:
-            return trace
     return None
 
 

@@ -148,8 +148,8 @@ def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
     side H puts exactly E(H)'s edge nodes on the source side, since each
     one there saves 2q, so its minimum cuts are again those of the
     maximisers, costing 2q*m - max_H (2q*e(H) - p*|H|).  So Dinkelbach's
-    steps, ``mad_witness``'s set and ``density_at_least``'s witness do not
-    depend on which of the two networks is solved.
+    steps, and the witness that ``mad_witness`` and ``density_at_least``
+    hand back, do not depend on which of the two networks is solved.
     """
     m, n = g.m, g.n
     if m == 0:
@@ -178,9 +178,9 @@ def subgraph_edge_count(g: Graph, vertices: set[int]) -> int:
 def density_at_least(g: Graph, target: Fraction) -> tuple[bool, list[int] | None]:
     """Is there a nonempty vertex set H with 2*e(H)/|H| >= target?
 
-    Returns (answer, witness vertex list).  The non-strict test reduces to a
-    strict one: with integer edge counts and |H| <= n,
-    2q*e(H) >= p*|H|  iff  2qn*e(H) > (pn-1)*|H|.
+    Returns (answer, witness vertex list): whether mad(g) reaches the
+    target and, if it does, the largest set of density mad
+    (``_dinkelbach``), whose density is re-counted here.
     """
     if target < 0:
         raise ValueError("density target must be nonnegative")
@@ -188,13 +188,11 @@ def density_at_least(g: Graph, target: Fraction) -> tuple[bool, list[int] | None
         return False, None
     if target == 0:
         return True, [0]
-    n = g.n
-    p, q = target.numerator, target.denominator
-    witness = _density_exceeds(g, p * n - 1, q * n)
-    if witness is None:
+    mad, witness = _dinkelbach(g)
+    if mad < target:
         return False, None
     h = sorted(witness)
-    if 2 * q * subgraph_edge_count(g, witness) < p * len(h):
+    if 2 * subgraph_edge_count(g, witness) < target * len(h):
         raise ValueError(f"min-cut witness has density below {target}")
     return True, h
 
@@ -209,8 +207,8 @@ def _dinkelbach(g: Graph) -> tuple[Fraction, set[int]]:
     denser.  Each lambda is the density of one of the finitely many vertex
     sets and strictly increases (checked), so it ends.
 
-    The last H is the largest set of density mad, the one
-    ``density_at_least(g, mad)`` returns: sets of maximum density are
+    The last H is the largest set of density mad, the witness of
+    ``mad_witness`` and ``density_at_least``: sets of maximum density are
     closed under union, so one largest such set D contains all others.  If
     the first test finds no denser set, H = V = D.  Otherwise H was cut at
     some lambda < mad, where each set S scores |S| * (density(S) -

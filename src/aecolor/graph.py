@@ -40,9 +40,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_id
-
     def edge_id(self, u: int, v: int) -> int:
         key = (min(u, v), max(u, v))
         if key not in self._edge_id:
@@ -230,12 +227,6 @@ def parse_edge_list(text: str) -> Graph:
         return build_graph(n, pairs)
     except GraphError as exc:
         raise ParseError(0, str(exc)) from None
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def load_graph(path: str) -> Graph:

@@ -239,7 +239,6 @@ def lemma_suite(g: Graph, k: int) -> list[LemmaPredicateResult]:
 class Fact2Result:
     holds: bool
     t: int
-    detail: str = ""
 
 
 def fact2_verify(g: Graph, k: int, e: int, c: EdgeColoring) -> Fact2Result:
@@ -259,16 +258,12 @@ def fact2_verify(g: Graph, k: int, e: int, c: EdgeColoring) -> Fact2Result:
     shared = sorted(set(fu) & set(fv))
     du, dv = g.degree(u), g.degree(v)
     if not shared:
-        ok = du + dv >= k + 2
-        return Fact2Result(ok, 0, f"d(u)+d(v)={du + dv} vs k+2={k + 2}")
+        return Fact2Result(du + dv >= k + 2, 0)
     t = len(shared)
     sum_v = sum(g.degree(fv[i]) for i in shared)
     sum_u = sum(g.degree(fu[i]) for i in shared)
     bound = k + t + 2
-    ok = sum_v + du + dv >= bound and sum_u + du + dv >= bound
-    return Fact2Result(
-        ok, t,
-        f"sums {sum_u + du + dv}, {sum_v + du + dv} vs k+t+2={bound}")
+    return Fact2Result(sum_v + du + dv >= bound and sum_u + du + dv >= bound, t)
 
 
 def fact2_sweep(
@@ -380,10 +375,6 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
 
 @dataclass
 class DischargeReport:
-    rules: RuleSetName
-    mad: Fraction
-    total_initial: Fraction
-    negative_vertices: list[int]
     failing_predicates: list[LemmaPredicateResult]
     state: ChargeState
 
@@ -405,8 +396,7 @@ def discharging_contradiction_report(
     state = discharge(g, rules)
     k = g.max_degree() + (2 if rules == "mad4" else 1)
     failing = [r for r in lemma_suite(g, k) if r.applicable and not r.holds]
-    return DischargeReport(
-        rules, mad, state.total_initial, state.negative_vertices(), failing, state)
+    return DischargeReport(failing, state)
 
 
 # --- small-graph enumeration and the critical sweep --------------------------

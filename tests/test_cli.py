@@ -20,7 +20,7 @@ from aecolor.cli import (
 )
 from aecolor.colorer import replay_trace
 from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, parse_coloring
-from aecolor.graph import build_graph, format_edge_list
+from aecolor.graph import build_graph
 from aecolor.solver import is_acyclically_k_colorable
 from conftest import complete, complete_bipartite, cycle, from_networkx, hypercube
 
@@ -33,7 +33,7 @@ def run(capsys, argv):
 
 def write_graph(tmp_path, g, name="g.txt"):
     p = tmp_path / name
-    p.write_text(format_edge_list(g))
+    p.write_text(f"p {g.n} {g.m}\n" + "".join(f"e {u} {v}\n" for u, v in g.edges))
     return str(p)
 
 

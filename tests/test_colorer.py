@@ -13,7 +13,6 @@ from aecolor.colorer import (
     _Colorer,
     choose_palette,
     color_graph,
-    extend_one_edge,
     peel_palette,
     replay_trace,
 )
@@ -33,7 +32,7 @@ from aecolor.solver import (
     deletion_edge_order,
     is_acyclically_k_colorable,
 )
-from conftest import complete, cube, cycle, from_networkx, path, petersen, random_graph
+from conftest import complete, cube, cycle, from_networkx, petersen, random_graph
 
 
 def sparse_random_graph(rng, n):
@@ -97,80 +96,64 @@ def test_petersen_at_four():
     assert report.coloring.is_total(g)
 
 
-def test_extend_one_edge_last_cycle_edge():
+def loaded_engine(g, c):
+    engine = _Colorer(g, c.k, move_budget=1000)
+    engine.load(c)
+    return engine
+
+
+def test_engine_places_the_last_cycle_edge():
     # C4 with three edges colored 1,2,1: edge 3 needs a third color
     g = cycle(4)
-    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1})
-    out = extend_one_edge(g, c, 3)
-    assert out is not None
-    extended, moves = out
+    engine = loaded_engine(g, EdgeColoring(3, {0: 1, 1: 2, 2: 1}))
+    assert engine.place(3)
+    assert engine.trace == [("assign", 3, 3)]
+    extended = engine.snapshot()
     assert extended.is_total(g)
     assert has_bichromatic_cycle(g, extended) is None
-    assert moves[-1][0] == "assign"
 
 
-def test_extend_one_edge_rejects_colored_edge():
+def test_engine_stuck_with_two_colors():
+    # with only two colors the last C4 edge cannot be placed, and the
+    # failed repairs leave the loaded colors as they were
     g = cycle(4)
-    c = EdgeColoring(3, {0: 1})
-    with pytest.raises(ValueError):
-        extend_one_edge(g, c, 0)
+    c = EdgeColoring(2, {0: 1, 1: 2, 2: 1})
+    engine = loaded_engine(g, c)
+    assert not engine.place(3)
+    assert engine.snapshot() == c
+    assert engine.trace == []
 
 
-def test_extend_one_edge_rejects_cyclic_input():
-    # C4 colored 1,2,1,2 is a bichromatic cycle; the pendant edge 4 is free
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2})
-    with pytest.raises(ColoringError, match="bichromatic cycle"):
-        extend_one_edge(g, c, 4)
+def test_engine_repairs_with_every_color():
+    # k = 3.  Edge 0-1 is blocked: 0-2 has 3, and 1-5, 1-6 have 1, 2.  The
+    # radius-1 ball {0-1, 0-2, 1-5, 1-6} has an extension only if 0-2 keeps
+    # 3, the one color free at 2, so a search that offered a ball edge only
+    # the colors a renaming reduction admits (1 first) would find none.
+    g = build_graph(7, [(0, 1), (0, 2), (2, 3), (2, 4), (1, 5), (1, 6)])
+    engine = loaded_engine(g, EdgeColoring(3, {1: 3, 2: 1, 3: 2, 4: 1, 5: 2}))
+    assert engine.place(0)
+    assert [m[0] for m in engine.trace] == ["repair"]
+    extended = engine.snapshot()
+    assert extended.get(1) == 3 and extended.get(2) == 1 and extended.get(3) == 2
+    assert extended.is_total(g)
+    assert has_bichromatic_cycle(g, extended) is None
 
 
-def test_extend_one_edge_rejects_improper_input():
-    g = path(4)
-    with pytest.raises(ColoringError, match="not proper"):
-        extend_one_edge(g, EdgeColoring(3, {0: 1, 1: 1}), 2)
-
-
-def test_extend_one_edge_validates_its_result(monkeypatch):
-    # a place that closes the bichromatic cycle 1,2,1,2 and reports success
+def test_color_graph_validates_its_result(monkeypatch):
+    # a place that colors C4 1,2,1,2, a bichromatic cycle, and reports success
     def bad_place(self, e):
-        self.set(e, 2)
+        self.set(e, 1 + e % 2)
         return True
 
     monkeypatch.setattr(_Colorer, "place", bad_place)
-    g = cycle(4)
     with pytest.raises(ColoringError, match="invalid coloring"):
-        extend_one_edge(g, EdgeColoring(3, {0: 1, 1: 2, 2: 1}), 3)
+        color_graph(cycle(4), 3)
 
 
 @pytest.mark.parametrize("budget", [0, -3])
 def test_move_budget_below_1_rejected(budget):
     with pytest.raises(ValueError, match="move budget must be positive"):
         color_graph(complete(2), 1, move_budget=budget)
-    with pytest.raises(ValueError, match="move budget must be positive"):
-        extend_one_edge(path(3), EdgeColoring(2, {0: 1}), 1, move_budget=budget)
-
-
-def test_extend_one_edge_stuck_with_two_colors():
-    # with only two colors the last C4 edge cannot be placed
-    g = cycle(4)
-    c = EdgeColoring(2, {0: 1, 1: 2, 2: 1})
-    assert extend_one_edge(g, c, 3) is None
-
-
-def test_extend_one_edge_repairs_with_every_color():
-    # k = 3.  Edge 0-1 is blocked: 0-2 has 3, and 1-5, 1-6 have 1, 2.  The
-    # radius-1 ball {0-1, 0-2, 1-5, 1-6} has an extension only if 0-2 keeps
-    # 3, the one color free at 2, so a search that offered a ball edge only
-    # the colors a renaming reduction admits (1 first) would find none.
-    g = build_graph(7, [(0, 1), (0, 2), (2, 3), (2, 4), (1, 5), (1, 6)])
-    c = EdgeColoring(3, {1: 3, 2: 1, 3: 2, 4: 1, 5: 2})
-    out = extend_one_edge(g, c, 0)
-    assert out is not None
-    extended, moves = out
-    assert [m[0] for m in moves] == ["repair"]
-    assert extended.get(1) == 3 and extended.get(2) == 1 and extended.get(3) == 2
-    assert extended.is_total(g)
-    assert has_bichromatic_cycle(g, extended) is None
 
 
 def _blocked_brute(g, c, e, color):

@@ -14,7 +14,6 @@ from aecolor.coloring import (
     is_proper,
     parse_coloring,
     properness_violation,
-    _find_cycle_two_colors,
     trace_bichromatic,
 )
 from aecolor.graph import build_graph
@@ -280,10 +279,60 @@ def random_acyclic_state(rng, g, k):
     return state
 
 
+def _scan_cycles(g, c, a, b):
+    """Every (a,b)-cycle of c, lowest vertex first, each traced from its
+    lowest vertex: the vertex-by-vertex scan the validator once used to
+    locate a cycle, run to the end instead of stopping at the first."""
+    seen = set()
+    cycles = []
+    for v in range(g.n):
+        if v in seen:
+            continue
+        nbrs = [w for w in g.neighbors(v) if c.get(g.edge_id(v, w)) in (a, b)]
+        if len(nbrs) < 2:
+            continue
+        trace = trace_bichromatic(g, c, a, b, v)
+        seen.update(trace.vertices)
+        if trace.is_cycle:
+            cycles.append(trace)
+    return cycles
+
+
+def _is_closed_alternating(g, c, trace):
+    vs = trace.vertices
+    cols = [c.get(g.edge_id(x, y)) for x, y in zip(vs, vs[1:])]
+    return (trace.is_cycle and vs[0] == vs[-1] and len(set(vs)) == len(vs) - 1
+            and set(cols) == set(trace.colors)
+            and all(x != y for x, y in zip(cols, cols[1:] + cols[:1])))
+
+
+def _check_against_scan(g, c):
+    """has_bichromatic_cycle against the scan over every color pair in
+    order; returns the scan's cycles of the first pair that has one."""
+    cycles = []
+    for a, b in combinations(sorted(c.colors_used()), 2):
+        cycles = _scan_cycles(g, c, a, b)
+        if cycles:
+            break
+    got = has_bichromatic_cycle(g, c)
+    if not cycles:
+        assert got is None
+        return cycles
+    assert got is not None and got.colors == cycles[0].colors
+    assert _is_closed_alternating(g, c, got)
+    assert got.vertices[0] == min(got.vertices)
+    if len(cycles) == 1:
+        assert got == cycles[0]
+    else:
+        assert got in cycles
+    return cycles
+
+
 def test_union_find_validator_matches_pairwise_trace_scan():
-    """has_bichromatic_cycle returns the trace that scanning every color
-    pair in order with _find_cycle_two_colors returns, on random proper
-    colorings, partial and total, cyclic and acyclic."""
+    """On random proper colorings, partial and total, cyclic and acyclic,
+    has_bichromatic_cycle agrees with the pairwise scan: the same verdict,
+    the same first color pair, the scan's cycle whenever that pair has only
+    one, and otherwise one of its closed alternating cycles."""
     rng = random.Random(43)
     verdicts = set()
     for i in range(300):
@@ -304,14 +353,20 @@ def test_union_find_validator_matches_pairwise_trace_scan():
                     used[u].add(col)
                     used[v].add(col)
             c = EdgeColoring(k, assignment)
-        scan = None
-        for a, b in combinations(sorted(c.colors_used()), 2):
-            scan = _find_cycle_two_colors(g, c, a, b)
-            if scan is not None:
-                break
-        assert has_bichromatic_cycle(g, c) == scan
-        verdicts.add(scan is None)
+        verdicts.add(not _check_against_scan(g, c))
     assert verdicts == {True, False}
+
+
+def test_validator_reports_the_cycle_the_union_find_closes():
+    # two disjoint (1,2)-cycles, 0-1-2-3 and 4-5-6-7, with the second's
+    # edges listed first, so the union-find closes 4-5-6-7 first; the
+    # scan would have reported 0-1-2-3, the cycle with the lowest vertex
+    g = build_graph(8, [(4, 5), (5, 6), (6, 7), (7, 4),
+                        (0, 1), (1, 2), (2, 3), (3, 0)])
+    c = EdgeColoring(2, {e: 1 + e % 2 for e in range(8)})
+    cycles = _check_against_scan(g, c)
+    assert [t.vertices for t in cycles] == [(0, 1, 2, 3, 0), (4, 5, 6, 7, 4)]
+    assert has_bichromatic_cycle(g, c).vertices == (4, 5, 6, 7, 4)
 
 
 def test_validator_does_not_use_the_kernel(monkeypatch):

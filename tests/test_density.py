@@ -72,6 +72,28 @@ def test_density_at_least_witness_is_valid():
                     assert 2 * subgraph_edge_count(g, set(subset)) < target * size
 
 
+def test_density_at_least_matches_brute_force():
+    """density_at_least(g, t) answers mad_brute(g) >= t, for t = mad itself,
+    just above it (densities differ by at least 1/n^2), 0 and a random
+    fraction, and every witness reaches t."""
+    rng = random.Random(26)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        mad = mad_brute(g)
+        targets = [mad, mad + Fraction(1, n * n), Fraction(0),
+                   Fraction(rng.randint(1, 2 * n), rng.randint(1, n))]
+        for t in targets:
+            ok, witness = density_at_least(g, t)
+            assert ok == (mad >= t), (g.edges, t)
+            if ok:
+                h = set(witness)
+                assert h and len(h) == len(witness) and h <= set(range(n))
+                assert 2 * subgraph_edge_count(g, h) >= t * len(h)
+            else:
+                assert witness is None
+
+
 def test_mad_matches_brute_force():
     rng = random.Random(21)
     for _ in range(300):

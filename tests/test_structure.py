@@ -266,8 +266,8 @@ def test_contradiction_report_rejects_dense():
 
 def test_contradiction_report_c6():
     report = discharging_contradiction_report(cycle(6), "mad3")
-    assert report.total_initial < 0
-    assert report.negative_vertices == list(range(6))
+    assert report.state.total_initial < 0
+    assert report.state.negative_vertices() == list(range(6))
     assert report.failing_predicates  # C6 is far from critical
 
 
@@ -282,8 +282,8 @@ def test_contradiction_report_total_negative_under_mad4():
         if mad_exact(g) >= 4:
             continue
         report = discharging_contradiction_report(g, "mad4")
-        assert report.total_initial == 2 * g.m - 4 * g.n
-        assert report.total_initial < 0 or 2 * g.m >= 4 * g.n
+        assert report.state.total_initial == 2 * g.m - 4 * g.n
+        assert report.state.total_initial < 0 or 2 * g.m >= 4 * g.n
         done += 1
 
 

@@ -110,8 +110,8 @@ def _corpus(seed, count):
 def test_vertex_network_cuts_the_same_set():
     """Same set (None included) on 1,500 random graphs and thresholds: a
     random p/q around the densities that occur, the graph's own density
-    2m/n where Dinkelbach starts, and the strict form of a non-strict
-    test that density_at_least builds by scaling with n."""
+    2m/n where Dinkelbach starts, and (pn-1)/(qn), just below a random
+    target p/q, so that sets of density exactly p/q count as denser."""
     found = checked = 0
     for rng, g in _corpus(60, 1500):
         q = rng.randint(1, g.n)
