@@ -135,7 +135,7 @@ class _Colorer(_Search):
             frontier = {w for x in frontier for w in g.neighbors(x)} - near
             near |= frontier
             r -= 1
-        edges = {g.edge_id(x, w) for x in near for w in g.neighbors(x)}
+        edges = {f for x in near for f in g.incident_edge_ids(x)}
         if r < inf:
             edges = {f for f in edges if self.assign[f]} | {e}
         return sorted(edges, key=self.pos.__getitem__)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 
 class ColoringError(ValueError):
@@ -64,10 +64,11 @@ class BichromaticTrace:
 def _color_at(g: Graph, c: EdgeColoring, v: int) -> dict[int, int]:
     """Map color -> neighbor for colored edges at v (proper colorings only)."""
     out: dict[int, int] = {}
-    for w in g.neighbors(v):
-        col = c.get(g.edge_id(v, w))
+    for e in g.incident_edge_ids(v):
+        col = c.get(e)
         if col is not None:
-            out[col] = w
+            a, b = g.edges[e]
+            out[col] = a + b - v
     return out
 
 
@@ -110,48 +111,28 @@ def trace_bichromatic(
     """
     if alpha == beta:
         raise ColoringError("the two trace colors must differ")
-    at_v = _bichrom_nbrs(g, c, v, alpha, beta)
-    if not at_v:
+    at_v = _color_at(g, c, v)
+    ends = sorted((at_v[col], col) for col in (alpha, beta) if col in at_v)
+    if not ends:
         return None
 
-    def walk(start: int, first: int) -> list[int]:
+    def walk(col: int) -> list[int]:
         # Properness bounds each vertex to one alpha and one beta edge, so
-        # the continuation color pins the next step uniquely.
-        seq = [start, first]
-        prev, cur = start, first
-        while True:
-            prev_col = c.get(g.edge_id(prev, cur))
-            want = beta if prev_col == alpha else alpha
-            nxt = _color_at(g, c, cur).get(want)
-            if nxt is None:
-                return seq
+        # the colors, alternating from col, pin every step.
+        seq, cur = [v], v
+        while (nxt := _color_at(g, c, cur).get(col)) is not None:
             seq.append(nxt)
-            prev, cur = cur, nxt
-            if cur == start:
-                return seq  # closed a cycle
+            if nxt == v:
+                break  # closed a cycle
+            cur, col = nxt, alpha + beta - col
+        return seq
 
-    if len(at_v) == 2:
-        # possibly a cycle; orient toward the lower-numbered neighbor
-        first = min(at_v)
-        seq = walk(v, first)
-        if seq[-1] == v and len(seq) > 2:
-            return BichromaticTrace((alpha, beta), tuple(seq), True)
-        # open path through v: extend the other way and stitch
-        other = max(at_v)
-        back = walk(v, other)
-        full = list(reversed(back))[:-1] + seq
-        return BichromaticTrace((alpha, beta), tuple(full), False)
-    seq = walk(v, at_v[0])
-    return BichromaticTrace((alpha, beta), tuple(seq), False)
-
-
-def _bichrom_nbrs(g: Graph, c: EdgeColoring, v: int, a: int, b: int) -> list[int]:
-    out = []
-    for w in sorted(g.neighbors(v)):
-        col = c.get(g.edge_id(v, w))
-        if col == a or col == b:
-            out.append(w)
-    return out
+    seq = walk(ends[0][1])
+    if len(ends) == 1 or seq[-1] == v:
+        return BichromaticTrace((alpha, beta), tuple(seq), seq[-1] == v)
+    # open path through v: extend the other way and stitch
+    back = walk(ends[1][1])
+    return BichromaticTrace((alpha, beta), tuple(back[:0:-1] + seq), False)
 
 
 def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
@@ -281,6 +262,9 @@ class ColorState:
 #   <u> <v> <color>     (color 0 = uncolored)
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
+    # one index of g's edges per file: Graph.edge_id would scan an incident
+    # list for each of the file's m edge lines
+    edge_ids = {pair: e for e, pair in enumerate(g.edges)}
     k = None
     assignment: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -308,10 +292,9 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 u, v, col = map(int, parts)
             except ValueError:
                 raise ColoringError(f"line {lineno}: non-integer in edge line") from None
-            try:
-                e = g.edge_id(u, v)
-            except GraphError:
-                raise ColoringError(f"line {lineno}: edge {u}-{v} not in graph") from None
+            e = edge_ids.get((min(u, v), max(u, v)))
+            if e is None:
+                raise ColoringError(f"line {lineno}: edge {u}-{v} not in graph")
             if col == 0:
                 continue
             if not 1 <= col <= k:

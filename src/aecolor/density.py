@@ -141,15 +141,6 @@ def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
     is the cut of one H, so the minimum cuts are exactly those of the
     maximisers, and the residual-reachable side of a max flow is the
     smallest minimum-cut source side: the smallest maximiser.
-
-    Goldberg's edge-node network (s -> edge node of capacity 2q, edge node
-    -> both endpoints of infinite capacity, vertex -> t of capacity p), on
-    m + n + 2 nodes, returns the same set: a finite cut there with vertex
-    side H puts exactly E(H)'s edge nodes on the source side, since each
-    one there saves 2q, so its minimum cuts are again those of the
-    maximisers, costing 2q*m - max_H (2q*e(H) - p*|H|).  So Dinkelbach's
-    steps, and the witness that ``mad_witness`` and ``density_at_least``
-    hand back, do not depend on which of the two networks is solved.
     """
     m, n = g.m, g.n
     if m == 0:

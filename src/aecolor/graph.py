@@ -16,20 +16,22 @@ class Graph:
     """Immutable simple undirected graph.
 
     Vertices are 0..n-1.  Edges carry dense ids 0..m-1 in first-seen order.
-    Mutating operations (delete_edge) return new Graph values.
+    Each vertex keeps its neighbors and its incident edge ids, each as an
+    ascending tuple.  Mutating operations (delete_edge) return new Graph
+    values.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _adj: tuple[frozenset[int], ...] = field(repr=False)
-    _edge_id: dict[tuple[int, int], int] = field(repr=False)
+    _adj: tuple[tuple[int, ...], ...] = field(repr=False)
     _inc: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v, in ascending order."""
         self._check_vertex(v)
         return self._adj[v]
 
@@ -41,10 +43,14 @@ class Graph:
         return max((len(a) for a in self._adj), default=0)
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        if key not in self._edge_id:
-            raise GraphError(f"no edge {u}-{v}")
-        return self._edge_id[key]
+        """Id of the edge uv, by a scan of u's incident edges."""
+        self._check_vertex(u)
+        self._check_vertex(v)
+        if u != v:
+            for e in self._inc[u]:
+                if v in self.edges[e]:
+                    return e
+        raise GraphError(f"no edge {u}-{v}")
 
     def endpoints(self, e: int) -> tuple[int, int]:
         if not 0 <= e < len(self.edges):
@@ -65,26 +71,26 @@ def build_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     """Build a simple graph, rejecting self-loops, duplicates and bad ids."""
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
     inc: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
-    edge_id: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         key = (min(u, v), max(u, v))
-        if key in edge_id:
+        if key in seen:
             raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(key)
         e = len(edges)
-        edge_id[key] = e
         edges.append(key)
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
         inc[u].append(e)
         inc[v].append(e)
-    return Graph(n, tuple(edges), tuple(frozenset(a) for a in adj), edge_id,
+    return Graph(n, tuple(edges), tuple(tuple(sorted(a)) for a in adj),
                  tuple(map(tuple, inc)))
 
 
@@ -139,7 +145,7 @@ def is_2_connected(g: Graph) -> bool:
     low = [0] * g.n
     timer = 0
     # iterative DFS from vertex 0
-    stack: list[tuple[int, int, iter]] = [(0, -1, iter(sorted(g.neighbors(0))))]
+    stack: list[tuple[int, int, iter]] = [(0, -1, iter(g.neighbors(0)))]
     disc[0] = low[0] = timer
     timer += 1
     root_children = 0
@@ -152,7 +158,7 @@ def is_2_connected(g: Graph) -> bool:
                     root_children += 1
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, v, iter(sorted(g.neighbors(w)))))
+                stack.append((w, v, iter(g.neighbors(w))))
                 advanced = True
                 break
             elif w != parent:

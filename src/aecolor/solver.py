@@ -405,7 +405,7 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
     suffices, ``chi_a`` is None and ``decided_up_to`` >= ``max_k``.
     """
     if g.m == 0:
-        return ChiAResult(0, 0, EdgeColoring(1, {}))
+        return ChiAResult(0, 0, EdgeColoring(0, {}))
     order = deletion_edge_order(g)
     bound, witness = counting_lower_bound(g, order)
     if _count_bound(g, witness) < bound:

@@ -141,7 +141,7 @@ def check_3adj4(g: Graph, k: int | None = None) -> LemmaPredicateResult:
     for v in range(g.n):
         if g.degree(v) != 3:
             continue
-        nbrs = sorted(g.neighbors(v))
+        nbrs = g.neighbors(v)
         if not any(g.degree(x) == 4 for x in nbrs):
             continue
         x = min(w for w in nbrs if g.degree(w) == 4)
@@ -353,22 +353,22 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
     if rules == "mad3":
         for v in range(g.n):
             if g.degree(v) == 2:
-                for w in sorted(g.neighbors(v)):
+                for w in g.neighbors(v):
                     give("R", w, v, Fraction(1, 2))
     else:
         for v in range(g.n):
             if g.degree(v) == 2:
-                for w in sorted(g.neighbors(v)):
+                for w in g.neighbors(v):
                     give("R1", w, v, Fraction(1))
         for v in range(g.n):
             if g.degree(v) != 3:
                 continue
             if any(g.degree(w) == 4 for w in g.neighbors(v)):
-                for w in sorted(g.neighbors(v)):
+                for w in g.neighbors(v):
                     if g.degree(w) >= 5:
                         give("R2", w, v, Fraction(1, 2))
             else:
-                for w in sorted(g.neighbors(v)):
+                for w in g.neighbors(v):
                     give("R2", w, v, Fraction(1, 3))
     return ChargeState(rules, initial, final, transfers)
 

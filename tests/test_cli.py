@@ -173,6 +173,43 @@ def test_check_second_palette_header_exit_2(tmp_path, capsys):
     assert payload["error"] == "line 3: duplicate 'k' header"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("k 3 4\n0 1 1\n", "line 1: expected 'k <K>'"),
+    ("0 1 1\nk 3\n", "line 1: edge line before 'k' header"),
+    ("k 3\n0 1\n", "line 2: expected '<u> <v> <color>'"),
+    ("k 3\n0 1 1\n1 0 2\n", "line 3: edge 1-0 colored twice"),
+    ("k 3\n0 2 1\n", "line 2: edge 0-2 not in graph"),
+    ("k 3\n1 1 1\n", "line 2: edge 1-1 not in graph"),
+    ("k 3\n3 9 1\n", "line 2: edge 3-9 not in graph"),
+    ("# no header\n", "missing 'k' header"),
+])
+def test_check_malformed_coloring_exit_2(tmp_path, capsys, text, error):
+    gp = write_graph(tmp_path, cycle(4))
+    cp = tmp_path / "c.txt"
+    cp.write_text(text)
+    code, payload = run(capsys, ["check", gp, str(cp)])
+    assert code == 2
+    assert payload == {"error": error}
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p 3 1\np 3 1\ne 0 1\n", "line 2: duplicate 'p' line"),
+    ("p 3 x\n", "line 1: non-integer in 'p' line"),
+    ("p 3 1\ne 0\n", "line 2: expected 'e <u> <v>'"),
+    ("p 3 1\nq 0 1\n", "line 2: unknown record 'q'"),
+    ("# no p line\n", "line 0: missing 'p' line"),
+    ("p 3 2\ne 0 1\n", "line 0: 'p' line promises 2 edges, found 1"),
+    ("p -1 0\n", "line 0: vertex count must be nonnegative"),
+    ("p 3 2\ne 0 1\ne 1 0\n", "line 0: duplicate edge (1,0)"),
+])
+def test_malformed_graph_file_exit_2(tmp_path, capsys, text, error):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    code, payload = run(capsys, ["chi-a", str(p)])
+    assert code == 2
+    assert payload == {"error": error}
+
+
 def test_malformed_graph_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("p 3 1\ne 0 zero\n")
@@ -338,6 +375,24 @@ def test_critical_sweep_cli(tmp_path, capsys):
     assert code == 0
     assert len(payload["critical"]) == 1
     assert payload["critical"][0]["k"] == 4
+
+
+def test_color_dot_file(tmp_path, capsys):
+    g = complete_bipartite(3, 3)
+    out = tmp_path / "g.dot"
+    code, payload = run(capsys, ["color", write_graph(tmp_path, g), "--dot", str(out)])
+    assert code == 0
+    assert payload["dot_file"] == str(out)
+    edge_lines = [line for line in out.read_text().splitlines() if " -- " in line]
+    assert len(edge_lines) == g.m
+    assert all("style=dashed" not in line for line in edge_lines)
+
+
+def test_chi_a_edgeless_graph(tmp_path, capsys):
+    code, payload = run(capsys, ["chi-a", write_graph(tmp_path, build_graph(3, []))])
+    assert code == 0
+    assert payload == {"chi_a": 0, "decided_up_to": 0, "lower_bound": 0,
+                       "lower_bound_witness": [], "coloring": [], "nodes": 0}
 
 
 def test_dot_export(tmp_path):

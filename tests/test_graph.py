@@ -21,7 +21,7 @@ from conftest import complete, cube, cycle, path, random_graph, star
 def test_build_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.m == 3
-    assert g.neighbors(0) == {1, 2}
+    assert g.neighbors(0) == (1, 2)
 
 
 def test_build_k4():
@@ -49,6 +49,34 @@ def test_edge_ids_first_seen_order():
     g = build_graph(4, [(2, 3), (0, 1)])
     assert g.endpoints(0) == (2, 3)
     assert g.endpoints(1) == (0, 1)
+
+
+def test_build_rejects_negative_vertex_count():
+    with pytest.raises(GraphError, match="vertex count must be nonnegative"):
+        build_graph(-1, [])
+
+
+def test_adjacency_tuples_ascending_and_edge_id_both_ways():
+    rng = random.Random(3)
+    for _ in range(30):
+        n = rng.randint(2, 15)
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(n) if u < v],
+                           rng.randint(0, n * (n - 1) // 2))
+        g = build_graph(n, [p if rng.random() < 0.5 else p[::-1] for p in pairs])
+        for v in range(n):
+            want = sorted(w for e in g.edges for w in e if v in e and w != v)
+            assert g.neighbors(v) == tuple(want)
+            assert g.incident_edge_ids(v) == tuple(
+                e for e, ends in enumerate(g.edges) if v in ends)
+        for e, (u, v) in enumerate(g.edges):
+            assert g.edge_id(u, v) == g.edge_id(v, u) == e
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (0, 3), (-1, 0), (3, 1)])
+def test_edge_id_rejects_missing_loop_and_out_of_range(u, v):
+    # path 0-1-2: 0-2 is missing, 1-1 a loop, 3 and -1 are no vertices
+    with pytest.raises(GraphError):
+        path(3).edge_id(u, v)
 
 
 def test_degree_profile_k4():

@@ -141,6 +141,31 @@ def test_budget_exhaustion_is_unknown():
     assert result.status == "unknown"
 
 
+def test_is_critical_unknown_on_the_whole_graph():
+    budget = SolveBudget(max_nodes=1)
+    assert is_acyclically_k_colorable(cycle(5), 3, budget).status == "unknown"
+    assert is_critical(cycle(5), 3, budget).status == "unknown"
+
+
+def test_is_critical_unknown_on_a_deletion():
+    # K1,4 at k = 3 is refuted by its degree without a node, but deleting
+    # an edge leaves K1,3, whose "yes" needs 3 nodes
+    budget = SolveBudget(max_nodes=1)
+    g = build_graph(5, [(0, i) for i in range(1, 5)])
+    assert is_acyclically_k_colorable(g, 3, budget).status == "no"
+    assert is_acyclically_k_colorable(delete_edge(g, 0), 3).nodes > 1
+    assert is_critical(g, 3, budget).status == "unknown"
+
+
+def test_chi_a_coloring_palette_is_chi_a():
+    graphs = [build_graph(0, []), build_graph(3, []), build_graph(2, [(0, 1)]),
+              cycle(5), complete(4), complete_bipartite(3, 3)]
+    for g in graphs:
+        result = chi_a_exact(g)
+        assert result.coloring.k == result.chi_a
+        assert result.coloring.is_total(g)
+
+
 def test_unknown_propagates_through_chi_a():
     # K7's count 2*21/6 = 7 decides k <= 6, so the search starts at 7
     g = complete(7)

@@ -96,6 +96,14 @@ def test_3vertex_neighbors_fails():
     assert not r.holds
 
 
+def test_witness_names_the_lowest_failing_neighbor():
+    # every neighbor of vertex 0 fails; the witness names the lowest
+    r = check_neighbor_of_2vertex(build_graph(19, [(0, 18), (0, 5)]), 3)
+    assert r.witness == {"vertex": 0, "neighbor": 5, "degree": 1, "threshold": 4}
+    r = check_3vertex_neighbors(build_graph(19, [(0, 18), (0, 9), (0, 5)]), 5)
+    assert r.witness == {"vertex": 0, "neighbor": 5, "degree": 1, "threshold": 4}
+
+
 def test_3adj4_vacuous_without_pattern():
     assert check_3adj4(cycle(5)).holds
     assert check_3adj4(complete(4)).holds  # 3-vertices but no 4-neighbor
@@ -108,6 +116,47 @@ def test_3adj4_fails_when_other_neighbors_small():
     assert not r.holds
     assert r.witness["vertex"] == 0
     assert r.witness["four_neighbor"] == 1
+
+
+def _three_adj_four(dy: int, sy: int, dz: int, sz: int):
+    """3-vertex 0 with the 4-neighbor 1 and other neighbors y = 2 and z = 3
+    of degrees dy and dz, adjacent to sy and sz vertices of degree 4; every
+    other vertex is a leaf."""
+    pairs = [(0, 1), (0, 2), (0, 3)]
+
+    def grow(u: int) -> int:
+        # each pair after the first three brings one new vertex
+        w = len(pairs) + 1
+        pairs.append((u, w))
+        return w
+
+    for _ in range(3):
+        grow(1)
+    for w, d, s in ((2, dy, sy), (3, dz, sz)):
+        for i in range(d - 1):
+            hub = grow(w)
+            if i < s:
+                for _ in range(3):
+                    grow(hub)
+    g = build_graph(len(pairs) + 1, pairs)
+    assert [g.degree(v) for v in range(4)] == [3, 4, dy, dz]
+    return g
+
+
+@pytest.mark.parametrize("dy, sy, dz, sz, holds", [
+    (6, 3, 6, 2, True),   # y takes the three, z the two
+    (6, 2, 6, 3, True),   # only the swapped assignment works
+    (6, 2, 6, 2, False),  # neither has three
+    (6, 3, 5, 2, False),  # z has degree exactly 5, so it needs three
+    (6, 3, 5, 3, True),
+    (5, 2, 6, 3, False),  # y has degree exactly 5 and two
+])
+def test_3adj4_role_clause(dy, sy, dz, sz, holds):
+    r = check_3adj4(_three_adj_four(dy, sy, dz, sz))
+    assert r.holds == holds
+    if not holds:
+        assert r.witness == {"vertex": 0, "four_neighbor": 1, "others": [2, 3],
+                             "strong_counts": [sy, sz]}
 
 
 def test_tvertex_2s_fails():
