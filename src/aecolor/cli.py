@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from multiprocessing import Pool
 
 from . import colorer
 from . import coloring as ck
@@ -309,6 +308,9 @@ def run_experiment(name: str, n: int, trials: int, seed: int,
         raise ValueError(f"workers must be in [1..{cpus}], got {workers}")
     tasks = [(name, n, seed * 1_000_003 + i) for i in range(trials)]
     if workers > 1:
+        # imported here: a serial run, and every other command, starts without it
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             records = pool.map(_theorem_trial, tasks)  # preserves input order
     else:

@@ -191,8 +191,11 @@ def delete_edge(g: Graph, e: int) -> Graph:
 #   e <u> <v>        (0-based, m lines)
 
 class ParseError(ValueError):
-    def __init__(self, lineno: int, msg: str):
-        super().__init__(f"line {lineno}: {msg}")
+    """A malformed edge list; ``lineno`` is None for an error of the whole
+    file, which carries no line prefix, as in ``parse_coloring``."""
+
+    def __init__(self, lineno: int | None, msg: str):
+        super().__init__(msg if lineno is None else f"line {lineno}: {msg}")
         self.lineno = lineno
 
 
@@ -226,13 +229,13 @@ def parse_edge_list(text: str) -> Graph:
         else:
             raise ParseError(lineno, f"unknown record {parts[0]!r}")
     if n is None:
-        raise ParseError(0, "missing 'p' line")
+        raise ParseError(None, "missing 'p' line")
     if m is not None and m != len(pairs):
-        raise ParseError(0, f"'p' line promises {m} edges, found {len(pairs)}")
+        raise ParseError(None, f"'p' line promises {m} edges, found {len(pairs)}")
     try:
         return build_graph(n, pairs)
     except GraphError as exc:
-        raise ParseError(0, str(exc)) from None
+        raise ParseError(None, str(exc)) from None
 
 
 def load_graph(path: str) -> Graph:

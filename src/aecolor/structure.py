@@ -8,12 +8,11 @@ the exact solver, so tests can exhibit both vacuous and violating cases.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
-
-import networkx as nx
 
 from .coloring import EdgeColoring, _color_at, has_bichromatic_cycle
 from .density import mad_exact
@@ -401,18 +400,34 @@ def discharging_contradiction_report(
 
 # --- small-graph enumeration and the critical sweep --------------------------
 
+@functools.cache
+def _atlas_classes() -> tuple[Graph, ...]:
+    """The connected classes of the networkx graph atlas, in atlas order.
+
+    networkx is imported here, so only a caller of the enumeration loads it.
+    """
+    import networkx as nx
+
+    return tuple(
+        build_graph(ag.number_of_nodes(), sorted(ag.edges()))
+        for ag in nx.graph_atlas_g()[1:]
+        if nx.is_connected(ag)
+    )
+
+
 def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
     """All connected graphs on 1..n_max vertices, one per isomorphism class.
 
-    Backed by the networkx graph atlas (complete through 7 vertices).
+    Backed by the networkx graph atlas (complete through 7 vertices).  The
+    class list is built on the first call and reused by every later call in
+    the process; a ``Graph`` is immutable, so the callers share its values.
     """
     if n_max > 7:
         raise ValueError("atlas enumeration is complete only up to 7 vertices")
-    for ag in nx.graph_atlas_g()[1:]:
-        if ag.number_of_nodes() > n_max:
+    for g in _atlas_classes():
+        if g.n > n_max:
             break
-        if ag.number_of_nodes() >= 1 and nx.is_connected(ag):
-            yield build_graph(ag.number_of_nodes(), sorted(ag.edges()))
+        yield g
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -197,10 +198,10 @@ def test_check_malformed_coloring_exit_2(tmp_path, capsys, text, error):
     ("p 3 x\n", "line 1: non-integer in 'p' line"),
     ("p 3 1\ne 0\n", "line 2: expected 'e <u> <v>'"),
     ("p 3 1\nq 0 1\n", "line 2: unknown record 'q'"),
-    ("# no p line\n", "line 0: missing 'p' line"),
-    ("p 3 2\ne 0 1\n", "line 0: 'p' line promises 2 edges, found 1"),
-    ("p -1 0\n", "line 0: vertex count must be nonnegative"),
-    ("p 3 2\ne 0 1\ne 1 0\n", "line 0: duplicate edge (1,0)"),
+    ("# no p line\n", "missing 'p' line"),
+    ("p 3 2\ne 0 1\n", "'p' line promises 2 edges, found 1"),
+    ("p -1 0\n", "vertex count must be nonnegative"),
+    ("p 3 2\ne 0 1\ne 1 0\n", "duplicate edge (1,0)"),
 ])
 def test_malformed_graph_file_exit_2(tmp_path, capsys, text, error):
     p = tmp_path / "bad.txt"
@@ -460,7 +461,8 @@ def test_experiment_workers_out_of_range_exit_2(capsys, monkeypatch, workers):
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool was started")
 
-    monkeypatch.setattr(cli, "Pool", no_pool)
+    # run_experiment imports Pool from multiprocessing when it needs one
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     code, payload = run(capsys, ["experiment", "colorer", "--n", "6", "--trials", "1",
                                  "--workers", str(workers)])
     assert code == 2

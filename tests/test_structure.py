@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 import aecolor
@@ -343,15 +344,25 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def test_atlas_counts():
+    first = list(connected_graphs_upto(7))
     per_n = {}
-    for g in connected_graphs_upto(6):
+    for g in first:
         per_n[g.n] = per_n.get(g.n, 0) + 1
-    assert per_n == {n: CONNECTED_COUNTS[n] for n in range(1, 7)}
+    assert per_n == CONNECTED_COUNTS
+    # the class list is built once: a later call yields the same objects
+    assert [id(g) for g in connected_graphs_upto(7)] == [id(g) for g in first]
+    assert list(connected_graphs_upto(4)) == [g for g in first if g.n <= 4]
 
 
 def test_atlas_rejects_large_n():
     with pytest.raises(ValueError):
         list(connected_graphs_upto(8))
+
+
+def test_class_list_matches_the_atlas():
+    direct = [(ag.number_of_nodes(), sorted(ag.edges()))
+              for ag in nx.graph_atlas_g()[1:] if nx.is_connected(ag)]
+    assert [(g.n, list(g.edges)) for g in connected_graphs_upto(7)] == direct
 
 
 def test_dedup_matches_atlas_counts():

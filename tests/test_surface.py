@@ -1,4 +1,5 @@
-"""The package's public surface and the functions the benchmark traces.
+"""The package's public surface, what importing it loads, and the functions
+the benchmark traces.
 
 ``perfbench/tracer.py`` wraps each of its ``TARGETS`` by name; a target the
 package no longer defines is reported as a coverage miss by the traced
@@ -7,6 +8,9 @@ benchmark.  Checking the names here makes such a deletion fail the tests.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +44,37 @@ def test_traced_targets_exist(monkeypatch):
     missing = [f"{t.module}.{t.name}" for t in tracer.TARGETS if not _resolves(t)]
     assert tracer.TARGETS
     assert missing == []
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    package; pytest has loaded networkx into its own."""
+    src = os.path.dirname(os.path.dirname(aecolor.__file__))
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_neither_networkx_nor_multiprocessing():
+    """Every command but critical-sweep starts without networkx, and every
+    run but a pooled experiment without multiprocessing."""
+    for module in ("aecolor", "aecolor.cli"):
+        proc = _fresh_python(
+            f"import sys, {module}\n"
+            "print(sorted(m for m in ('networkx', 'multiprocessing') if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
+def test_critical_sweep_imports_networkx_on_demand():
+    proc = _fresh_python(
+        "import sys, aecolor.cli\n"
+        "code = aecolor.cli.main(['critical-sweep', '--n-max', '5'])\n"
+        "print('networkx' in sys.modules)\n"
+        "sys.exit(code)")
+    assert proc.returncode == 0, proc.stderr
+    report, loaded = proc.stdout.splitlines()
+    critical = json.loads(report)["critical"]
+    k4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    assert {"n": 4, "edges": k4, "k": 4, "status": "critical"} in critical
+    assert loaded == "True"
