@@ -81,7 +81,8 @@ def _emit(payload: dict) -> None:
 
 
 def _coloring_triples(g: Graph, c: ck.EdgeColoring) -> list[list[int]]:
-    return [[u, v, c.get(e) or 0] for e, (u, v) in enumerate(g.edges)]
+    assignment = c.assignment
+    return [[u, v, assignment.get(e, 0)] for e, (u, v) in enumerate(g.edges)]
 
 
 def write_dot(g: Graph, c: ck.EdgeColoring, path: str) -> None:

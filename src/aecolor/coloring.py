@@ -140,8 +140,9 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
 
     Rejects an improper coloring with ImproperColoringError, naming the
     vertex ``properness_violation`` returns, and an edge id outside
-    [0..m-1] with ColoringError.  A union-find (path halving) per color pair
-    finds the first pair with a cycle in O(k*m).  The edge that closes it
+    [0..m-1] with ColoringError.  A union-find over each color pair in
+    turn (``_closing_end``, one root list of n entries for every pair)
+    finds the first pair with a cycle in O(n + k*m).  The edge that closes it
     lies on the cycle, which is the whole (a,b)-component of its ends, so
     tracing from one end finds the cycle; it is reported as traced from its
     lowest vertex.
@@ -153,28 +154,46 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     for e, col in c.assignment.items():
         by_color.setdefault(col, []).append(g.edges[e])
     used = sorted(by_color)
+    root = list(range(g.n))
     for i, a in enumerate(used):
         for b in used[i + 1:]:
-            v = _closing_end(by_color[a] + by_color[b])
+            v = _closing_end(by_color[a], by_color[b], root)
             if v is not None:
                 cycle = trace_bichromatic(g, c, a, b, v)
                 return trace_bichromatic(g, c, a, b, min(cycle.vertices))
     return None
 
 
-def _closing_end(edges: list[tuple[int, int]]) -> int | None:
-    """An end of the first edge that closes a cycle, or None if the edges
-    form a forest."""
-    root: dict[int, int] = {}
+def _closing_end(matching: list[tuple[int, int]], edges: list[tuple[int, int]],
+                 root: list[int]) -> int | None:
+    """An end of the first of ``edges`` that closes a cycle with
+    ``matching`` and the edges before it, or None if together they form a
+    forest.
+
+    ``root`` is a union-find forest (path halving) over the vertices with
+    every vertex its own root on entry.  Only the ends of the two lists
+    move, and a None return resets just those, so one list of n entries
+    serves every color pair of a call.  ``matching`` is a color class of a
+    proper coloring, so no two of its edges share an end: each is linked
+    directly, and no find runs for it.
+    """
+    for x, y in matching:
+        root[x] = y
     for end, v in edges:
         u = end
-        while root.get(u, u) != u:
-            root[u] = u = root.get(root[u], root[u])
-        while root.get(v, v) != v:
-            root[v] = v = root.get(root[v], root[v])
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
         if u == v:
             return end
         root[u] = v
+    for x, y in matching:
+        root[x] = x
+        root[y] = y
+    for x, y in edges:
+        root[x] = x
+        root[y] = y
     return None
 
 
@@ -249,11 +268,6 @@ class ColorState:
                 cur = nxt
                 want, other = other, want
         return False
-
-    def closes_cycle(self, u: int, v: int, gamma: int) -> bool:
-        """Would coloring the uncolored edge uv with gamma, a color free at
-        both ends, close a bichromatic cycle?"""
-        return self.walk_ends_at(u, v, self.used_mask[u] & self.used_mask[v], gamma)
 
 
 # --- coloring file format ---------------------------------------------------

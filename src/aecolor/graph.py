@@ -80,7 +80,7 @@ def build_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphError(f"duplicate edge ({u},{v})")
         seen.add(key)
@@ -203,21 +203,12 @@ def parse_edge_list(text: str) -> Graph:
     n = None
     m = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(lineno, "duplicate 'p' line")
-            if len(parts) != 3:
-                raise ParseError(lineno, "expected 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "non-integer in 'p' line") from None
-        elif parts[0] == "e":
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag == "e":
             if n is None:
                 raise ParseError(lineno, "'e' line before 'p' line")
             if len(parts) != 3:
@@ -226,8 +217,17 @@ def parse_edge_list(text: str) -> Graph:
                 pairs.append((int(parts[1]), int(parts[2])))
             except ValueError:
                 raise ParseError(lineno, "non-integer vertex id") from None
-        else:
-            raise ParseError(lineno, f"unknown record {parts[0]!r}")
+        elif tag == "p":
+            if n is not None:
+                raise ParseError(lineno, "duplicate 'p' line")
+            if len(parts) != 3:
+                raise ParseError(lineno, "expected 'p <n> <m>'")
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(lineno, "non-integer in 'p' line") from None
+        elif tag[0] != "#":
+            raise ParseError(lineno, f"unknown record {tag!r}")
     if n is None:
         raise ParseError(None, "missing 'p' line")
     if m is not None and m != len(pairs):

@@ -65,31 +65,42 @@ class BudgetExhausted(Exception):
 
 def deletion_edge_order(g: Graph) -> list[int]:
     """Edge deletion sequence: repeatedly take a minimum-degree vertex's
-    lowest-id incident edge.  Reversing it gives the insertion order used by
-    both the solver and the constructive colorer (smallest-last).  A heap
-    of (degree, vertex) entries, skipped once stale, makes it O(m log n)."""
-    deg = [g.degree(v) for v in range(g.n)]
-    inc = [g.incident_edge_ids(v) for v in range(g.n)]  # ascending ids
-    first = [0] * g.n  # inc[v][:first[v]] are deleted
+    lowest-id incident edge, ties going to the lowest vertex.  Reversing it
+    gives the insertion order used by both the solver and the constructive
+    colorer (smallest-last).  A heap of (degree, vertex) entries, skipped
+    once stale, makes it O(m log n).
+
+    A popped vertex v keeps the turn until its degree reaches 0, so its
+    live edges go out as one run, in ascending id order.  Before each step
+    of the run every live degree is at least v's, d, and every tie belongs
+    to a vertex above v.  Deleting v's lowest live edge vw lowers only v
+    and w, by one each: w had at least d, so it now has at least d - 1,
+    and if it ties v there it tied v before, so w > v.  Both facts hold
+    again, and v is still least.  Each step pushes w's new entry alone;
+    v's entry is never pushed back.  An edge vw is still live when v's run
+    reaches it iff w has not had its run, i.e. iff w's degree is not 0.
+    """
+    edges, inc = g.edges, g._inc  # ascending ids at each vertex
+    deg = [len(a) for a in inc]
     heap = [(d, v) for v, d in enumerate(deg) if d]
     heapq.heapify(heap)
-    alive = [True] * g.m
+    push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = pop(heap)
         if d != deg[v]:
             continue
-        i = first[v]
-        while not alive[inc[v][i]]:
-            i += 1
-        e = inc[v][i]
-        first[v] = i + 1
-        alive[e] = False
-        order.append(e)
-        for w in g.edges[e]:
-            deg[w] -= 1
-            if deg[w]:
-                heapq.heappush(heap, (deg[w], w))
+        deg[v] = 0
+        for e in inc[v]:
+            a, b = edges[e]
+            w = b if a == v else a
+            dw = deg[w]
+            if dw:
+                order.append(e)
+                dw -= 1
+                deg[w] = dw
+                if dw:
+                    push(heap, (dw, w))
     return order
 
 
@@ -314,7 +325,7 @@ def walk_peel(g: Graph, order: list[int]) -> Peel:
     bound, start = delta, 0
     degeneracy = 0
     dense_e, dense_w = 0, 1
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = [len(a) for a in g._inc]
     live = sum(1 for d in deg if d)  # non-isolated vertices
     edges, m = g.edges, g.m
     for i, e in enumerate(order):

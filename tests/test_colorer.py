@@ -32,7 +32,7 @@ from aecolor.solver import (
     deletion_edge_order,
     is_acyclically_k_colorable,
 )
-from conftest import complete, cube, cycle, from_networkx, petersen, random_graph
+from conftest import complete, cube, cycle, from_networkx, petersen, random_graph, star
 
 
 def sparse_random_graph(rng, n):
@@ -139,6 +139,36 @@ def test_engine_repairs_with_every_color():
     assert has_bichromatic_cycle(g, extended) is None
 
 
+@pytest.mark.parametrize("g, k, walks, coloring, spent", [
+    # M1 walks only when the ends share a color; values pinned before the
+    # short cut, which changes neither the colors nor the node count
+    (star(5), 6, 0, {0: 5, 1: 4, 2: 3, 3: 2, 4: 1}, 5),
+    (build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 1, 0, {0: 1, 1: 1, 2: 1, 3: 1}, 4),
+    (cycle(4), 3, 2, {0: 3, 1: 2, 2: 1, 3: 2}, 5),
+    # the last edge of an odd cycle joins the two ends of a path colored
+    # 1,2,1,2, which share no color: no walk under any labelling of C5
+    (cycle(5), 3, 0, {0: 3, 1: 1, 2: 2, 3: 1, 4: 2}, 5),
+    (cycle(6), 3, 2, {0: 3, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}, 7),
+], ids=["star", "matching", "C4", "C5", "C6"])
+def test_direct_walks_only_when_the_ends_share_a_color(monkeypatch, g, k, walks,
+                                                        coloring, spent):
+    from aecolor.coloring import ColorState
+
+    calls = []
+    walk = ColorState.walk_ends_at
+
+    def counted(self, *args):
+        calls.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(ColorState, "walk_ends_at", counted)
+    report = color_graph(g, k)
+    assert report.coloring.assignment == coloring
+    assert report.moves_spent == spent
+    assert report.move_counts == {"assign": g.m, "repair": 0}
+    assert len(calls) == walks
+
+
 def test_color_graph_validates_its_result(monkeypatch):
     # a place that colors C4 1,2,1,2, a bichromatic cycle, and reports success
     def bad_place(self, e):
@@ -184,7 +214,7 @@ def test_direct_filter_matches_full_scan():
             for c in range(1, k + 1):
                 if (state.used_mask[u] | state.used_mask[v]) >> c & 1:
                     continue
-                closes = state.closes_cycle(u, v, c)
+                closes = state.walk_ends_at(u, v, common, c)
                 assert closes == _blocked_brute(g, snapshot, e, c)
                 # one walk per common color decides the same as the mask
                 assert closes == any(
@@ -434,8 +464,9 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
     for f in rng.sample(range(g.m), g.m):
         u, v = g.edges[f]
         taken = start.used_mask[u] | start.used_mask[v]
+        common = start.used_mask[u] & start.used_mask[v]
         ok = [c for c in range(1, k + 1)
-              if not taken >> c & 1 and not start.closes_cycle(u, v, c)]
+              if not taken >> c & 1 and not start.walk_ends_at(u, v, common, c)]
         if f != e and ok and rng.random() < 0.8:
             start.set(f, rng.choice(ok))
     before = start.snapshot()

@@ -5,6 +5,7 @@ import pytest
 
 import aecolor.coloring
 from aecolor.coloring import (
+    BichromaticTrace,
     ColoringError,
     ColorState,
     EdgeColoring,
@@ -272,8 +273,9 @@ def random_acyclic_state(rng, g, k):
     for e in rng.sample(range(g.m), g.m):
         u, v = g.edges[e]
         taken = state.used_mask[u] | state.used_mask[v]
+        common = state.used_mask[u] & state.used_mask[v]
         ok = [c for c in range(1, k + 1)
-              if not taken >> c & 1 and not state.closes_cycle(u, v, c)]
+              if not taken >> c & 1 and not state.walk_ends_at(u, v, common, c)]
         if ok:
             state.set(e, rng.choice(ok))
     return state
@@ -367,6 +369,46 @@ def test_validator_reports_the_cycle_the_union_find_closes():
     cycles = _check_against_scan(g, c)
     assert [t.vertices for t in cycles] == [(0, 1, 2, 3, 0), (4, 5, 6, 7, 4)]
     assert has_bichromatic_cycle(g, c).vertices == (4, 5, 6, 7, 4)
+
+
+# One root list serves every color pair of a call; the next three tests
+# fail if the vertices a pair joined are not reset before the next pair.
+
+def test_validator_finds_a_cycle_in_the_last_pair_only():
+    # C4 0-1-2-3 colored 2,3,2,3 plus the chord 0-2 colored 1: pairs (1,2)
+    # and (1,3) each join all four vertices into a path, and only the last
+    # pair, (2,3), closes a cycle
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    c = EdgeColoring(3, {0: 2, 1: 3, 2: 2, 3: 3, 4: 1})
+    assert [_scan_cycles(g, c, a, b) for a, b in [(1, 2), (1, 3)]] == [[], []]
+    assert has_bichromatic_cycle(g, c) == BichromaticTrace((2, 3), (0, 1, 2, 3, 0), True)
+
+
+def test_validator_keeps_no_roots_from_an_earlier_pair():
+    # a rainbow triangle is acyclic, but the path 0-1-2 of pair (1,2) left
+    # joined would make the (1,3) edge 0-2 close a cycle
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert has_bichromatic_cycle(g, EdgeColoring(3, {0: 1, 1: 2, 2: 3})) is None
+    # a rainbow 5-cycle: every pair joins a path, and leftover paths from
+    # earlier pairs would close the cycle
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert has_bichromatic_cycle(g, EdgeColoring(5, {e: e + 1 for e in range(5)})) is None
+
+
+def test_validator_calls_in_a_row_answer_as_alone():
+    cases = [
+        (build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+         EdgeColoring(3, {0: 2, 1: 3, 2: 2, 3: 3, 4: 1})),
+        (build_graph(3, [(0, 1), (1, 2), (0, 2)]), EdgeColoring(3, {0: 1, 1: 2, 2: 3})),
+        colored_cycle(6, [1, 2, 1, 2, 1, 2]),
+        colored_cycle(6, [1, 2, 1, 2, 1, 3]),
+        (complete(4), EdgeColoring(3, {0: 1, 5: 1, 1: 2, 4: 2, 2: 3, 3: 3})),
+    ]
+    alone = [has_bichromatic_cycle(g, c) for g, c in cases]
+    assert [t is None for t in alone] == [False, True, False, True, False]
+    for order in (cases, cases[::-1], cases[1::2] + cases[::2]):
+        for g, c in order:
+            assert has_bichromatic_cycle(g, c) == alone[cases.index((g, c))]
 
 
 def test_validator_does_not_use_the_kernel(monkeypatch):

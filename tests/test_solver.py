@@ -27,7 +27,8 @@ from aecolor.solver import (
 )
 from aecolor.density import mad_exact
 from aecolor.structure import connected_graphs_upto
-from conftest import complete, complete_bipartite, cycle, hypercube, petersen, random_graph
+from conftest import (complete, complete_bipartite, cycle, hypercube, path, petersen,
+                      random_graph, star)
 
 
 def test_c5_three_colorable():
@@ -234,25 +235,40 @@ def test_invalid_search_result_rejected_under_python_O():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def _deletion_order_scan(g):
-    """The definition, scanned directly in O(m*(n+m)): the oracle for the
-    heap-based deletion_edge_order."""
+def _deletion_scan_steps(g):
+    """The definition, scanned directly in O(m*(n+m)): each step's least
+    live (degree, vertex) and the lowest live edge it deletes."""
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.m
-    order = []
+    steps = []
     for _ in range(g.m):
         v = min((x for x in range(g.n) if deg[x] > 0), key=lambda x: (deg[x], x))
         e = min(e for e in range(g.m) if alive[e] and v in g.edges[e])
         alive[e] = False
         for w in g.edges[e]:
             deg[w] -= 1
-        order.append(e)
-    return order
+        steps.append((v, e))
+    return steps
+
+
+def _deletion_order_scan(g):
+    """The oracle for the heap-based deletion_edge_order."""
+    return [e for _, e in _deletion_scan_steps(g)]
+
+
+def _relabel(n, pairs, perm):
+    return build_graph(n, [(perm[u], perm[v]) for u, v in pairs])
 
 
 def _order_corpus(rng):
     yield build_graph(0, [])
     yield build_graph(6, [])
+    for n in range(2, 12):  # paths and stars labelled in reverse
+        rev = list(range(n - 1, -1, -1))
+        yield _relabel(n, path(n).edges, rev)
+        yield _relabel(n, star(n - 1).edges, rev)
+    for n in range(2, 9):  # K2..K8
+        yield complete(n)
     for _ in range(150):  # random graphs, many with isolated vertices
         n = rng.randint(1, 16)
         yield random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
@@ -269,6 +285,14 @@ def _order_corpus(rng):
         pairs = list(nx.random_regular_graph(d, n, seed=rng.randrange(2**31)).edges())
         rng.shuffle(pairs)
         yield build_graph(n, pairs)
+    for _ in range(60):  # regular graphs with shuffled labels
+        d = rng.randint(2, 6)
+        n = rng.randint(d + 1, 24)
+        if n * d % 2:
+            n += 1
+        perm = rng.sample(range(n), n)
+        yield _relabel(n, nx.random_regular_graph(d, n, seed=rng.randrange(2**31)).edges(),
+                       perm)
     for _ in range(110):  # sparse graphs with m about 1.5n
         n = rng.randint(10, 60)
         yield random_graph(rng, n, 3 * n // 2)
@@ -281,6 +305,21 @@ def test_deletion_order_matches_scan():
         assert deletion_edge_order(g) == _deletion_order_scan(g)
         graphs += 1
     assert graphs >= 500
+
+
+def test_least_vertex_keeps_the_turn_until_its_degree_is_0():
+    """The fact deletion_edge_order's runs rest on, checked on the scan:
+    once a vertex is least it stays least until its last edge is deleted,
+    so each vertex's deletions are one unbroken run and no run ends on a
+    tie."""
+    rng = random.Random(43)
+    for g in _order_corpus(rng):
+        steps = _deletion_scan_steps(g)
+        runs = [v for i, (v, _) in enumerate(steps) if i == 0 or steps[i - 1][0] != v]
+        assert len(runs) == len(set(runs))
+        for v in set(runs):  # a run ends only with its vertex's last edge
+            last = max(i for i, (x, _) in enumerate(steps) if x == v)
+            assert not any(v in g.edges[e] for _, e in steps[last + 1:])
 
 
 # --- the counting lower bound ------------------------------------------------
