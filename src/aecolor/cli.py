@@ -81,17 +81,15 @@ def _emit(payload: dict) -> None:
 
 
 def _coloring_triples(g: Graph, c: ck.EdgeColoring) -> list[list[int]]:
-    assignment = c.assignment
-    return [[u, v, assignment.get(e, 0)] for e, (u, v) in enumerate(g.edges)]
+    return [[u, v, col] for (u, v), col in zip(g.edges, c.colors)]
 
 
 def write_dot(g: Graph, c: ck.EdgeColoring, path: str) -> None:
     lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    for e, (u, v) in enumerate(g.edges):
-        col = c.get(e)
-        if col is None:
+    for (u, v), col in zip(g.edges, c.colors):
+        if not col:
             lines.append(f'  {u} -- {v} [style=dashed, label="?"];')
         else:
             name = DOT_COLORS[(col - 1) % len(DOT_COLORS)]
@@ -150,7 +148,7 @@ def cmd_check(args) -> int:
         _emit({"valid": False, "reason": "bichromatic-cycle",
                "colors": list(cycle.colors), "vertices": list(cycle.vertices)})
         return EXIT_FALSE
-    _emit({"valid": True, "total": c.is_total(g),
+    _emit({"valid": True, "total": c.is_total(),
            "colors_used": len(c.colors_used())})
     return EXIT_OK
 

@@ -214,7 +214,7 @@ def color_graph(
     coloring = engine.snapshot()
     # has_bichromatic_cycle also raises on an improper coloring
     if outcome != "failure" and (
-            not coloring.is_total(g) or has_bichromatic_cycle(g, coloring) is not None):
+            not coloring.is_total() or has_bichromatic_cycle(g, coloring) is not None):
         raise ColoringError("colorer produced an invalid coloring")
     return ColoringReport(
         outcome, k, coloring, len(coloring.colors_used()),

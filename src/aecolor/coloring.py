@@ -1,10 +1,10 @@
 """Edge colorings, the mutable coloring kernel, and the independent validator.
 
 Colors are 1-based integers from the palette {1, ..., k}; 0 means uncolored
-in serialized files.  ``EdgeColoring`` is a value: the functions taking one
-return new values and never mutate their inputs.  ``ColorState`` is the one
-mutable kernel that the exact solver and the colorer build on; it holds the
-incremental Fact-1 cycle test.
+in values, the kernel and files alike.  ``EdgeColoring`` is a value: the
+functions taking one return new values and never mutate their inputs.
+``ColorState`` is the one mutable kernel that the exact solver and the
+colorer build on; it holds the incremental Fact-1 cycle test.
 
 ``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
 form the validator.  They share no code with ``ColorState``, so every
@@ -13,7 +13,7 @@ coloring the kernel produces is checked by code that did not produce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -32,24 +32,22 @@ class ImproperColoringError(ColoringError):
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Partial assignment of palette colors to edge ids."""
+    """Palette colors of a graph's edges: ``colors[e]`` is the color of edge
+    id e, 0 if it is uncolored."""
 
     k: int
-    assignment: dict[int, int] = field(default_factory=dict)
+    colors: tuple[int, ...]
 
     def __post_init__(self):
-        for e, c in self.assignment.items():
-            if not 1 <= c <= self.k:
-                raise ColoringError(f"color {c} on edge {e} outside [1..{self.k}]")
+        for e, c in enumerate(self.colors):
+            if not 0 <= c <= self.k:
+                raise ColoringError(f"color {c} on edge {e} outside [0..{self.k}]")
 
-    def get(self, e: int) -> int | None:
-        return self.assignment.get(e)
-
-    def is_total(self, g: Graph) -> bool:
-        return len(self.assignment) == g.m
+    def is_total(self) -> bool:
+        return 0 not in self.colors
 
     def colors_used(self) -> set[int]:
-        return set(self.assignment.values())
+        return set(self.colors) - {0}
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,16 @@ def _color_at(g: Graph, c: EdgeColoring, v: int) -> dict[int, int]:
     """Map color -> neighbor for colored edges at v (proper colorings only)."""
     out: dict[int, int] = {}
     for e in g.incident_edge_ids(v):
-        col = c.get(e)
-        if col is not None:
+        col = c.colors[e]
+        if col:
             a, b = g.edges[e]
             out[col] = a + b - v
     return out
+
+
+def _check_length(g: Graph, c: EdgeColoring) -> None:
+    if len(c.colors) != g.m:
+        raise ColoringError(f"coloring has {len(c.colors)} entries, graph has {g.m} edges")
 
 
 def is_proper(g: Graph, c: EdgeColoring) -> bool:
@@ -81,22 +84,20 @@ def properness_violation(g: Graph, c: EdgeColoring) -> int | None:
     """Return the lowest vertex with two same-colored incident edges, or None.
 
     One pass over the colored edges, remembering each (vertex, color) pair
-    seen.  Raises ColoringError on an edge id outside [0..m-1].
+    seen.  Raises ColoringError when ``c`` has other than one entry per edge.
     """
-    edges = g.edges
-    m = len(edges)
+    _check_length(g, c)
     span = c.k + 1  # vertex x with color col is the key x * span + col
     seen: set[int] = set()
     bad = None
-    for e, col in c.assignment.items():
-        if not 0 <= e < m:
-            raise ColoringError(f"edge id {e} outside [0..{m - 1}]")
-        for x in edges[e]:
-            key = x * span + col
-            if key not in seen:
-                seen.add(key)
-            elif bad is None or x < bad:
-                bad = x
+    for edge, col in zip(g.edges, c.colors):
+        if col:
+            for x in edge:
+                key = x * span + col
+                if key not in seen:
+                    seen.add(key)
+                elif bad is None or x < bad:
+                    bad = x
     return bad
 
 
@@ -108,9 +109,11 @@ def trace_bichromatic(
     Requires a proper coloring (so each vertex has at most one alpha edge and
     one beta edge, and the component is a path or cycle by Fact-1 structure).
     Cycle traces start at v and head toward its lower-numbered neighbor.
+    Raises ColoringError on equal colors or a coloring of the wrong length.
     """
     if alpha == beta:
         raise ColoringError("the two trace colors must differ")
+    _check_length(g, c)
     at_v = _color_at(g, c, v)
     ends = sorted((at_v[col], col) for col in (alpha, beta) if col in at_v)
     if not ends:
@@ -139,8 +142,8 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     """Some bichromatic cycle if one exists; None means the coloring is acyclic.
 
     Rejects an improper coloring with ImproperColoringError, naming the
-    vertex ``properness_violation`` returns, and an edge id outside
-    [0..m-1] with ColoringError.  A union-find over each color pair in
+    vertex ``properness_violation`` returns, and a coloring of the wrong
+    length with ColoringError.  A union-find over each color pair in
     turn (``_closing_end``, one root list of n entries for every pair)
     finds the first pair with a cycle in O(n + k*m).  The edge that closes it
     lies on the cycle, which is the whole (a,b)-component of its ends, so
@@ -151,9 +154,9 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     if bad is not None:
         raise ImproperColoringError(bad)
     by_color: dict[int, list[tuple[int, int]]] = {}
-    for e, col in c.assignment.items():
-        by_color.setdefault(col, []).append(g.edges[e])
-    used = sorted(by_color)
+    for edge, col in zip(g.edges, c.colors):
+        by_color.setdefault(col, []).append(edge)
+    used = sorted(by_color.keys() - {0})  # class 0 is the uncolored edges
     root = list(range(g.n))
     for i, a in enumerate(used):
         for b in used[i + 1:]:
@@ -235,11 +238,12 @@ class ColorState:
         self.col_nbr[v][c] = -1
 
     def load(self, c: EdgeColoring) -> None:
-        for e, col in c.assignment.items():
-            self.set(e, col)
+        for e, col in enumerate(c.colors):
+            if col:
+                self.set(e, col)
 
     def snapshot(self) -> EdgeColoring:
-        return EdgeColoring(self.k, {e: c for e, c in enumerate(self.assign) if c})
+        return EdgeColoring(self.k, tuple(self.assign))
 
     def walk_ends_at(self, u: int, v: int, mus: int, gamma: int) -> bool:
         """Fact 1: for some color mu in the bitmask ``mus`` (each present at
@@ -276,16 +280,15 @@ class ColorState:
 #   <u> <v> <color>     (color 0 = uncolored)
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
-    # one index of g's edges per file: Graph.edge_id would scan an incident
-    # list for each of the file's m edge lines
-    edge_ids = {pair: e for e, pair in enumerate(g.edges)}
+    # one index of g's edges per file, under both orientations: Graph.edge_id
+    # would scan an incident list for each of the file's m edge lines
+    edge_ids = {p: e for e, (u, v) in enumerate(g.edges) for p in ((u, v), (v, u))}
     k = None
-    assignment: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    colors = [0] * g.m
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if parts[0] == "k":
             if k is not None:
                 raise ColoringError(f"line {lineno}: duplicate 'k' header")
@@ -306,23 +309,21 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 u, v, col = map(int, parts)
             except ValueError:
                 raise ColoringError(f"line {lineno}: non-integer in edge line") from None
-            e = edge_ids.get((min(u, v), max(u, v)))
+            e = edge_ids.get((u, v))
             if e is None:
                 raise ColoringError(f"line {lineno}: edge {u}-{v} not in graph")
             if col == 0:
                 continue
             if not 1 <= col <= k:
                 raise ColoringError(f"line {lineno}: color {col} outside [1..{k}]")
-            if e in assignment:
+            if colors[e]:
                 raise ColoringError(f"line {lineno}: edge {u}-{v} colored twice")
-            assignment[e] = col
+            colors[e] = col
     if k is None:
         raise ColoringError("missing 'k' header")
-    return EdgeColoring(k, assignment)
+    return EdgeColoring(k, tuple(colors))
 
 
 def format_coloring(g: Graph, c: EdgeColoring) -> str:
-    lines = [f"k {c.k}"]
-    for e, (u, v) in enumerate(g.edges):
-        lines.append(f"{u} {v} {c.get(e) or 0}")
-    return "\n".join(lines) + "\n"
+    return f"k {c.k}\n" + "".join(
+        f"{u} {v} {col}\n" for (u, v), col in zip(g.edges, c.colors))

@@ -235,7 +235,7 @@ def is_acyclically_k_colorable(
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.m == 0:
-        return SolveResult("yes", EdgeColoring(k, {}))
+        return SolveResult("yes", EdgeColoring(k, ()))
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
     search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
@@ -246,7 +246,7 @@ def is_acyclically_k_colorable(
         return SolveResult(status, None, search.nodes)
     c = search.snapshot()
     # has_bichromatic_cycle also raises on an improper coloring
-    if not c.is_total(g) or has_bichromatic_cycle(g, c) is not None:
+    if not c.is_total() or has_bichromatic_cycle(g, c) is not None:
         raise ColoringError(f"exact search returned an invalid {k}-coloring")
     return SolveResult("yes", c, search.nodes)
 
@@ -416,7 +416,7 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
     suffices, ``chi_a`` is None and ``decided_up_to`` >= ``max_k``.
     """
     if g.m == 0:
-        return ChiAResult(0, 0, EdgeColoring(0, {}))
+        return ChiAResult(0, 0, EdgeColoring(0, ()))
     order = deletion_edge_order(g)
     bound, witness = counting_lower_bound(g, order)
     if _count_bound(g, witness) < bound:

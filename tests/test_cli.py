@@ -20,7 +20,12 @@ from aecolor.cli import (
     write_dot,
 )
 from aecolor.colorer import replay_trace
-from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, parse_coloring
+from aecolor.coloring import (
+    EdgeColoring,
+    format_coloring,
+    has_bichromatic_cycle,
+    parse_coloring,
+)
 from aecolor.graph import build_graph
 from aecolor.solver import is_acyclically_k_colorable
 from conftest import complete, complete_bipartite, cycle, from_networkx, hypercube
@@ -250,8 +255,7 @@ def test_color_trace_file_replays(tmp_path, capsys):
     moves = json.loads(trace.read_text())
     assert {m[0] for m in moves} == {"assign", "repair"}
     replayed = replay_trace(g, 9, moves)
-    assert sorted([*g.edges[e], c] for e, c in replayed.assignment.items()) == \
-        sorted(payload["coloring"])
+    assert [[*edge, c] for edge, c in zip(g.edges, replayed.colors)] == payload["coloring"]
 
 
 def test_color_auto_palette(tmp_path, capsys):
@@ -398,12 +402,64 @@ def test_chi_a_edgeless_graph(tmp_path, capsys):
 
 def test_dot_export(tmp_path):
     g = cycle(3)
-    c = EdgeColoring(3, {0: 1, 1: 2})
+    c = EdgeColoring(3, (1, 2, 0))
     out = tmp_path / "g.dot"
     write_dot(g, c, str(out))
     text = out.read_text()
     assert text.startswith("graph G {")
     assert "color=red" in text and "style=dashed" in text
+
+
+# K4 on 0..3 with pendant edges 0-4, 1-5 and 2-6, the ids out of sorted order:
+# at k = 4 without the fallback the colorer is stuck on 0-1 and leaves it and
+# the three pendant edges uncolored
+GOLDEN_EDGES = [(0, 4), (1, 5), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 6)]
+GOLDEN_COLOR = (
+    '{"outcome": "failure", "k": 4, "guarantee": "explicit", "palette_from": "explicit",'
+    ' "colors_used": 4, "move_counts": {"assign": 5, "repair": 0}, "moves_spent": 266,'
+    ' "coloring": [[0, 4, 0], [1, 5, 0], [0, 1, 0], [0, 2, 4], [0, 3, 3], [1, 2, 3],'
+    ' [1, 3, 2], [2, 3, 1], [2, 6, 0]], "coloring_file": "OUT", "dot_file": "DOT"}\n'
+)
+GOLDEN_FILE = "k 4\n0 4 0\n1 5 0\n0 1 0\n0 2 4\n0 3 3\n1 2 3\n1 3 2\n2 3 1\n2 6 0\n"
+GOLDEN_DOT = """graph G {
+  0;
+  1;
+  2;
+  3;
+  4;
+  5;
+  6;
+  0 -- 4 [style=dashed, label="?"];
+  1 -- 5 [style=dashed, label="?"];
+  0 -- 1 [style=dashed, label="?"];
+  0 -- 2 [color=orange, label="4"];
+  0 -- 3 [color=green, label="3"];
+  1 -- 2 [color=green, label="3"];
+  1 -- 3 [color=blue, label="2"];
+  2 -- 3 [color=red, label="1"];
+  2 -- 6 [style=dashed, label="?"];
+}
+"""
+
+
+def test_partial_coloring_outputs_are_pinned(tmp_path, capsys):
+    """Every serialized form of one partial coloring, byte for byte: the
+    JSON triples, the ``--out`` file, the DOT text with its dashed "?"
+    edges, and ``check``'s verdict on the file read back."""
+    g = build_graph(7, GOLDEN_EDGES)
+    gp = write_graph(tmp_path, g)
+    out, dot = tmp_path / "col.txt", tmp_path / "g.dot"
+    code = main(["color", gp, "--k", "4", "--no-fallback",
+                 "--out", str(out), "--dot", str(dot)])
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert stdout.replace(str(out), "OUT").replace(str(dot), "DOT") == GOLDEN_COLOR
+    assert out.read_text() == GOLDEN_FILE
+    assert dot.read_text() == GOLDEN_DOT
+    assert format_coloring(g, parse_coloring(GOLDEN_FILE, g)) == GOLDEN_FILE
+    code = main(["check", gp, str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == '{"valid": true, "total": false, "colors_used": 4}\n'
 
 
 def test_generate_sparse_deterministic():

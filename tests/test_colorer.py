@@ -93,7 +93,7 @@ def test_petersen_at_four():
     g = petersen()
     report = color_graph(g, 4)
     assert report.outcome in ("success", "fallback-success")
-    assert report.coloring.is_total(g)
+    assert report.coloring.is_total()
 
 
 def loaded_engine(g, c):
@@ -105,11 +105,11 @@ def loaded_engine(g, c):
 def test_engine_places_the_last_cycle_edge():
     # C4 with three edges colored 1,2,1: edge 3 needs a third color
     g = cycle(4)
-    engine = loaded_engine(g, EdgeColoring(3, {0: 1, 1: 2, 2: 1}))
+    engine = loaded_engine(g, EdgeColoring(3, (1, 2, 1, 0)))
     assert engine.place(3)
     assert engine.trace == [("assign", 3, 3)]
     extended = engine.snapshot()
-    assert extended.is_total(g)
+    assert extended.is_total()
     assert has_bichromatic_cycle(g, extended) is None
 
 
@@ -117,7 +117,7 @@ def test_engine_stuck_with_two_colors():
     # with only two colors the last C4 edge cannot be placed, and the
     # failed repairs leave the loaded colors as they were
     g = cycle(4)
-    c = EdgeColoring(2, {0: 1, 1: 2, 2: 1})
+    c = EdgeColoring(2, (1, 2, 1, 0))
     engine = loaded_engine(g, c)
     assert not engine.place(3)
     assert engine.snapshot() == c
@@ -130,25 +130,25 @@ def test_engine_repairs_with_every_color():
     # 3, the one color free at 2, so a search that offered a ball edge only
     # the colors a renaming reduction admits (1 first) would find none.
     g = build_graph(7, [(0, 1), (0, 2), (2, 3), (2, 4), (1, 5), (1, 6)])
-    engine = loaded_engine(g, EdgeColoring(3, {1: 3, 2: 1, 3: 2, 4: 1, 5: 2}))
+    engine = loaded_engine(g, EdgeColoring(3, (0, 3, 1, 2, 1, 2)))
     assert engine.place(0)
     assert [m[0] for m in engine.trace] == ["repair"]
     extended = engine.snapshot()
-    assert extended.get(1) == 3 and extended.get(2) == 1 and extended.get(3) == 2
-    assert extended.is_total(g)
+    assert extended.colors[1:4] == (3, 1, 2)
+    assert extended.is_total()
     assert has_bichromatic_cycle(g, extended) is None
 
 
 @pytest.mark.parametrize("g, k, walks, coloring, spent", [
     # M1 walks only when the ends share a color; values pinned before the
     # short cut, which changes neither the colors nor the node count
-    (star(5), 6, 0, {0: 5, 1: 4, 2: 3, 3: 2, 4: 1}, 5),
-    (build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 1, 0, {0: 1, 1: 1, 2: 1, 3: 1}, 4),
-    (cycle(4), 3, 2, {0: 3, 1: 2, 2: 1, 3: 2}, 5),
+    (star(5), 6, 0, (5, 4, 3, 2, 1), 5),
+    (build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 1, 0, (1, 1, 1, 1), 4),
+    (cycle(4), 3, 2, (3, 2, 1, 2), 5),
     # the last edge of an odd cycle joins the two ends of a path colored
     # 1,2,1,2, which share no color: no walk under any labelling of C5
-    (cycle(5), 3, 0, {0: 3, 1: 1, 2: 2, 3: 1, 4: 2}, 5),
-    (cycle(6), 3, 2, {0: 3, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}, 7),
+    (cycle(5), 3, 0, (3, 1, 2, 1, 2), 5),
+    (cycle(6), 3, 2, (3, 2, 1, 2, 1, 2), 7),
 ], ids=["star", "matching", "C4", "C5", "C6"])
 def test_direct_walks_only_when_the_ends_share_a_color(monkeypatch, g, k, walks,
                                                         coloring, spent):
@@ -163,7 +163,7 @@ def test_direct_walks_only_when_the_ends_share_a_color(monkeypatch, g, k, walks,
 
     monkeypatch.setattr(ColorState, "walk_ends_at", counted)
     report = color_graph(g, k)
-    assert report.coloring.assignment == coloring
+    assert report.coloring.colors == coloring
     assert report.moves_spent == spent
     assert report.move_counts == {"assign": g.m, "repair": 0}
     assert len(calls) == walks
@@ -189,7 +189,7 @@ def test_move_budget_below_1_rejected(budget):
 def _blocked_brute(g, c, e, color):
     """Full-scan oracle for the incremental cycle filter: color the edge,
     then run the from-scratch bichromatic cycle detector."""
-    trial = EdgeColoring(c.k, {**c.assignment, e: color})
+    trial = EdgeColoring(c.k, c.colors[:e] + (color,) + c.colors[e + 1:])
     return has_bichromatic_cycle(g, trial) is not None
 
 
@@ -233,7 +233,7 @@ def test_replay_assign_only_trace():
     report = color_graph(g, 3, fallback=False)
     assert report.outcome == "success"
     replayed = replay_trace(g, 3, report.trace)
-    assert replayed.assignment == report.coloring.assignment
+    assert replayed == report.coloring
 
 
 def random_regular_graph(rng, d, n):
@@ -262,7 +262,7 @@ def test_replay_random_traces():
         report = color_graph(g, k, fallback=False)
         if report.outcome != "success":
             continue
-        assert replay_trace(g, k, report.trace).assignment == report.coloring.assignment
+        assert replay_trace(g, k, report.trace) == report.coloring
         replayed.update({move[0] for move in report.trace})
     # the corpus must exercise repairs, not only assignments
     assert replayed["repair"] >= 1
@@ -276,7 +276,7 @@ def test_success_colorings_always_validate():
         report = color_graph(g, k)
         assert report.outcome in ("success", "fallback-success")
         c = report.coloring
-        assert c.is_total(g)
+        assert c.is_total()
         assert is_proper(g, c)
         assert has_bichromatic_cycle(g, c) is None
         assert report.colors_used <= k
@@ -439,7 +439,10 @@ def _component_graph(g, e):
 
 def _extends(g, c, edges, colors):
     """Brute-force oracle: is c with ``edges`` recolored proper and acyclic?"""
-    trial = EdgeColoring(c.k, {**c.assignment, **dict(zip(edges, colors))})
+    recolored = list(c.colors)
+    for f, col in zip(edges, colors):
+        recolored[f] = col
+    trial = EdgeColoring(c.k, tuple(recolored))
     return properness_violation(g, trial) is None and has_bichromatic_cycle(g, trial) is None
 
 
@@ -472,7 +475,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
     before = start.snapshot()
 
     def outside(c, edges):
-        return {f: col for f, col in c.assignment.items() if f not in edges}
+        return [col for f, col in enumerate(c.colors) if f not in edges]
 
     bounded = []
     for r in (1, 2):
@@ -483,7 +486,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
         bounded.append(engine._recolor(ball, k))
         if bounded[-1]:
             after = engine.snapshot()
-            assert e in after.assignment
+            assert after.colors[e]
             assert outside(after, set(ball)) == outside(before, set(ball))
             assert has_bichromatic_cycle(g, after) is None
         else:
@@ -506,7 +509,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
     assert engine.place_component(e, SolveBudget()) == (exact.status == "yes")
     after = engine.snapshot()
     if exact.status == "yes":
-        assert all(f in after.assignment for f in ids)
+        assert all(after.colors[f] for f in ids)
         assert outside(after, set(ids)) == outside(before, set(ids))
         assert has_bichromatic_cycle(g, after) is None
     else:

@@ -18,32 +18,33 @@ from aecolor.coloring import (
     trace_bichromatic,
 )
 from aecolor.graph import build_graph
+from aecolor.structure import fact2_verify
 from conftest import complete, cycle, path, random_graph
 
 
 def colored_cycle(n, colors):
     g = cycle(n)
-    return g, EdgeColoring(max(colors), {i: c for i, c in enumerate(colors)})
+    return g, EdgeColoring(max(colors), tuple(colors))
 
 
 def random_proper_coloring(rng, g, k=None):
     """Greedy proper (not necessarily acyclic) coloring with random choices."""
     if k is None:
         k = 2 * max(g.max_degree(), 1)
-    assignment = {}
+    colors = []
     used = [set() for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
+    for u, v in g.edges:
         free = [c for c in range(1, k + 1) if c not in used[u] and c not in used[v]]
         c = rng.choice(free)
-        assignment[e] = c
+        colors.append(c)
         used[u].add(c)
         used[v].add(c)
-    return EdgeColoring(k, assignment)
+    return EdgeColoring(k, tuple(colors))
 
 
 def test_is_proper_rejects_shared_color():
     g = path(3)
-    assert not is_proper(g, EdgeColoring(2, {0: 1, 1: 1}))
+    assert not is_proper(g, EdgeColoring(2, (1, 1)))
 
 
 def test_is_proper_c4_alternating():
@@ -53,7 +54,7 @@ def test_is_proper_c4_alternating():
 
 def test_is_proper_partial_allowed():
     g = complete(4)
-    assert is_proper(g, EdgeColoring(5, {0: 1}))
+    assert is_proper(g, EdgeColoring(5, (1, 0, 0, 0, 0, 0)))
 
 
 def _loaded(g, c):
@@ -68,7 +69,7 @@ def _colors(mask):
 
 def test_color_sets_complement():
     # F_v is the kernel's used_mask[v]; C_v is the rest of the palette
-    state = _loaded(path(3), EdgeColoring(5, {0: 1, 1: 3}))
+    state = _loaded(path(3), EdgeColoring(5, (1, 3)))
     present = _colors(state.used_mask[1])
     assert present == {1, 3}
     assert set(range(1, 6)) - present == {2, 4, 5}
@@ -76,21 +77,21 @@ def test_color_sets_complement():
 
 def test_color_sets_s_uv():
     # S_uv = F_v minus phi(uv): what used_mask[v] holds once uv is unset
-    state = _loaded(path(3), EdgeColoring(5, {0: 1, 1: 3}))
+    state = _loaded(path(3), EdgeColoring(5, (1, 3)))
     state.unset(1)
     assert _colors(state.used_mask[1]) == {1}
     assert state.col_nbr[1][3] == -1
 
 
 def test_color_sets_isolated_vertex():
-    state = _loaded(path(3), EdgeColoring(4, {}))
+    state = _loaded(path(3), EdgeColoring(4, (0, 0)))
     assert state.used_mask[0] == 0
     assert set(range(1, 5)) - _colors(state.used_mask[0]) == {1, 2, 3, 4}
 
 
 def test_trace_open_path():
     g = path(4)
-    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1})
+    c = EdgeColoring(3, (1, 2, 1))
     t = trace_bichromatic(g, c, 1, 2, 0)
     assert not t.is_cycle
     assert t.vertices == (0, 1, 2, 3)
@@ -108,14 +109,14 @@ def test_trace_cycle():
 
 def test_trace_absent_colors():
     g = path(2)
-    c = EdgeColoring(3, {0: 3})
+    c = EdgeColoring(3, (3,))
     assert trace_bichromatic(g, c, 1, 2, 0) is None
 
 
 def test_trace_rejects_equal_colors():
     g = path(2)
     with pytest.raises(ColoringError):
-        trace_bichromatic(g, EdgeColoring(2, {0: 1}), 1, 1, 0)
+        trace_bichromatic(g, EdgeColoring(2, (1,)), 1, 1, 0)
 
 
 def test_bichromatic_cycle_found():
@@ -138,19 +139,35 @@ def test_bichromatic_cycle_c6():
 def test_bichromatic_cycle_rejects_improper():
     g = path(3)
     with pytest.raises(ImproperColoringError, match="vertex 1") as exc:
-        has_bichromatic_cycle(g, EdgeColoring(2, {0: 1, 1: 1}))
+        has_bichromatic_cycle(g, EdgeColoring(2, (1, 1)))
     assert exc.value.vertex == 1
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
-def test_validator_rejects_edge_ids_outside_the_graph(bad):
-    # on C4, id -1 would alias edge 3 and make the coloring look total
-    g = cycle(4)
-    c = EdgeColoring(2, {0: 1, 1: 2, 2: 1, bad: 2})
-    for check in (properness_violation, has_bichromatic_cycle):
-        with pytest.raises(ColoringError, match=f"edge id {bad} outside") as exc:
-            check(g, c)
+@pytest.mark.parametrize("colors", [(1, 1, 1), (1, 2, 1, 2, 2)], ids=["short", "long"])
+def test_validator_rejects_a_coloring_of_other_than_m_edges(colors):
+    # read on the edges it has, the short tuple is improper and the long one
+    # alternates 1, 2 around C4; both must fail the length check instead,
+    # and the short one must not be read past its end
+    c = EdgeColoring(2, colors)
+    checks = [
+        lambda: properness_violation(cycle(4), c),
+        lambda: has_bichromatic_cycle(cycle(4), c),
+        lambda: trace_bichromatic(cycle(4), c, 1, 2, 0),
+        # C5 minus edge 4 is a path with 4 edges
+        lambda: fact2_verify(cycle(5), 2, 4, c),
+    ]
+    for check in checks:
+        with pytest.raises(ColoringError,
+                           match=f"coloring has {len(colors)} entries, graph has 4 edges") as exc:
+            check()
         assert not isinstance(exc.value, ImproperColoringError)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_coloring_rejects_colors_outside_0_to_k(bad):
+    assert EdgeColoring(2, (0, 1, 2)).colors_used() == {1, 2}
+    with pytest.raises(ColoringError, match=f"color {bad} on edge 1 outside \\[0..2\\]"):
+        EdgeColoring(2, (1, bad, 0))
 
 
 def _properness_violation_scan(g, c):
@@ -158,8 +175,8 @@ def _properness_violation_scan(g, c):
     for v in range(g.n):
         seen = set()
         for w in g.neighbors(v):
-            col = c.get(g.edge_id(v, w))
-            if col is None:
+            col = c.colors[g.edge_id(v, w)]
+            if not col:
                 continue
             if col in seen:
                 return v
@@ -178,8 +195,8 @@ def test_one_pass_properness_matches_vertex_scan():
         else:
             # random colors on a random subset of edges, mostly improper
             k = rng.randint(1, max(g.max_degree(), 1) + 1)
-            c = EdgeColoring(k, {e: rng.randint(1, k) for e in range(g.m)
-                                 if rng.random() < 0.7})
+            c = EdgeColoring(k, tuple(rng.randint(1, k) if rng.random() < 0.7 else 0
+                                      for _ in range(g.m)))
         want = _properness_violation_scan(g, c)
         assert properness_violation(g, c) == want
         verdicts.add(want is None)
@@ -196,14 +213,14 @@ def _critical_path(g, c, alpha, beta, u, v):
 def test_critical_path_parity():
     # u - a - v colored alpha, beta: ends at v via beta, so no critical path
     g = path(3)
-    c = EdgeColoring(3, {0: 1, 1: 2})
+    c = EdgeColoring(3, (1, 2))
     assert not _critical_path(g, c, 1, 2, 0, 2)
 
 
 def test_critical_path_found():
     # u - a - b - v colored alpha, beta, alpha
     g = path(4)
-    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1})
+    c = EdgeColoring(3, (1, 2, 1))
     assert _critical_path(g, c, 1, 2, 0, 3)
 
 
@@ -211,14 +228,14 @@ def test_critical_path_passes_v_and_continues():
     # u - a - b - v - w colored alpha, beta, alpha, beta: the path reaches v
     # on alpha but goes on to w, where it ends on beta
     g = path(5)
-    c = EdgeColoring(3, {0: 1, 1: 2, 2: 1, 3: 2})
+    c = EdgeColoring(3, (1, 2, 1, 2))
     assert not _critical_path(g, c, 1, 2, 0, 3)
     assert not _critical_path(g, c, 1, 2, 0, 4)
 
 
 def test_critical_path_no_alpha_at_start():
     g = path(4)
-    c = EdgeColoring(3, {0: 2, 1: 1, 2: 2})
+    c = EdgeColoring(3, (2, 1, 2))
     assert not _critical_path(g, c, 1, 2, 0, 3)
 
 
@@ -236,7 +253,7 @@ def test_fact1_two_color_subgraph_degree_bound():
             for v in range(g.n):
                 count = sum(
                     1 for w in g.neighbors(v)
-                    if c.get(g.edge_id(v, w)) in (a, b)
+                    if c.colors[g.edge_id(v, w)] in (a, b)
                 )
                 assert count <= 2
             for v in range(g.n):
@@ -290,7 +307,7 @@ def _scan_cycles(g, c, a, b):
     for v in range(g.n):
         if v in seen:
             continue
-        nbrs = [w for w in g.neighbors(v) if c.get(g.edge_id(v, w)) in (a, b)]
+        nbrs = [w for w in g.neighbors(v) if c.colors[g.edge_id(v, w)] in (a, b)]
         if len(nbrs) < 2:
             continue
         trace = trace_bichromatic(g, c, a, b, v)
@@ -302,7 +319,7 @@ def _scan_cycles(g, c, a, b):
 
 def _is_closed_alternating(g, c, trace):
     vs = trace.vertices
-    cols = [c.get(g.edge_id(x, y)) for x, y in zip(vs, vs[1:])]
+    cols = [c.colors[g.edge_id(x, y)] for x, y in zip(vs, vs[1:])]
     return (trace.is_cycle and vs[0] == vs[-1] and len(set(vs)) == len(vs) - 1
             and set(cols) == set(trace.colors)
             and all(x != y for x, y in zip(cols, cols[1:] + cols[:1])))
@@ -346,15 +363,15 @@ def test_union_find_validator_matches_pairwise_trace_scan():
         else:
             # random free color per edge; an edge with none stays uncolored
             used = [set() for _ in range(g.n)]
-            assignment = {}
+            colors = [0] * g.m
             for e in rng.sample(range(g.m), g.m):
                 u, v = g.edges[e]
                 free = [x for x in range(1, k + 1) if x not in used[u] | used[v]]
                 if free:
-                    assignment[e] = col = rng.choice(free)
+                    colors[e] = col = rng.choice(free)
                     used[u].add(col)
                     used[v].add(col)
-            c = EdgeColoring(k, assignment)
+            c = EdgeColoring(k, tuple(colors))
         verdicts.add(not _check_against_scan(g, c))
     assert verdicts == {True, False}
 
@@ -365,7 +382,7 @@ def test_validator_reports_the_cycle_the_union_find_closes():
     # scan would have reported 0-1-2-3, the cycle with the lowest vertex
     g = build_graph(8, [(4, 5), (5, 6), (6, 7), (7, 4),
                         (0, 1), (1, 2), (2, 3), (3, 0)])
-    c = EdgeColoring(2, {e: 1 + e % 2 for e in range(8)})
+    c = EdgeColoring(2, (1, 2) * 4)
     cycles = _check_against_scan(g, c)
     assert [t.vertices for t in cycles] == [(0, 1, 2, 3, 0), (4, 5, 6, 7, 4)]
     assert has_bichromatic_cycle(g, c).vertices == (4, 5, 6, 7, 4)
@@ -379,7 +396,7 @@ def test_validator_finds_a_cycle_in_the_last_pair_only():
     # and (1,3) each join all four vertices into a path, and only the last
     # pair, (2,3), closes a cycle
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    c = EdgeColoring(3, {0: 2, 1: 3, 2: 2, 3: 3, 4: 1})
+    c = EdgeColoring(3, (2, 3, 2, 3, 1))
     assert [_scan_cycles(g, c, a, b) for a, b in [(1, 2), (1, 3)]] == [[], []]
     assert has_bichromatic_cycle(g, c) == BichromaticTrace((2, 3), (0, 1, 2, 3, 0), True)
 
@@ -388,21 +405,21 @@ def test_validator_keeps_no_roots_from_an_earlier_pair():
     # a rainbow triangle is acyclic, but the path 0-1-2 of pair (1,2) left
     # joined would make the (1,3) edge 0-2 close a cycle
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert has_bichromatic_cycle(g, EdgeColoring(3, {0: 1, 1: 2, 2: 3})) is None
+    assert has_bichromatic_cycle(g, EdgeColoring(3, (1, 2, 3))) is None
     # a rainbow 5-cycle: every pair joins a path, and leftover paths from
     # earlier pairs would close the cycle
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert has_bichromatic_cycle(g, EdgeColoring(5, {e: e + 1 for e in range(5)})) is None
+    assert has_bichromatic_cycle(g, EdgeColoring(5, (1, 2, 3, 4, 5))) is None
 
 
 def test_validator_calls_in_a_row_answer_as_alone():
     cases = [
         (build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-         EdgeColoring(3, {0: 2, 1: 3, 2: 2, 3: 3, 4: 1})),
-        (build_graph(3, [(0, 1), (1, 2), (0, 2)]), EdgeColoring(3, {0: 1, 1: 2, 2: 3})),
+         EdgeColoring(3, (2, 3, 2, 3, 1))),
+        (build_graph(3, [(0, 1), (1, 2), (0, 2)]), EdgeColoring(3, (1, 2, 3))),
         colored_cycle(6, [1, 2, 1, 2, 1, 2]),
         colored_cycle(6, [1, 2, 1, 2, 1, 3]),
-        (complete(4), EdgeColoring(3, {0: 1, 5: 1, 1: 2, 4: 2, 2: 3, 3: 3})),
+        (complete(4), EdgeColoring(3, (1, 2, 3, 3, 2, 1))),
     ]
     alone = [has_bichromatic_cycle(g, c) for g, c in cases]
     assert [t is None for t in alone] == [False, True, False, True, False]
@@ -427,14 +444,14 @@ def test_validator_does_not_use_the_kernel(monkeypatch):
     assert has_bichromatic_cycle(g, c) is None
     assert trace_bichromatic(g, c, 1, 2, 0) is not None
     with pytest.raises(ColoringError, match="not proper"):
-        has_bichromatic_cycle(path(3), EdgeColoring(2, {0: 1, 1: 1}))
+        has_bichromatic_cycle(path(3), EdgeColoring(2, (1, 1)))
 
 
 def test_coloring_file_roundtrip():
     g = complete(4)
-    c = EdgeColoring(5, {0: 1, 2: 4})
+    c = EdgeColoring(5, (1, 0, 4, 0, 0, 0))
     text = format_coloring(g, c)
-    assert parse_coloring(text, g).assignment == c.assignment
+    assert parse_coloring(text, g) == c
 
 
 def test_coloring_file_rejects_bad_color():
@@ -457,4 +474,4 @@ def test_coloring_file_rejects_unknown_edge():
 
 def test_coloring_rejects_out_of_palette():
     with pytest.raises(ColoringError):
-        EdgeColoring(2, {0: 3})
+        EdgeColoring(2, (3,))

@@ -20,12 +20,12 @@ from conftest import complete_bipartite, random_graph
 
 def all_acyclic_colorings(g, k):
     """Every total acyclic k-coloring of g, with no symmetry reduction."""
-    assignment = {}
+    colors = [0] * g.m
     used = [set() for _ in range(g.n)]
 
     def extend(e):
         if e == g.m:
-            c = EdgeColoring(k, dict(assignment))
+            c = EdgeColoring(k, tuple(colors))
             if has_bichromatic_cycle(g, c) is None:
                 yield c
             return
@@ -33,11 +33,11 @@ def all_acyclic_colorings(g, k):
         for col in range(1, k + 1):
             if col in used[u] or col in used[v]:
                 continue
-            assignment[e] = col
+            colors[e] = col
             used[u].add(col)
             used[v].add(col)
             yield from extend(e + 1)
-            del assignment[e]
+            colors[e] = 0
             used[u].discard(col)
             used[v].discard(col)
 
@@ -49,8 +49,8 @@ def canonical(order, c):
     along ``order``, as a tuple of colors by edge id."""
     rank = {}
     for e in order:
-        rank.setdefault(c.get(e), len(rank) + 1)
-    return tuple(rank[c.get(e)] for e in range(len(order)))
+        rank.setdefault(c.colors[e], len(rank) + 1)
+    return tuple(rank[col] for col in c.colors)
 
 
 def check_against_full_enumeration(g, k, e):
@@ -58,8 +58,7 @@ def check_against_full_enumeration(g, k, e):
     of g - e; return the number of full colorings and the Fact-2 verdicts
     seen."""
     gm = delete_edge(g, e)
-    reps = [tuple(c.get(x) for x in range(gm.m))
-            for c in enumerate_acyclic_colorings(gm, k)]
+    reps = [c.colors for c in enumerate_acyclic_colorings(gm, k)]
     full = list(all_acyclic_colorings(gm, k))
     # the solver's insertion order
     order = list(reversed(deletion_edge_order(gm)))
@@ -73,7 +72,7 @@ def check_against_full_enumeration(g, k, e):
     # a Fact-2 verdict and t are the same on every member of an orbit
     verdict = {}
     for rep in reps:
-        r = fact2_verify(g, k, e, EdgeColoring(k, dict(enumerate(rep))))
+        r = fact2_verify(g, k, e, EdgeColoring(k, rep))
         verdict[rep] = (r.holds, r.t)
     for c in full:
         r = fact2_verify(g, k, e, c)

@@ -203,7 +203,7 @@ def test_extend_over_matches_recursive():
         if report.outcome == "failure":
             continue
         base = report.coloring
-        kept = {e: c for e, c in base.assignment.items() if rng.random() < 0.8}
+        kept = tuple(c if rng.random() < 0.8 else 0 for c in base.colors)
         base = type(base)(k, kept)
         edges = rng.sample(range(g.m), rng.randint(1, g.m))
         for max_used in (k, 0):
@@ -229,7 +229,7 @@ def has_acyclic_coloring(g, k):
     ends, with no symmetry reduction; a prefix in which the independent
     validator finds a bichromatic cycle is cut, as every extension keeps
     that cycle."""
-    assignment = {}
+    colors = [0] * g.m
     at = [set() for _ in range(g.n)]
 
     def extend(e):
@@ -239,15 +239,15 @@ def has_acyclic_coloring(g, k):
         for col in range(1, k + 1):
             if col in at[u] or col in at[v]:
                 continue
-            assignment[e] = col
-            if has_bichromatic_cycle(g, EdgeColoring(k, dict(assignment))) is None:
+            colors[e] = col
+            if has_bichromatic_cycle(g, EdgeColoring(k, tuple(colors))) is None:
                 at[u].add(col)
                 at[v].add(col)
                 if extend(e + 1):
                     return True
                 at[u].discard(col)
                 at[v].discard(col)
-            del assignment[e]
+            colors[e] = 0
         return False
 
     return extend(0)

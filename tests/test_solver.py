@@ -70,7 +70,7 @@ def test_yes_colorings_validate():
         g = random_graph(rng, n, m)
         result = chi_a_exact(g)
         c = result.coloring
-        assert c.is_total(g)
+        assert c.is_total()
         assert is_proper(g, c)
         assert has_bichromatic_cycle(g, c) is None
         assert result.chi_a >= g.max_degree()
@@ -164,7 +164,7 @@ def test_chi_a_coloring_palette_is_chi_a():
     for g in graphs:
         result = chi_a_exact(g)
         assert result.coloring.k == result.chi_a
-        assert result.coloring.is_total(g)
+        assert result.coloring.is_total()
 
 
 def test_unknown_propagates_through_chi_a():
@@ -207,7 +207,7 @@ from aecolor.coloring import ColoringError, EdgeColoring
 from aecolor.graph import build_graph
 
 # C4 colored 1,2,1,2 is proper and total but one bichromatic cycle
-bad = EdgeColoring(2, {0: 1, 1: 2, 2: 1, 3: 2})
+bad = EdgeColoring(2, (1, 2, 1, 2))
 
 
 def extend_over(self, edges, max_used):

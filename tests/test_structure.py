@@ -218,7 +218,7 @@ def test_fact2_verify_single_coloring():
 def test_fact2_rejects_improper_coloring():
     # K4 - e has edge ids 0..4; one color on all of them is improper
     g = complete(4)
-    bad = EdgeColoring(4, {e: 1 for e in range(5)})
+    bad = EdgeColoring(4, (1,) * 5)
     with pytest.raises(ValueError, match="not proper"):
         fact2_verify(g, 4, 0, bad)
 
@@ -240,26 +240,26 @@ def test_fact2_verify_scans_properness_once(monkeypatch):
     assert len(scans) == 1
     # every edge of K4 - e colored 1: vertex 0 is the lowest with a clash
     with pytest.raises(ValueError, match="^coloring is not proper at vertex 0$"):
-        fact2_verify(g, 4, 0, EdgeColoring(4, {e: 1 for e in range(5)}))
+        fact2_verify(g, 4, 0, EdgeColoring(4, (1,) * 5))
     assert len(scans) == 2
 
 
 def test_fact2_rejects_bichromatic_coloring():
     g = complete(4)
     # edges 1..5 of K4 - edge(0,1): make the 4-cycle 0-2-1-3 bichromatic
-    gm_colors = {}
+    gm_colors = []
     from aecolor.graph import delete_edge
     gm = delete_edge(g, 0)
     # gm edges: (0,2),(0,3),(1,2),(1,3),(2,3)
-    for e, (u, v) in enumerate(gm.edges):
+    for u, v in gm.edges:
         if {u, v} in ({0, 2}, {1, 3}):
-            gm_colors[e] = 1
+            gm_colors.append(1)
         elif {u, v} in ({0, 3}, {1, 2}):
-            gm_colors[e] = 2
+            gm_colors.append(2)
         else:
-            gm_colors[e] = 3
+            gm_colors.append(3)
     with pytest.raises(ValueError):
-        fact2_verify(g, 4, 0, EdgeColoring(4, gm_colors))
+        fact2_verify(g, 4, 0, EdgeColoring(4, tuple(gm_colors)))
 
 
 # --- discharging ---------------------------------------------------------------
