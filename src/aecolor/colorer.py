@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import inf
 from typing import Literal
 
-from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
+from .coloring import ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph
 from .solver import SolveBudget, _Search, deletion_edge_order, walk_peel
 
@@ -196,12 +196,22 @@ def color_graph(
     or a bounded repair; with the fallback on, an edge these cannot place
     gets its whole component recolored by exact search, and the outcome is
     "fallback-success".  A move budget below 1 raises ValueError.
+
+    The engine runs at min(k, m) colors, so its n(k + 1) neighbor slots
+    stay O(nm) however large k is; the report carries k.  With k >= m the
+    result is the one at m.  M1 skips a color present at an end, or rejects
+    one by Fact 1, only if a placed edge has it, and fewer than m edges are
+    placed; so it accepts a color <= m after the same tries at k as at m,
+    unless the move budget runs out, and ``place`` then stops before any
+    ball search.  The fallback's renaming reduction offers the i-th of its
+    <= m edges no color above i.  So the colors, the trace and
+    ``moves_spent`` are the same.
     """
     if k < g.max_degree():
         raise ValueError("palette smaller than the maximum degree")
     if move_budget is None:
         move_budget = 50 * max(g.m, 1)
-    engine = _Colorer(g, k, move_budget, order)
+    engine = _Colorer(g, min(k, g.m), move_budget, order)
     outcome = "success"
     for e in engine.insertion:
         if engine.assign[e] or engine.place(e):
@@ -211,7 +221,7 @@ def color_graph(
             continue
         outcome = "failure"
         break
-    coloring = engine.snapshot()
+    coloring = EdgeColoring(k, tuple(engine.assign))
     # has_bichromatic_cycle also raises on an improper coloring
     if outcome != "failure" and (
             not coloring.is_total() or has_bichromatic_cycle(g, coloring) is not None):
@@ -220,21 +230,3 @@ def color_graph(
         outcome, k, coloring, len(coloring.colors_used()),
         dict(engine.counts), engine.nodes, engine.trace,
     )
-
-
-def replay_trace(g: Graph, k: int, trace: list[Move]) -> EdgeColoring:
-    """Re-apply a committed move log from the empty coloring."""
-    state = ColorState(g, k)
-    for move in trace:
-        kind = move[0]
-        if kind == "assign":
-            state.set(move[1], move[2])
-        elif kind == "repair":
-            for e in move[1]:
-                if state.assign[e]:
-                    state.unset(e)
-            for e, c in zip(move[1], move[2]):
-                state.set(e, c)
-        else:
-            raise ValueError(f"unknown move {kind!r}")
-    return state.snapshot()

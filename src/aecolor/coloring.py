@@ -1,14 +1,14 @@
-"""Edge colorings, the mutable coloring kernel, and the independent validator.
+"""Edge colorings, the independent validator, and the coloring file format.
 
 Colors are 1-based integers from the palette {1, ..., k}; 0 means uncolored
-in values, the kernel and files alike.  ``EdgeColoring`` is a value: the
-functions taking one return new values and never mutate their inputs.
-``ColorState`` is the one mutable kernel that the exact solver and the
-colorer build on; it holds the incremental Fact-1 cycle test.
+in values and files alike.  ``EdgeColoring`` is a value: the functions
+taking one return new values and never mutate their inputs.  This module
+defines no mutable state.
 
 ``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
-form the validator.  They share no code with ``ColorState``, so every
-coloring the kernel produces is checked by code that did not produce it.
+form the validator.  The mutable coloring kernel, ``solver._Search``, lives
+in another module and this one imports nothing from it, so every coloring
+the kernel produces is checked by code that did not produce it.
 """
 
 from __future__ import annotations
@@ -200,89 +200,14 @@ def _closing_end(matching: list[tuple[int, int]], edges: list[tuple[int, int]],
     return None
 
 
-# --- mutable kernel ----------------------------------------------------------
-
-class ColorState:
-    """Mutable partial coloring of g with palette [1..k].
-
-    ``assign[e]`` is the color of edge e (0 = uncolored), ``col_nbr[v][c]``
-    the neighbor of v across its c-colored edge (-1 = none) and bit c of
-    ``used_mask[v]`` says whether color c is present at v.  The methods keep
-    the three consistent and assume the coloring stays proper.
-    """
-
-    def __init__(self, g: Graph, k: int):
-        self.g = g
-        self.k = k
-        self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
-        self.used_mask = [0] * g.n
-        self.assign = [0] * g.m
-
-    def set(self, e: int, c: int) -> None:
-        u, v = self.g.edges[e]
-        self.assign[e] = c
-        bit = 1 << c
-        self.used_mask[u] |= bit
-        self.used_mask[v] |= bit
-        self.col_nbr[u][c] = v
-        self.col_nbr[v][c] = u
-
-    def unset(self, e: int) -> None:
-        u, v = self.g.edges[e]
-        c = self.assign[e]
-        self.assign[e] = 0
-        bit = 1 << c
-        self.used_mask[u] &= ~bit
-        self.used_mask[v] &= ~bit
-        self.col_nbr[u][c] = -1
-        self.col_nbr[v][c] = -1
-
-    def load(self, c: EdgeColoring) -> None:
-        for e, col in enumerate(c.colors):
-            if col:
-                self.set(e, col)
-
-    def snapshot(self) -> EdgeColoring:
-        return EdgeColoring(self.k, tuple(self.assign))
-
-    def walk_ends_at(self, u: int, v: int, mus: int, gamma: int) -> bool:
-        """Fact 1: for some color mu in the bitmask ``mus`` (each present at
-        u, none equal to gamma), does the maximal (mu,gamma) path leaving u
-        on its mu-edge end at v, arriving on a mu-edge?
-
-        When gamma is free at u and v and ``mus`` holds the colors present
-        at both, this is exactly "coloring uv with gamma closes a
-        bichromatic cycle".
-        """
-        col_nbr = self.col_nbr
-        while mus:
-            low = mus & -mus
-            mu = low.bit_length() - 1
-            mus ^= low
-            cur = col_nbr[u][mu]
-            want, other = gamma, mu
-            while True:
-                nxt = col_nbr[cur][want]
-                if nxt == -1:
-                    if cur == v and want == gamma:
-                        return True
-                    break
-                if nxt == u:
-                    break  # closed into a cycle through u, not a u..v path
-                cur = nxt
-                want, other = other, want
-        return False
-
-
 # --- coloring file format ---------------------------------------------------
 #
 #   k <K>
 #   <u> <v> <color>     (color 0 = uncolored)
 
 def parse_coloring(text: str, g: Graph) -> EdgeColoring:
-    # one index of g's edges per file, under both orientations: Graph.edge_id
-    # would scan an incident list for each of the file's m edge lines
-    edge_ids = {p: e for e, (u, v) in enumerate(g.edges) for p in ((u, v), (v, u))}
+    # g's edge ids by their ends, under both orientations
+    by_ends = {p: e for e, (u, v) in enumerate(g.edges) for p in ((u, v), (v, u))}
     k = None
     colors = [0] * g.m
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -309,7 +234,7 @@ def parse_coloring(text: str, g: Graph) -> EdgeColoring:
                 u, v, col = map(int, parts)
             except ValueError:
                 raise ColoringError(f"line {lineno}: non-integer in edge line") from None
-            e = edge_ids.get((u, v))
+            e = by_ends.get((u, v))
             if e is None:
                 raise ColoringError(f"line {lineno}: edge {u}-{v} not in graph")
             if col == 0:

@@ -42,16 +42,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
-    def edge_id(self, u: int, v: int) -> int:
-        """Id of the edge uv, by a scan of u's incident edges."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u != v:
-            for e in self._inc[u]:
-                if v in self.edges[e]:
-                    return e
-        raise GraphError(f"no edge {u}-{v}")
-
     def endpoints(self, e: int) -> tuple[int, int]:
         if not 0 <= e < len(self.edges):
             raise GraphError(f"edge id {e} out of range")

@@ -6,11 +6,11 @@ encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
 check, and one sound symmetry reduction: new colors are introduced in
 ascending order, which leaves one coloring per orbit of color renamings.
 The decision and the enumerator search the same smallest-last insertion
-order as the colorer.  ``_Search.extend_over`` drives the search for the
-decision and for the colorer's local repairs on a partial coloring; the
-enumerator runs it directly.  ``chi_a_exact`` starts its upward search at
-a counting lower bound, a certificate re-counted on its witness vertex
-set, not a guess.
+order as the colorer.  ``_Search``, the one mutable coloring kernel, runs
+the search with ``extend_over`` for the decision and for the colorer's
+repairs on a partial coloring; the enumerator runs it directly.
+``chi_a_exact`` starts its upward search at a counting lower bound, a
+certificate re-counted on its witness vertex set, not a guess.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .coloring import ColorState, ColoringError, EdgeColoring, has_bichromatic_cycle
+from .coloring import ColoringError, EdgeColoring, has_bichromatic_cycle
 from .graph import Graph, delete_edge
 
 
@@ -31,7 +31,8 @@ class SolveBudget:
     max_seconds: float = 600.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        # "not >" rejects NaN, a deadline that never fires; inf is no limit
+        if not (self.max_nodes > 0 and self.max_seconds > 0):
             raise ValueError("budget limits must be positive")
 
 
@@ -104,18 +105,79 @@ def deletion_edge_order(g: Graph) -> list[int]:
     return order
 
 
-class _Search(ColorState):
-    """The coloring kernel plus a node-budgeted exact search, driven by
-    ``extend_over``: recolor a list of edges, keeping every other color
-    fixed.  ``deadline`` is read every 4096 nodes; with none the clock is
-    never read, so node counts repeat exactly."""
+class _Search:
+    """The one mutable coloring kernel, a partial coloring of g with
+    palette [1..k], and its node-budgeted exact search.
+
+    ``assign[e]`` is the color of edge e (0 = uncolored), ``col_nbr[v][c]``
+    the neighbor of v across its c-colored edge (-1 = none) and bit c of
+    ``used_mask[v]`` says whether color c is present at v; ``set`` and
+    ``unset`` keep the three consistent and assume the coloring stays
+    proper.  ``walk_ends_at`` is the incremental Fact-1 cycle test.  The
+    search, driven by ``extend_over``, recolors a list of edges, keeping
+    every other color fixed.  ``deadline`` is read every 4096 nodes; with
+    none the clock is never read, so node counts repeat exactly."""
 
     def __init__(self, g: Graph, k: int, max_nodes: int,
                  deadline: float | None = None):
-        super().__init__(g, k)
+        self.g = g
+        self.k = k
+        self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
+        self.used_mask = [0] * g.n
+        self.assign = [0] * g.m
         self.nodes = 0
         self.max_nodes = max_nodes
         self.deadline = deadline
+
+    def set(self, e: int, c: int) -> None:
+        u, v = self.g.edges[e]
+        self.assign[e] = c
+        bit = 1 << c
+        self.used_mask[u] |= bit
+        self.used_mask[v] |= bit
+        self.col_nbr[u][c] = v
+        self.col_nbr[v][c] = u
+
+    def unset(self, e: int) -> None:
+        u, v = self.g.edges[e]
+        c = self.assign[e]
+        self.assign[e] = 0
+        bit = 1 << c
+        self.used_mask[u] &= ~bit
+        self.used_mask[v] &= ~bit
+        self.col_nbr[u][c] = -1
+        self.col_nbr[v][c] = -1
+
+    def snapshot(self) -> EdgeColoring:
+        return EdgeColoring(self.k, tuple(self.assign))
+
+    def walk_ends_at(self, u: int, v: int, mus: int, gamma: int) -> bool:
+        """Fact 1: for some color mu in the bitmask ``mus`` (each present at
+        u, none equal to gamma), does the maximal (mu,gamma) path leaving u
+        on its mu-edge end at v, arriving on a mu-edge?
+
+        When gamma is free at u and v and ``mus`` holds the colors present
+        at both, this is exactly "coloring uv with gamma closes a
+        bichromatic cycle".
+        """
+        col_nbr = self.col_nbr
+        while mus:
+            low = mus & -mus
+            mu = low.bit_length() - 1
+            mus ^= low
+            cur = col_nbr[u][mu]
+            want, other = gamma, mu
+            while True:
+                nxt = col_nbr[cur][want]
+                if nxt == -1:
+                    if cur == v and want == gamma:
+                        return True
+                    break
+                if nxt == u:
+                    break  # closed into a cycle through u, not a u..v path
+                cur = nxt
+                want, other = other, want
+        return False
 
     def _tick(self) -> None:
         self.nodes += 1

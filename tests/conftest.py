@@ -58,3 +58,16 @@ def from_networkx(h) -> Graph:
     """A networkx graph with its vertices renumbered 0..n-1 in sorted order."""
     index = {v: i for i, v in enumerate(sorted(h.nodes()))}
     return build_graph(len(index), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def edge_index(g: Graph) -> dict[tuple[int, int], int]:
+    """Edge ids by their ends, under both orientations."""
+    return {p: e for e, (u, v) in enumerate(g.edges) for p in ((u, v), (v, u))}
+
+
+def load(state, c):
+    """``state``, a coloring kernel, with each colored edge of ``c`` set."""
+    for e, col in enumerate(c.colors):
+        if col:
+            state.set(e, col)
+    return state

@@ -4,7 +4,9 @@ algorithms it checks.
 ``mad_brute`` maximises the density over every vertex subset; it checks
 ``aecolor.density.mad_exact``.  ``connected_classes`` lists the connected
 graphs on n vertices, one per isomorphism class, without the networkx atlas
-that ``aecolor.structure.connected_graphs_upto`` reads.
+that ``aecolor.structure.connected_graphs_upto`` reads.  ``replay_trace``
+rebuilds a coloring from the colorer's move log on a plain list, without
+the coloring kernel that made the moves.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from aecolor.coloring import EdgeColoring
 from aecolor.graph import Graph, build_graph, is_connected
 
 
@@ -82,3 +85,20 @@ def connected_classes(n: int) -> list[Graph]:
         for image in images:
             marked[sum(image[i] for i in chosen)] = 1
     return kept
+
+
+def replay_trace(g: Graph, k: int, trace: list) -> EdgeColoring:
+    """Re-apply a committed move log from the empty coloring, one color per
+    edge in a plain list: ("assign", e, c) gives e the color c, and
+    ("repair", edges, colors) gives each of its edges its new color."""
+    colors = [0] * g.m
+    for move in trace:
+        kind = move[0]
+        if kind == "assign":
+            colors[move[1]] = move[2]
+        elif kind == "repair":
+            for e, c in zip(move[1], move[2], strict=True):
+                colors[e] = c
+        else:
+            raise ValueError(f"unknown move {kind!r}")
+    return EdgeColoring(k, tuple(colors))

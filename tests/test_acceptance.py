@@ -19,7 +19,7 @@ from aecolor.structure import (
     fact2_sweep,
     lemma_suite,
 )
-from conftest import complete, complete_bipartite, cycle, random_graph
+from conftest import complete, complete_bipartite, cycle, edge_index, random_graph
 from oracles import connected_classes, mad_brute
 
 _cache = {}
@@ -197,10 +197,11 @@ def test_criterion_8_two_color_subgraph_properties():
         cols = sorted(c.colors_used())
         picks = [(a, b) for i, a in enumerate(cols) for b in cols[i + 1:]]
         rng.shuffle(picks)
+        edge_id = edge_index(g)
         for a, b in picks[:4]:
             for v in range(g.n):
                 deg = sum(1 for w in g.neighbors(v)
-                          if c.colors[g.edge_id(v, w)] in (a, b))
+                          if c.colors[edge_id[v, w]] in (a, b))
                 if deg > 2:
                     violations += 1
                 t = trace_bichromatic(g, c, a, b, v)

@@ -19,7 +19,6 @@ from aecolor.cli import (
     run_experiment,
     write_dot,
 )
-from aecolor.colorer import replay_trace
 from aecolor.coloring import (
     EdgeColoring,
     format_coloring,
@@ -29,6 +28,7 @@ from aecolor.coloring import (
 from aecolor.graph import build_graph
 from aecolor.solver import is_acyclically_k_colorable
 from conftest import complete, complete_bipartite, cycle, from_networkx, hypercube
+from oracles import replay_trace
 
 
 def run(capsys, argv):
@@ -595,9 +595,12 @@ def test_no_parse_state_leaks_between_calls(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-secs"])
 def test_zero_budget_exit_2(tmp_path, capsys, flag):
     path = write_graph(tmp_path, cycle(5))
-    code, payload = run(capsys, ["chi-a", path, flag, "0"])
-    assert code == 2
-    assert "budget" in payload["error"]
+    # --budget-nodes takes an integer, so only the time limit can be nan,
+    # a deadline that would never fire
+    for value in ["0", "nan"] if flag == "--budget-secs" else ["0"]:
+        code, payload = run(capsys, ["chi-a", path, flag, value])
+        assert code == 2
+        assert "budget" in payload["error"]
 
 
 @pytest.mark.parametrize("n", [1200, 10_000])

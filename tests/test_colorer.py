@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,7 +15,6 @@ from aecolor.colorer import (
     choose_palette,
     color_graph,
     peel_palette,
-    replay_trace,
 )
 from aecolor.coloring import (
     ColoringError,
@@ -28,11 +28,14 @@ from aecolor.density import mad_exact
 from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import (
     SolveBudget,
+    _Search,
     chi_a_exact,
     deletion_edge_order,
     is_acyclically_k_colorable,
 )
-from conftest import complete, cube, cycle, from_networkx, petersen, random_graph, star
+from conftest import (complete, complete_bipartite, cube, cycle, from_networkx, load,
+                      petersen, random_graph, star)
+from oracles import replay_trace
 
 
 def sparse_random_graph(rng, n):
@@ -97,9 +100,7 @@ def test_petersen_at_four():
 
 
 def loaded_engine(g, c):
-    engine = _Colorer(g, c.k, move_budget=1000)
-    engine.load(c)
-    return engine
+    return load(_Colorer(g, c.k, move_budget=1000), c)
 
 
 def test_engine_places_the_last_cycle_edge():
@@ -152,16 +153,14 @@ def test_engine_repairs_with_every_color():
 ], ids=["star", "matching", "C4", "C5", "C6"])
 def test_direct_walks_only_when_the_ends_share_a_color(monkeypatch, g, k, walks,
                                                         coloring, spent):
-    from aecolor.coloring import ColorState
-
     calls = []
-    walk = ColorState.walk_ends_at
+    walk = _Search.walk_ends_at
 
     def counted(self, *args):
         calls.append(args)
         return walk(self, *args)
 
-    monkeypatch.setattr(ColorState, "walk_ends_at", counted)
+    monkeypatch.setattr(_Search, "walk_ends_at", counted)
     report = color_graph(g, k)
     assert report.coloring.colors == coloring
     assert report.moves_spent == spent
@@ -186,6 +185,30 @@ def test_move_budget_below_1_rejected(budget):
         color_graph(complete(2), 1, move_budget=budget)
 
 
+@pytest.mark.parametrize("g", [cycle(5), complete(4), star(5), complete_bipartite(3, 3),
+                               cube()], ids=["C5", "K4", "star", "K33", "Q3"])
+def test_palette_above_m_colors_as_at_m(g):
+    """color_graph at k = 10**6 gives the colors, trace and moves of k = m,
+    reported at k, and allocates for m colors: a kernel of n(k + 1) slots
+    would peak at n * 8 MB here.  Two moves run out mid-graph, so the
+    fallback and the failure are compared too."""
+    k = 10**6
+    for move_budget, fallback in [(None, True), (2, True), (2, False)]:
+        want = color_graph(g, g.m, move_budget, fallback)
+        tracemalloc.start()
+        try:
+            got = color_graph(g, k, move_budget, fallback)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert got.k == got.coloring.k == k
+        assert (got.outcome, got.coloring.colors, got.trace, got.moves_spent,
+                got.move_counts, got.colors_used) == (
+            want.outcome, want.coloring.colors, want.trace, want.moves_spent,
+            want.move_counts, want.colors_used)
+
+
 def _blocked_brute(g, c, e, color):
     """Full-scan oracle for the incremental cycle filter: color the edge,
     then run the from-scratch bichromatic cycle detector."""
@@ -196,16 +219,13 @@ def _blocked_brute(g, c, e, color):
 def test_direct_filter_matches_full_scan():
     """The kernel's Fact-1 walk must agree with the exhaustive cycle
     detector on every candidate color of every next edge."""
-    from aecolor.coloring import ColorState
-    from aecolor.solver import deletion_edge_order
-
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(4, 12)
         m = rng.randint(3, min(2 * n, n * (n - 1) // 2))
         g = random_graph(rng, n, m)
         k = g.max_degree() + 2
-        state = ColorState(g, k)
+        state = _Search(g, k, 1)  # the kernel alone: nothing searches
         for e in reversed(deletion_edge_order(g)):
             u, v = g.edges[e]
             snapshot = state.snapshot()
@@ -479,8 +499,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
 
     bounded = []
     for r in (1, 2):
-        engine = _Colorer(g, k, move_budget=10**6)
-        engine.load(before)
+        engine = load(_Colorer(g, k, move_budget=10**6), before)
         ball = engine.ball(e, r)
         assert e in ball
         bounded.append(engine._recolor(ball, k))
@@ -497,12 +516,10 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
 
     # M1 then radii 1 and 2 succeed iff some radius does: M1's color also
     # extends the radius-1 ball
-    engine = _Colorer(g, k, move_budget=10**6)
-    engine.load(before)
+    engine = load(_Colorer(g, k, move_budget=10**6), before)
     assert engine.place(e) == any(bounded)
 
-    engine = _Colorer(g, k, move_budget=10**6)
-    engine.load(before)
+    engine = load(_Colorer(g, k, move_budget=10**6), before)
     sub, ids = _component_graph(g, e)
     exact = is_acyclically_k_colorable(sub, k)
     assert exact.status != "unknown"

@@ -7,7 +7,6 @@ import aecolor.coloring
 from aecolor.coloring import (
     BichromaticTrace,
     ColoringError,
-    ColorState,
     EdgeColoring,
     ImproperColoringError,
     format_coloring,
@@ -18,8 +17,9 @@ from aecolor.coloring import (
     trace_bichromatic,
 )
 from aecolor.graph import build_graph
+from aecolor.solver import _Search
 from aecolor.structure import fact2_verify
-from conftest import complete, cycle, path, random_graph
+from conftest import complete, cycle, edge_index, load, path, random_graph
 
 
 def colored_cycle(n, colors):
@@ -58,9 +58,7 @@ def test_is_proper_partial_allowed():
 
 
 def _loaded(g, c):
-    state = ColorState(g, c.k)
-    state.load(c)
-    return state
+    return load(_Search(g, c.k, 1), c)  # the kernel alone: nothing searches
 
 
 def _colors(mask):
@@ -172,10 +170,11 @@ def test_coloring_rejects_colors_outside_0_to_k(bad):
 
 def _properness_violation_scan(g, c):
     """The vertex-by-vertex scan that properness_violation replaced."""
+    edge_id = edge_index(g)
     for v in range(g.n):
         seen = set()
         for w in g.neighbors(v):
-            col = c.colors[g.edge_id(v, w)]
+            col = c.colors[edge_id[v, w]]
             if not col:
                 continue
             if col in seen:
@@ -249,11 +248,12 @@ def test_fact1_two_color_subgraph_degree_bound():
         g = random_graph(rng, n, m)
         c = random_proper_coloring(rng, g)
         used = sorted(c.colors_used())
+        edge_id = edge_index(g)
         for a, b in combinations(used[:6], 2):
             for v in range(g.n):
                 count = sum(
                     1 for w in g.neighbors(v)
-                    if c.colors[g.edge_id(v, w)] in (a, b)
+                    if c.colors[edge_id[v, w]] in (a, b)
                 )
                 assert count <= 2
             for v in range(g.n):
@@ -284,9 +284,9 @@ def test_cycle_scan_agrees_with_pairwise_brute_force():
 
 
 def random_acyclic_state(rng, g, k):
-    """ColorState holding a random acyclic partial coloring: edges in random
+    """A kernel holding a random acyclic partial coloring: edges in random
     order, each given a random color that keeps the coloring acyclic."""
-    state = ColorState(g, k)
+    state = _Search(g, k, 1)
     for e in rng.sample(range(g.m), g.m):
         u, v = g.edges[e]
         taken = state.used_mask[u] | state.used_mask[v]
@@ -302,12 +302,13 @@ def _scan_cycles(g, c, a, b):
     """Every (a,b)-cycle of c, lowest vertex first, each traced from its
     lowest vertex: the vertex-by-vertex scan the validator once used to
     locate a cycle, run to the end instead of stopping at the first."""
+    edge_id = edge_index(g)
     seen = set()
     cycles = []
     for v in range(g.n):
         if v in seen:
             continue
-        nbrs = [w for w in g.neighbors(v) if c.colors[g.edge_id(v, w)] in (a, b)]
+        nbrs = [w for w in g.neighbors(v) if c.colors[edge_id[v, w]] in (a, b)]
         if len(nbrs) < 2:
             continue
         trace = trace_bichromatic(g, c, a, b, v)
@@ -319,7 +320,8 @@ def _scan_cycles(g, c, a, b):
 
 def _is_closed_alternating(g, c, trace):
     vs = trace.vertices
-    cols = [c.colors[g.edge_id(x, y)] for x, y in zip(vs, vs[1:])]
+    edge_id = edge_index(g)
+    cols = [c.colors[edge_id[x, y]] for x, y in zip(vs, vs[1:])]
     return (trace.is_cycle and vs[0] == vs[-1] and len(set(vs)) == len(vs) - 1
             and set(cols) == set(trace.colors)
             and all(x != y for x, y in zip(cols, cols[1:] + cols[:1])))
@@ -430,14 +432,14 @@ def test_validator_calls_in_a_row_answer_as_alone():
 
 def test_validator_does_not_use_the_kernel(monkeypatch):
     """has_bichromatic_cycle stays an independent oracle: it answers
-    correctly even when every ColorState method raises."""
+    correctly even when every method of the kernel, _Search, raises."""
     def broken(*args, **kwargs):
-        raise AssertionError("validator reached ColorState")
+        raise AssertionError("validator reached the kernel")
 
-    for name, attr in list(vars(ColorState).items()):
+    for name, attr in list(vars(_Search).items()):
         if callable(attr):
-            monkeypatch.setattr(ColorState, name, broken)
-    monkeypatch.setattr(aecolor.coloring, "ColorState", broken)
+            monkeypatch.setattr(_Search, name, broken)
+    assert not hasattr(aecolor.coloring, "_Search")
     g, c = colored_cycle(6, [1, 2, 1, 2, 1, 2])
     assert has_bichromatic_cycle(g, c) is not None
     g, c = colored_cycle(6, [1, 2, 1, 2, 1, 3])
@@ -470,6 +472,14 @@ def test_coloring_file_rejects_unknown_edge():
     g = path(3)
     with pytest.raises(ColoringError):
         parse_coloring("k 2\n0 2 1\n", g)
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (0, 3), (-1, 0), (3, 1)])
+def test_coloring_file_rejects_missing_loop_and_out_of_range(u, v):
+    # path 0-1-2: 0-2 is missing, 1-1 a loop, 3 and -1 are no vertices;
+    # parse_coloring's lookup is the package's one edge lookup by its ends
+    with pytest.raises(ColoringError, match=f"edge {u}-{v} not in graph"):
+        parse_coloring(f"k 2\n{u} {v} 1\n", path(3))
 
 
 def test_coloring_rejects_out_of_palette():

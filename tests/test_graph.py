@@ -56,7 +56,7 @@ def test_build_rejects_negative_vertex_count():
         build_graph(-1, [])
 
 
-def test_adjacency_tuples_ascending_and_edge_id_both_ways():
+def test_adjacency_tuples_ascending():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(2, 15)
@@ -68,15 +68,6 @@ def test_adjacency_tuples_ascending_and_edge_id_both_ways():
             assert g.neighbors(v) == tuple(want)
             assert g.incident_edge_ids(v) == tuple(
                 e for e, ends in enumerate(g.edges) if v in ends)
-        for e, (u, v) in enumerate(g.edges):
-            assert g.edge_id(u, v) == g.edge_id(v, u) == e
-
-
-@pytest.mark.parametrize("u, v", [(0, 2), (1, 1), (0, 3), (-1, 0), (3, 1)])
-def test_edge_id_rejects_missing_loop_and_out_of_range(u, v):
-    # path 0-1-2: 0-2 is missing, 1-1 a loop, 3 and -1 are no vertices
-    with pytest.raises(GraphError):
-        path(3).edge_id(u, v)
 
 
 def test_degree_profile_k4():

@@ -2,8 +2,10 @@
 
 ``_RecursiveSearch`` keeps the recursive ``_extend``/``_enum``
 pair and the ``solve``/``extend_over``/``enumerate`` that drove them, with
-``whole_graph`` setting up the smallest-last insertion order.  It stands
-on the coloring kernel alone.  On the same graph, palette and node budget
+``whole_graph`` setting up the smallest-last insertion order.  It
+subclasses ``_Search`` for the coloring kernel alone: its own ``_tick``
+and ``extend_over`` replace the search's, and it never runs
+``_colorings``.  On the same graph, palette and node budget
 both must try the same colors in the same order: statuses, node counts,
 colorings, enumeration order and the state left after a restore all
 match.  Budgets small enough to run out mid-search compare the restore
@@ -15,7 +17,7 @@ The reduction itself is checked against a plain backtracker with none.
 import random
 import time
 
-from aecolor.coloring import ColorState, EdgeColoring, has_bichromatic_cycle
+from aecolor.coloring import EdgeColoring, has_bichromatic_cycle
 from aecolor.colorer import color_graph
 from aecolor.graph import build_graph
 from aecolor.solver import (
@@ -27,19 +29,16 @@ from aecolor.solver import (
     enumerate_acyclic_colorings,
     is_acyclically_k_colorable,
 )
-from conftest import complete, complete_bipartite, random_graph
+from conftest import complete, complete_bipartite, load, random_graph
 
 
 class _Exhausted(Exception):
     pass
 
 
-class _RecursiveSearch(ColorState):
+class _RecursiveSearch(_Search):
     def __init__(self, g, k, max_nodes, deadline=None):
-        super().__init__(g, k)
-        self.nodes = 0
-        self.max_nodes = max_nodes
-        self.deadline = deadline
+        super().__init__(g, k, max_nodes, deadline)
         self.order = []
 
     @classmethod
@@ -185,12 +184,6 @@ def test_enumerate_matches_recursive():
     assert total > 1000
 
 
-def _start(cls, g, k, coloring, max_nodes):
-    s = cls(g, k, max_nodes)
-    s.load(coloring)
-    return s
-
-
 def test_extend_over_matches_recursive():
     """A full acyclic coloring, partly erased, then a random edge subset
     recolored in random order, with and without the renaming reduction.
@@ -208,8 +201,8 @@ def test_extend_over_matches_recursive():
         edges = rng.sample(range(g.m), rng.randint(1, g.m))
         for max_used in (k, 0):
             for max_nodes in (10**9, rng.randint(1, 30)):
-                new = _start(_Search, g, k, base, max_nodes)
-                old = _start(_RecursiveSearch, g, k, base, max_nodes)
+                new = load(_Search(g, k, max_nodes), base)
+                old = load(_RecursiveSearch(g, k, max_nodes), base)
                 got = new.extend_over(list(edges), max_used)
                 found = old.extend_over(list(edges), max_used)
                 want = "yes" if found else "unknown" if old.nodes > max_nodes else "no"

@@ -178,6 +178,10 @@ def test_unknown_propagates_through_chi_a():
 def test_budget_rejects_nonpositive():
     with pytest.raises(ValueError):
         SolveBudget(max_nodes=0)
+    # nan <= 0 is false, but a nan deadline never fires
+    with pytest.raises(ValueError):
+        SolveBudget(10, float("nan"))
+    assert SolveBudget(10, float("inf")).max_seconds == float("inf")  # no time limit
 
 
 def test_enumeration_matches_decision():
@@ -211,7 +215,8 @@ bad = EdgeColoring(2, (1, 2, 1, 2))
 
 
 def extend_over(self, edges, max_used):
-    self.load(bad)
+    for e, c in enumerate(bad.colors):
+        self.set(e, c)
     return "yes"
 
 
