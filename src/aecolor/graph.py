@@ -40,7 +40,7 @@ class Graph:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self._adj), default=0)
 
     def endpoints(self, e: int) -> tuple[int, int]:
         if not 0 <= e < len(self.edges):

@@ -68,8 +68,10 @@ def deletion_edge_order(g: Graph) -> list[int]:
     """Edge deletion sequence: repeatedly take a minimum-degree vertex's
     lowest-id incident edge, ties going to the lowest vertex.  Reversing it
     gives the insertion order used by both the solver and the constructive
-    colorer (smallest-last).  A heap of (degree, vertex) entries, skipped
-    once stale, makes it O(m log n).
+    colorer (smallest-last).  A heap of integer keys d * n + v for vertex
+    v at degree d, skipped once stale, makes it O(m log n); as v < n, the
+    keys sort as the (d, v) pairs would, and ``divmod(key, n)`` gives them
+    back.
 
     A popped vertex v keeps the turn until its degree reaches 0, so its
     live edges go out as one run, in ascending id order.  Before each step
@@ -81,14 +83,14 @@ def deletion_edge_order(g: Graph) -> list[int]:
     v's entry is never pushed back.  An edge vw is still live when v's run
     reaches it iff w has not had its run, i.e. iff w's degree is not 0.
     """
-    edges, inc = g.edges, g._inc  # ascending ids at each vertex
+    edges, inc, n = g.edges, g._inc, g.n  # ascending ids at each vertex
     deg = [len(a) for a in inc]
-    heap = [(d, v) for v, d in enumerate(deg) if d]
+    heap = [d * n + v for v, d in enumerate(deg) if d]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
     while heap:
-        d, v = pop(heap)
+        d, v = divmod(pop(heap), n)
         if d != deg[v]:
             continue
         deg[v] = 0
@@ -101,7 +103,7 @@ def deletion_edge_order(g: Graph) -> list[int]:
                 dw -= 1
                 deg[w] = dw
                 if dw:
-                    push(heap, (dw, w))
+                    push(heap, dw * n + w)
     return order
 
 
@@ -232,37 +234,40 @@ class _Search:
         of it is colored; resuming backtracks to the next coloring.
 
         A frame is an edge of ``order``: the edge and its ends, the colors
-        present at both ends, its untried colors (highest first, so the
-        lowest pops off the end) and the peak color before it.  The frame
-        of the edge being colored lives in local variables, and ``stack``
+        present at both ends, its untried colors and the peak color before
+        it.  Color sets are bitmasks, bit c for color c; the lowest untried
+        bit is tried next, so colors go in ascending order.  The frame of
+        the edge being colored lives in local variables, and ``stack``
         holds those of the colored edges before it.  Colors above the peak
         are interchangeable, so only the first of them is offered.  Each
         color tried is one node, checked by Fact 1 against the colors at
-        both ends.  An exhausted search leaves ``order`` uncolored.
+        both ends; ends that share no color close no cycle, so the walk is
+        skipped.  An exhausted search leaves ``order`` uncolored.
         """
         edges, k = self.g.edges, self.k
         used_mask = self.used_mask
         tick, walk, set_, unset = self._tick, self.walk_ends_at, self.set, self.unset
-        stack: list[tuple[int, int, int, int, list[int], int]] = []
+        stack: list[tuple[int, int, int, int, int, int]] = []
         peak = max_used
         while True:
             if len(stack) < len(order):
                 e = order[len(stack)]
                 u, v = edges[e]
-                taken = used_mask[u] | used_mask[v]
-                untried = [c for c in range(min(k, peak + 1), 0, -1)
-                           if not taken >> c & 1]
-                common = used_mask[u] & used_mask[v]
+                mask_u, mask_v = used_mask[u], used_mask[v]
+                untried = ((2 << min(k, peak + 1)) - 2) & ~(mask_u | mask_v)
+                common = mask_u & mask_v
             else:
                 yield
-                untried = []  # nothing follows a full coloring: backtrack
+                untried = 0  # nothing follows a full coloring: backtrack
             # the current edge's next color that closes no cycle, popping
             # frames whose colors have run out
             while True:
                 while untried:
-                    c = untried.pop()
+                    low = untried & -untried
+                    untried ^= low
+                    c = low.bit_length() - 1
                     tick()
-                    if not walk(u, v, common, c):
+                    if not common or not walk(u, v, common, c):
                         break
                 else:
                     if not stack:
@@ -292,7 +297,9 @@ def is_acyclically_k_colorable(
 
     "yes" answers carry a coloring re-checked by the independent validator
     (an invalid one raises ColoringError); "no" means the search space was
-    exhausted; "unknown" means the budget ran out before a decision.
+    exhausted; "unknown" means the budget ran out before a decision.  The
+    search runs at min(k, m) colors, as the enumeration does (see there);
+    the coloring carries k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -300,13 +307,14 @@ def is_acyclically_k_colorable(
         return SolveResult("yes", EdgeColoring(k, ()))
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
-    search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+    search = _Search(g, min(k, g.m), budget.max_nodes,
+                     time.monotonic() + budget.max_seconds)
     if order is None:
         order = deletion_edge_order(g)
     status = search.extend_over(order[::-1], 0)
     if status != "yes":
         return SolveResult(status, None, search.nodes)
-    c = search.snapshot()
+    c = EdgeColoring(k, tuple(search.assign))
     # has_bichromatic_cycle also raises on an improper coloring
     if not c.is_total() or has_bichromatic_cycle(g, c) is not None:
         raise ColoringError(f"exact search returned an invalid {k}-coloring")
@@ -344,12 +352,19 @@ def enumerate_acyclic_colorings(
     Each yielded coloring therefore stands for math.perm(k, j) colorings,
     where j = len(c.colors_used()).
 
+    The search runs at min(k, m) colors, so its n(k + 1) neighbor slots stay
+    O(nm) however large k is; each coloring carries k.  With k >= m the
+    search is the one at m: the reduction offers the i-th edge of the order
+    no color above i <= m, so the colors tried, the node counts and the
+    colorings are the same.
+
     Raises BudgetExhausted, after the colorings found so far, once the
     budget's node or time limit runs out.
     """
-    search = _Search(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+    search = _Search(g, min(k, g.m), budget.max_nodes,
+                     time.monotonic() + budget.max_seconds)
     for _ in search._colorings(list(reversed(deletion_edge_order(g))), 0):
-        yield search.snapshot()
+        yield EdgeColoring(k, tuple(search.assign))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from aecolor.coloring import has_bichromatic_cycle, is_proper
 from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import (
     SolveBudget,
+    _Search,
     chi_a_exact,
     counting_lower_bound,
     deletion_edge_order,
@@ -134,6 +136,74 @@ def test_refutation_nodes_at_delta(name, g, nodes):
     with the renaming reduction from 0, takes exactly these nodes."""
     result = is_acyclically_k_colorable(g, g.max_degree())
     assert (result.status, result.nodes) == ("no", nodes)
+
+
+@pytest.mark.parametrize("g, k, coloring, nodes", [
+    # values pinned with the list-of-colors frames and a walk on every try
+    (complete(4), 5, (5, 4, 3, 3, 2, 1), 8),
+    (complete_bipartite(3, 3), 5, (5, 4, 3, 1, 3, 2, 3, 2, 1), 12),
+    (cycle(5), 3, (3, 1, 2, 1, 2), 5),
+    (petersen(), 4, (1, 4, 2, 1, 4, 2, 3, 1, 3, 3, 3, 2, 2, 1, 1), 15),
+], ids=["K4", "K33", "C5", "petersen"])
+def test_search_walks_only_when_the_ends_share_a_color(monkeypatch, g, k, coloring,
+                                                        nodes):
+    """The search skips the Fact-1 walk when the ends share no color, as M1
+    does; the walk would answer False, so the colors and nodes stay."""
+    calls = []
+    walk = _Search.walk_ends_at
+
+    def counted(self, *args):
+        calls.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(_Search, "walk_ends_at", counted)
+    result = is_acyclically_k_colorable(g, k)
+    assert (result.status, result.coloring.colors, result.nodes) == ("yes", coloring, nodes)
+    assert all(mus for _, _, mus, _ in calls)
+
+
+def _sorted_edges(g):
+    return build_graph(g.n, sorted(g.edges))
+
+
+@pytest.mark.parametrize("g, chi, nodes", [
+    # the benchmark's exact_chi families before relabelling: vertices and
+    # sorted edges as its corpus builds them
+    (build_graph(12, [(i, 6 + j) for i in range(6) for j in range(6) if i != j]), 6, 48),
+    (build_graph(10, [(i, 5 + j) for i in range(5) for j in range(5) if i or j]), 6, 36),
+    (_sorted_edges(hypercube(4)), 5, 48),
+    (complete(7), 7, 39),
+    (_sorted_edges(petersen()), 4, 15),
+], ids=["K66-M", "K55-e", "Q4", "K7", "petersen"])
+def test_chi_a_nodes_on_exact_chi_families(g, chi, nodes):
+    result = chi_a_exact(g)
+    assert (result.chi_a, result.nodes) == (chi, nodes)
+
+
+@pytest.mark.parametrize("g", [cycle(5), complete(4), complete_bipartite(3, 3)],
+                         ids=["C5", "K4", "K33"])
+def test_decision_and_enumeration_above_m_as_at_m(g):
+    """At k = 10**6 the decision and the enumeration search as at k = m and
+    report k, allocating for m colors: a kernel of n(k + 1) slots would
+    peak at n * 8 MB here."""
+    k = 10**6
+    want = is_acyclically_k_colorable(g, g.m)
+    want_all = [c.colors for c in enumerate_acyclic_colorings(g, g.m)]
+    tracemalloc.start()
+    try:
+        got = is_acyclically_k_colorable(g, k)
+        enumerated = 0
+        for c in enumerate_acyclic_colorings(g, k):
+            assert c.k == k and c.colors == want_all[enumerated]
+            enumerated += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert enumerated == len(want_all)
+    assert got.coloring.k == k
+    assert (got.status, got.coloring.colors, got.nodes) == (
+        want.status, want.coloring.colors, want.nodes)
 
 
 def test_budget_exhaustion_is_unknown():
