@@ -2,7 +2,9 @@
 
 All arithmetic is exact: densities are fractions.Fraction values and the
 flow network is scaled to integer capacities, so strict hypotheses like
-mad < 4 or mad < 3 are never misclassified by rounding.
+mad < 4 or mad < 3 are never misclassified by rounding.  Each test is one
+preflow push-relabel max flow on Goldberg's vertex network, and Dinkelbach's
+iteration chains the tests to the exact value.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from .graph import Graph
 
 
 class _Dinic:
-    """Max flow with integer capacities and deterministic arc order.
+    """Max flow by preflow push-relabel, with integer capacities.
+
+    The class and method keep the names they had when this was Dinic's
+    algorithm: the benchmark's tracer times ``_Dinic.max_flow`` as its
+    ``density.flow`` span and cannot follow a rename.
 
     Arc i and its reverse i ^ 1 are stored side by side; ``cap`` holds
-    residual capacities.  After ``max_flow``, ``level`` is its last BFS,
-    which ran to completion, so the nodes with a level >= 0 are those
-    reachable from s in the residual graph: a minimum cut's source side.
+    residual capacities.  After ``max_flow``, ``source_side[v]`` says
+    whether node v lies on the source side of the smallest minimum cut.
     """
 
     def __init__(self, n: int):
@@ -26,7 +31,7 @@ class _Dinic:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self.level: list[int] = []
+        self.source_side: list[bool] = []
 
     def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> None:
         """Arc u -> v of capacity ``cap`` and its reverse of capacity
@@ -38,82 +43,157 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(back)
 
-    def _levels(self, s: int, t: int) -> list[int]:
-        """BFS distances from s in the residual graph, stopped as soon as t
-        is labelled: every node nearer than t is labelled by then, and no
-        other node at t's distance or beyond lies on a shortest s-t path."""
-        adj, to, cap = self.adj, self.to, self.cap
-        level = [-1] * self.n
-        level[s] = 0
-        frontier = [s]
-        depth = 0
-        while frontier:
-            depth += 1
+    def _levels(self, s: int, t: int) -> tuple[list[int], list[list[int]]]:
+        """Residual distances to t, by a BFS from t over reversed arcs, and
+        the nodes at each distance.  A node that cannot reach t gets n, and
+        s gets n + 1 without being entered."""
+        n, adj, to, cap = self.n, self.adj, self.to, self.cap
+        height = [n] * n
+        height[s] = n + 1
+        height[t] = 0
+        levels = [[t]]
+        frontier = levels[0]
+        depth = 1
+        while True:
             nxt = []
-            for u in frontier:
-                for i in adj[u]:
-                    if cap[i] and level[to[i]] < 0:
-                        v = to[i]
-                        level[v] = depth
-                        if v == t:
-                            return level
-                        nxt.append(v)
+            for v in frontier:
+                for i in adj[v]:
+                    if cap[i ^ 1]:
+                        u = to[i]
+                        if height[u] == n:
+                            height[u] = depth
+                            nxt.append(u)
+            if not nxt:
+                return height, levels
+            levels.append(nxt)
             frontier = nxt
-        return level
+            depth += 1
 
     def max_flow(self, s: int, t: int) -> int:
-        """Dinic's algorithm with an explicit path stack, so the depth of
-        the level graph is not limited by the interpreter's recursion limit.
+        """The value of a maximum flow from s to t: the first phase of
+        Goldberg and Tarjan's preflow push-relabel method.
 
-        Each phase walks admissible arcs (positive residual capacity, level
-        up by one) from s, each node resuming at its current-arc pointer.
-        On reaching t it pushes the path's bottleneck and retreats to the
-        tail of the first arc it saturated; a node with no admissible arc
-        left is a dead end: its level becomes -1 and the walk backs up one
-        arc.  The phase ends when s is a dead end.
+        s saturates its arcs.  A node other than s and t is active while it
+        holds excess and its height is below n; the active node of greatest
+        height is discharged: it pushes excess down admissible arcs
+        (positive residual capacity, height down by one), resuming at its
+        current-arc pointer, and relabels to one above its lowest residual
+        neighbour when none is left.  Heights stay a valid labelling
+        (height(u) <= height(v) + 1 on every residual arc u -> v), so a
+        node at n or above cannot reach t.  Two rules lift such nodes at
+        once (Cherkassky and Goldberg 1997): a global relabel, a BFS from
+        t, sets every height to its distance at the start and after every
+        n relabels, and when a relabel empties a height h, no node above h
+        can reach t (the gap rule) and each goes to n.
+
+        The phase ends with no active node.  Excess is then left only on
+        nodes that cannot reach t, so the excess at t is the capacity of a
+        minimum cut: the flow value.  The smallest minimum cut's source
+        side is s, the nodes left with excess and every node they reach in
+        the residual graph (see ``_density_exceeds``); ``source_side``
+        marks it.  The excess is not sent back to s, as the cut needs no
+        second phase.
         """
-        adj, to, cap = self.adj, self.to, self.cap
-        flow = 0
+        n, adj, to, cap = self.n, self.adj, self.to, self.cap
+        excess = [0] * n
+        for i in adj[s]:
+            c = cap[i]
+            if c:
+                cap[i] = 0
+                cap[i ^ 1] += c
+                excess[to[i]] += c
+        relabels = n  # the first pass starts with a global relabel
         while True:
-            level = self._levels(s, t)
-            if level[t] < 0:
-                self.level = level
-                return flow
-            it = [0] * self.n
-            path: list[int] = []  # arcs from s to u
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(cap[i] for i in path)
-                    first = -1
-                    for j, i in enumerate(path):
-                        cap[i] -= pushed
-                        cap[i ^ 1] += pushed
-                        if first < 0 and not cap[i]:
-                            first = j
-                    flow += pushed
-                    u = to[path[first] ^ 1]
-                    del path[first:]
+            if relabels >= n:
+                # members[h] lists the nodes of height h, and after
+                # relabels also nodes that have left it; count[h] is exact
+                relabels = 0
+                height, members = self._levels(s, t)
+                count = [len(level) for level in members]
+                active = [[v for v in level if excess[v]] for level in members]
+                active[0] = []
+                current = [0] * n
+                top = len(active) - 1
+            bucket = active[top]
+            if not bucket:
+                if top:
+                    top -= 1
                     continue
-                arcs = adj[u]
-                k = it[u]
-                nxt = level[u] + 1
-                end = len(arcs)
+                break
+            u = bucket.pop()
+            ex = excess[u]
+            h = height[u]
+            arcs = adj[u]
+            k = current[u]
+            end = len(arcs)
+            while True:
+                below = h - 1
                 while k < end:
                     i = arcs[k]
-                    if cap[i] and level[to[i]] == nxt:
-                        break
+                    c = cap[i]
+                    if c:
+                        v = to[i]
+                        if height[v] == below:
+                            if not excess[v] and v != t:
+                                active[below].append(v)
+                            if c > ex:
+                                cap[i] = c - ex
+                                cap[i ^ 1] += ex
+                                excess[v] += ex
+                                ex = 0
+                                break
+                            cap[i] = 0
+                            cap[i ^ 1] += c
+                            excess[v] += c
+                            ex -= c
+                            if not ex:
+                                break
                     k += 1
-                it[u] = k
-                if k < end:
-                    path.append(i)
-                    u = to[i]
-                elif u == s:
+                if not ex:
                     break
-                else:
-                    level[u] = -1
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
+                # relabel u: no admissible arc is left
+                relabels += 1
+                count[h] -= 1
+                if not count[h]:
+                    # gap: no node above h reaches t
+                    for level in members[h + 1:]:
+                        for v in level:
+                            height[v] = n
+                    del members[h + 1:], count[h + 1:], active[h + 1:]
+                    h = height[u] = n
+                    break
+                low = n
+                for i in arcs:
+                    if cap[i] and height[to[i]] < low:
+                        low = height[to[i]]
+                h = low + 1
+                if h >= n:
+                    h = height[u] = n
+                    break
+                height[u] = h
+                if h == len(members):
+                    members.append([])
+                    count.append(0)
+                    active.append([])
+                members[h].append(u)
+                count[h] += 1
+                k = 0
+            excess[u] = ex
+            current[u] = k
+            if below > top:
+                top = below
+        stack = [s] + [v for v in range(n) if excess[v] and v != t]
+        side = [False] * n
+        for v in stack:
+            side[v] = True
+        while stack:
+            u = stack.pop()
+            for i in adj[u]:
+                if cap[i] and not side[to[i]]:
+                    side[to[i]] = True
+                    stack.append(to[i])
+        self.source_side = side
+        return excess[t]
 
 
 def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
@@ -139,27 +219,58 @@ def _density_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
     as the degrees in H sum to 2*e(H) + d(H, V - H).  H = {} costs E, so
     a set denser than p/q exists iff the max flow is below E.  Every cut
     is the cut of one H, so the minimum cuts are exactly those of the
-    maximisers, and the residual-reachable side of a max flow is the
-    smallest minimum-cut source side: the smallest maximiser.
+    maximisers, and the smallest minimum-cut source side gives the
+    smallest maximiser.
+
+    ``max_flow`` stops at a maximum preflow and marks as that side the
+    set X of s, the nodes left with excess and all they reach in the
+    residual graph.  t is not in X: s and the excess nodes sit at height n
+    or more, so none of them reaches t.  X is a minimum cut: no residual
+    arc leaves X, so every arc out of X is saturated and every arc into X
+    carries no flow, and outside X only t holds excess, so the flow value
+    is the capacity of X.  X is inside every minimum-cut source side Y:
+    the excess at t is at most the net flow out of Y, which is at most
+    Y's capacity, the flow value, so equality holds throughout.  Then no
+    node outside Y but t holds excess and no residual arc leaves Y, so Y
+    holds s and the excess nodes and is closed under residual reach.  X
+    is thus the set that the residual graph of any maximum flow reaches
+    from s, and every step of ``_dinkelbach`` cuts the same set whatever
+    maximum flow algorithm runs.
     """
-    m, n = g.m, g.n
-    if m == 0:
+    if g.m == 0:
         return None
+    n = g.n
+    net, excess = _vertex_network(g, p, q)
+    if net.max_flow(n, n + 1) >= excess:
+        return None
+    return {v for v in range(n) if net.source_side[v]}
+
+
+def _vertex_network(g: Graph, p: int, q: int) -> tuple[_Dinic, int]:
+    """Goldberg's network for threshold p/q (see ``_density_exceeds``) and
+    the sum of its source capacities.
+
+    The source is node n and the sink node n + 1.  Edge e = (u, v), u < v,
+    is the arc pair 2e (u -> v) and 2e + 1 (v -> u), so after a flow the
+    residual capacity of arc 2e is u's share of the edge's 2q units and
+    that of arc 2e + 1 is v's: each share starts at q and moves with the
+    flow between them.
+    """
+    n, edges = g.n, g.edges
     net = _Dinic(n + 2)
-    src, snk = n, n + 1
+    net.to = [w for u, v in edges for w in (v, u)]
+    net.cap = [q] * (2 * len(edges))
+    net.adj = [[2 * e + (edges[e][1] == v) for e in g.incident_edge_ids(v)]
+               for v in range(n)] + [[], []]
     excess = 0
     for v in range(n):
-        x = q * g.degree(v) - p
+        x = q * len(net.adj[v]) - p
         if x > 0:
-            net.add_edge(src, v, x)
+            net.add_edge(n, v, x)
             excess += x
         elif x < 0:
-            net.add_edge(v, snk, -x)
-    for u, v in g.edges:
-        net.add_edge(u, v, q, q)
-    if net.max_flow(src, snk) >= excess:
-        return None
-    return {v for v in range(n) if net.level[v] >= 0}
+            net.add_edge(v, n + 1, -x)
+    return net, excess
 
 
 def subgraph_edge_count(g: Graph, vertices: set[int]) -> int:

@@ -150,9 +150,6 @@ class _Search:
         self.col_nbr[u][c] = -1
         self.col_nbr[v][c] = -1
 
-    def snapshot(self) -> EdgeColoring:
-        return EdgeColoring(self.k, tuple(self.assign))
-
     def walk_ends_at(self, u: int, v: int, mus: int, gamma: int) -> bool:
         """Fact 1: for some color mu in the bitmask ``mus`` (each present at
         u, none equal to gamma), does the maximal (mu,gamma) path leaving u

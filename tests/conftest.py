@@ -1,6 +1,9 @@
 import random
 from itertools import combinations
 
+import networkx as nx
+
+from aecolor.coloring import EdgeColoring
 from aecolor.graph import Graph, build_graph
 
 
@@ -60,6 +63,16 @@ def from_networkx(h) -> Graph:
     return build_graph(len(index), [(index[u], index[v]) for u, v in h.edges()])
 
 
+def ladder(rungs: int) -> Graph:
+    """networkx's ladder: two paths of ``rungs`` vertices joined rung by rung."""
+    return from_networkx(nx.ladder_graph(rungs))
+
+
+def hex_lattice(rows: int, cols: int) -> Graph:
+    """networkx's hexagonal lattice of rows x cols hexagons."""
+    return from_networkx(nx.hexagonal_lattice_graph(rows, cols))
+
+
 def edge_index(g: Graph) -> dict[tuple[int, int], int]:
     """Edge ids by their ends, under both orientations."""
     return {p: e for e, (u, v) in enumerate(g.edges) for p in ((u, v), (v, u))}
@@ -71,3 +84,8 @@ def load(state, c):
         if col:
             state.set(e, col)
     return state
+
+
+def snapshot(search) -> EdgeColoring:
+    """The coloring that ``search``, a coloring kernel, holds."""
+    return EdgeColoring(search.k, tuple(search.assign))

@@ -2,7 +2,9 @@
 algorithms it checks.
 
 ``mad_brute`` maximises the density over every vertex subset; it checks
-``aecolor.density.mad_exact``.  ``connected_classes`` lists the connected
+``aecolor.density.mad_exact``.  ``Dinic`` is the iterative Dinic max flow
+that the package's push-relabel replaced, and ``dinic_exceeds`` runs it on
+Goldberg's vertex network; they check ``aecolor.density._density_exceeds``.  ``connected_classes`` lists the connected
 graphs on n vertices, one per isomorphism class, without the networkx atlas
 that ``aecolor.structure.connected_graphs_upto`` reads.  ``replay_trace``
 rebuilds a coloring from the colorer's move log on a plain list, without
@@ -102,3 +104,132 @@ def replay_trace(g: Graph, k: int, trace: list) -> EdgeColoring:
         else:
             raise ValueError(f"unknown move {kind!r}")
     return EdgeColoring(k, tuple(colors))
+
+
+class Dinic:
+    """Max flow with integer capacities and deterministic arc order.
+
+    Arc i and its reverse i ^ 1 are stored side by side; ``cap`` holds
+    residual capacities.  After ``max_flow``, ``level`` is its last BFS,
+    which ran to completion, so the nodes with a level >= 0 are those
+    reachable from s in the residual graph: a minimum cut's source side.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.level: list[int] = []
+
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> None:
+        """Arc u -> v of capacity ``cap`` and its reverse of capacity
+        ``back`` (0 for a directed arc, ``cap`` for an undirected edge)."""
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(back)
+
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS distances from s in the residual graph, stopped as soon as t
+        is labelled: every node nearer than t is labelled by then, and no
+        other node at t's distance or beyond lies on a shortest s-t path."""
+        adj, to, cap = self.adj, self.to, self.cap
+        level = [-1] * self.n
+        level[s] = 0
+        frontier = [s]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for i in adj[u]:
+                    if cap[i] and level[to[i]] < 0:
+                        v = to[i]
+                        level[v] = depth
+                        if v == t:
+                            return level
+                        nxt.append(v)
+            frontier = nxt
+        return level
+
+    def max_flow(self, s: int, t: int) -> int:
+        """Dinic's algorithm with an explicit path stack, so the depth of
+        the level graph is not limited by the interpreter's recursion limit.
+
+        Each phase walks admissible arcs (positive residual capacity, level
+        up by one) from s, each node resuming at its current-arc pointer.
+        On reaching t it pushes the path's bottleneck and retreats to the
+        tail of the first arc it saturated; a node with no admissible arc
+        left is a dead end: its level becomes -1 and the walk backs up one
+        arc.  The phase ends when s is a dead end.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        flow = 0
+        while True:
+            level = self._levels(s, t)
+            if level[t] < 0:
+                self.level = level
+                return flow
+            it = [0] * self.n
+            path: list[int] = []  # arcs from s to u
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(cap[i] for i in path)
+                    first = -1
+                    for j, i in enumerate(path):
+                        cap[i] -= pushed
+                        cap[i ^ 1] += pushed
+                        if first < 0 and not cap[i]:
+                            first = j
+                    flow += pushed
+                    u = to[path[first] ^ 1]
+                    del path[first:]
+                    continue
+                arcs = adj[u]
+                k = it[u]
+                nxt = level[u] + 1
+                end = len(arcs)
+                while k < end:
+                    i = arcs[k]
+                    if cap[i] and level[to[i]] == nxt:
+                        break
+                    k += 1
+                it[u] = k
+                if k < end:
+                    path.append(i)
+                    u = to[i]
+                elif u == s:
+                    break
+                else:
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+
+
+def dinic_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
+    """The smallest maximiser of 2q*e(H) - p*|H| when it scores above 0,
+    else None: Goldberg's vertex network, built arc by arc, solved by
+    ``Dinic``, and read from its residual graph as the vertices its last
+    BFS reached from the source."""
+    m, n = g.m, g.n
+    if m == 0:
+        return None
+    net = Dinic(n + 2)
+    src, snk = n, n + 1
+    excess = 0
+    for v in range(n):
+        x = q * g.degree(v) - p
+        if x > 0:
+            net.add_edge(src, v, x)
+            excess += x
+        elif x < 0:
+            net.add_edge(v, snk, -x)
+    for u, v in g.edges:
+        net.add_edge(u, v, q, q)
+    if net.max_flow(src, snk) >= excess:
+        return None
+    return {v for v in range(n) if net.level[v] >= 0}

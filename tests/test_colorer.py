@@ -34,7 +34,7 @@ from aecolor.solver import (
     is_acyclically_k_colorable,
 )
 from conftest import (complete, complete_bipartite, cube, cycle, from_networkx, load,
-                      petersen, random_graph, star)
+                      petersen, random_graph, snapshot, star)
 from oracles import replay_trace
 
 
@@ -109,7 +109,7 @@ def test_engine_places_the_last_cycle_edge():
     engine = loaded_engine(g, EdgeColoring(3, (1, 2, 1, 0)))
     assert engine.place(3)
     assert engine.trace == [("assign", 3, 3)]
-    extended = engine.snapshot()
+    extended = snapshot(engine)
     assert extended.is_total()
     assert has_bichromatic_cycle(g, extended) is None
 
@@ -121,7 +121,7 @@ def test_engine_stuck_with_two_colors():
     c = EdgeColoring(2, (1, 2, 1, 0))
     engine = loaded_engine(g, c)
     assert not engine.place(3)
-    assert engine.snapshot() == c
+    assert snapshot(engine) == c
     assert engine.trace == []
 
 
@@ -134,7 +134,7 @@ def test_engine_repairs_with_every_color():
     engine = loaded_engine(g, EdgeColoring(3, (0, 3, 1, 2, 1, 2)))
     assert engine.place(0)
     assert [m[0] for m in engine.trace] == ["repair"]
-    extended = engine.snapshot()
+    extended = snapshot(engine)
     assert extended.colors[1:4] == (3, 1, 2)
     assert extended.is_total()
     assert has_bichromatic_cycle(g, extended) is None
@@ -228,14 +228,14 @@ def test_direct_filter_matches_full_scan():
         state = _Search(g, k, 1)  # the kernel alone: nothing searches
         for e in reversed(deletion_edge_order(g)):
             u, v = g.edges[e]
-            snapshot = state.snapshot()
+            held = snapshot(state)
             common = state.used_mask[u] & state.used_mask[v]
             open_colors = []
             for c in range(1, k + 1):
                 if (state.used_mask[u] | state.used_mask[v]) >> c & 1:
                     continue
                 closes = state.walk_ends_at(u, v, common, c)
-                assert closes == _blocked_brute(g, snapshot, e, c)
+                assert closes == _blocked_brute(g, held, e, c)
                 # one walk per common color decides the same as the mask
                 assert closes == any(
                     state.walk_ends_at(u, v, 1 << mu, c)
@@ -492,7 +492,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
               if not taken >> c & 1 and not start.walk_ends_at(u, v, common, c)]
         if f != e and ok and rng.random() < 0.8:
             start.set(f, rng.choice(ok))
-    before = start.snapshot()
+    before = snapshot(start)
 
     def outside(c, edges):
         return [col for f, col in enumerate(c.colors) if f not in edges]
@@ -504,12 +504,12 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
         assert e in ball
         bounded.append(engine._recolor(ball, k))
         if bounded[-1]:
-            after = engine.snapshot()
+            after = snapshot(engine)
             assert after.colors[e]
             assert outside(after, set(ball)) == outside(before, set(ball))
             assert has_bichromatic_cycle(g, after) is None
         else:
-            assert engine.snapshot() == before
+            assert snapshot(engine) == before
             if k ** len(ball) <= 1500:
                 assert not any(_extends(g, before, ball, cols)
                                for cols in product(range(1, k + 1), repeat=len(ball)))
@@ -524,7 +524,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
     exact = is_acyclically_k_colorable(sub, k)
     assert exact.status != "unknown"
     assert engine.place_component(e, SolveBudget()) == (exact.status == "yes")
-    after = engine.snapshot()
+    after = snapshot(engine)
     if exact.status == "yes":
         assert all(after.colors[f] for f in ids)
         assert outside(after, set(ids)) == outside(before, set(ids))

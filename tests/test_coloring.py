@@ -19,7 +19,7 @@ from aecolor.coloring import (
 from aecolor.graph import build_graph
 from aecolor.solver import _Search
 from aecolor.structure import fact2_verify
-from conftest import complete, cycle, edge_index, load, path, random_graph
+from conftest import complete, cycle, edge_index, load, path, random_graph, snapshot
 
 
 def colored_cycle(n, colors):
@@ -361,7 +361,7 @@ def test_union_find_validator_matches_pairwise_trace_scan():
         g = random_graph(rng, n, rng.randint(1, min(3 * n, n * (n - 1) // 2)))
         k = max(g.max_degree(), 2) + rng.randint(0, 2)
         if i % 3 == 0:
-            c = random_acyclic_state(rng, g, k).snapshot()
+            c = snapshot(random_acyclic_state(rng, g, k))
         else:
             # random free color per edge; an edge with none stays uncolored
             used = [set() for _ in range(g.n)]

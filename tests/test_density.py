@@ -15,7 +15,16 @@ from aecolor.density import (
     subgraph_edge_count,
 )
 from aecolor.graph import build_graph
-from conftest import complete, complete_bipartite, cycle, path, random_graph, star
+from conftest import (
+    complete,
+    complete_bipartite,
+    cycle,
+    hex_lattice,
+    ladder,
+    path,
+    random_graph,
+    star,
+)
 from oracles import mad_brute
 
 
@@ -219,3 +228,26 @@ def test_mad_rejects_a_witness_that_is_not_denser(monkeypatch):
     monkeypatch.setattr(density, "_density_exceeds", lambda g, p, q: set(range(g.n)))
     with pytest.raises(ValueError, match="not denser"):
         mad_exact(cycle(5))
+
+
+def test_mad_witness_on_a_long_ladder():
+    """The 4,000-vertex ladder: the whole graph is densest, and its one
+    flow carries each vertex's unit of excess to the four corners, up to
+    1,000 arcs away."""
+    assert mad_witness(ladder(2000)) == (Fraction(2999, 1000), list(range(4000)))
+
+
+def test_mad_witness_on_relabelled_hex_lattices():
+    """The 8x8 hexagonal lattice, whose palette the peel cannot settle: its
+    densest set leaves out six corner vertices of degree 2, under any
+    vertex numbering."""
+    g = hex_lattice(8, 8)
+    outside = {0, 1, 17, 142, 158, 159}
+    rng = random.Random(23)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        value, witness = mad_witness(h)
+        assert value == Fraction(215, 77)
+        assert witness == sorted(perm[v] for v in range(g.n) if v not in outside)

@@ -29,7 +29,7 @@ from aecolor.solver import (
     enumerate_acyclic_colorings,
     is_acyclically_k_colorable,
 )
-from conftest import complete, complete_bipartite, load, random_graph
+from conftest import complete, complete_bipartite, load, random_graph, snapshot
 
 
 class _Exhausted(Exception):
@@ -62,7 +62,7 @@ class _RecursiveSearch(_Search):
             return SolveResult("unknown", None, self.nodes)
         if not found:
             return SolveResult("no", None, self.nodes)
-        return SolveResult("yes", self.snapshot(), self.nodes)
+        return SolveResult("yes", snapshot(self), self.nodes)
 
     def extend_over(self, edges, max_used):
         old = [self.assign[e] for e in edges]
@@ -107,7 +107,7 @@ class _RecursiveSearch(_Search):
 
     def _enum(self, idx, max_used):
         if idx == len(self.order):
-            yield self.snapshot()
+            yield snapshot(self)
             return
         e = self.order[idx]
         u, v = self.g.edges[e]

@@ -1,8 +1,10 @@
-"""Goldberg's vertex network against the edge-node network it replaced.
+"""Goldberg's vertex network and its push-relabel flow against two oracles.
 
 ``_edge_node_exceeds`` is the edge-node construction with the recursive
-Dinic that solved it, kept verbatim as the oracle: both networks must
-return the same set (the smallest maximiser of 2q*e(H) - p*|H|), so
+Dinic that solved it, kept verbatim, and ``oracles.dinic_exceeds`` is the
+vertex network solved by the iterative Dinic that push-relabel replaced.
+Each reads the smallest maximiser of 2q*e(H) - p*|H| from its own residual
+graph, and ``_density_exceeds`` must return that same set, so
 ``density_at_least`` and ``mad_witness`` must not move either.
 """
 
@@ -11,8 +13,17 @@ from collections import deque
 from fractions import Fraction
 
 from aecolor import density
-from aecolor.density import _density_exceeds, _Dinic, density_at_least, mad_witness
-from conftest import random_graph
+from aecolor.cli import generate_sparse
+from aecolor.density import (
+    _density_exceeds,
+    _Dinic,
+    _vertex_network,
+    density_at_least,
+    mad_exact,
+    mad_witness,
+)
+from conftest import hex_lattice, ladder, random_graph
+from oracles import dinic_exceeds
 
 
 class _RecursiveDinic:
@@ -108,10 +119,11 @@ def _corpus(seed, count):
 
 
 def test_vertex_network_cuts_the_same_set():
-    """Same set (None included) on 1,500 random graphs and thresholds: a
-    random p/q around the densities that occur, the graph's own density
-    2m/n where Dinkelbach starts, and (pn-1)/(qn), just below a random
-    target p/q, so that sets of density exactly p/q count as denser."""
+    """Same set (None included) as both oracles on 1,500 random graphs and
+    thresholds: a random p/q around the densities that occur, the graph's
+    own density 2m/n where Dinkelbach starts, and (pn-1)/(qn), just below a
+    random target p/q, so that sets of density exactly p/q count as
+    denser."""
     found = checked = 0
     for rng, g in _corpus(60, 1500):
         q = rng.randint(1, g.n)
@@ -122,6 +134,7 @@ def test_vertex_network_cuts_the_same_set():
         for p, q in cases:
             got = _density_exceeds(g, p, q)
             assert got == _edge_node_exceeds(g, p, q), (g.edges, p, q)
+            assert got == dinic_exceeds(g, p, q), (g.edges, p, q)
             found += got is not None
             checked += 1
     assert 1000 < found < checked - 1000  # both answers are well represented
@@ -145,6 +158,56 @@ def test_flow_follows_a_path_deeper_than_the_recursion_limit():
     for v in range(length):
         net.add_edge(v, v + 1, 3 if v == length // 2 else 5 + v % 7, v % 3)
     assert net.max_flow(0, length) == 3
-    # the last BFS labels exactly the residual-reachable side
-    reached = {v for v, d in enumerate(net.level) if d >= 0}
+    # the excess stranded before the bottleneck marks exactly its side
+    reached = {v for v, side in enumerate(net.source_side) if side}
     assert reached == set(range(length // 2 + 1))
+
+
+def test_every_dinkelbach_step_cuts_the_oracle_set(monkeypatch):
+    """At each threshold that Dinkelbach's iteration reaches on uniform
+    graphs with n = 2,000 and m = 3,000, the cut is the oracle's set.  A
+    flow that ends its preflow early still lets the iteration reach mad,
+    so only a test of each step catches it."""
+    steps = []
+
+    def checked(g, p, q):
+        got = _density_exceeds(g, p, q)
+        assert got == dinic_exceeds(g, p, q), (p, q)
+        steps.append(got)
+        return got
+
+    monkeypatch.setattr(density, "_density_exceeds", checked)
+    for seed in range(2):
+        steps.clear()
+        mad_exact(generate_sparse(2000, 3000, seed))
+        assert len(steps) >= 2 and steps[-1] is None
+
+
+def _certify(g):
+    """mad's upper certificate from the flow at p/q = mad: each edge's 2q
+    units split between its ends, and no vertex receives more than p."""
+    value = mad_exact(g)
+    p, q = value.numerator, value.denominator
+    net, excess = _vertex_network(g, p, q)
+    assert net.max_flow(g.n, g.n + 1) == excess
+    load = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        to_u, to_v = net.cap[2 * e], net.cap[2 * e + 1]
+        assert 0 <= to_u <= 2 * q and 0 <= to_v <= 2 * q
+        assert to_u + to_v == 2 * q
+        load[u] += to_u
+        load[v] += to_v
+    assert max(load) <= p
+    return value
+
+
+def test_last_flow_splits_each_edge_within_mad():
+    """The flow at p/q = mad is a fractional orientation of in-degree at
+    most mad (Hakimi 1965): v's share of uv, q + f(u->v) - f(v->u), is the
+    residual capacity of the arc v -> u.  On the random small graphs, the
+    ladder and the hexagonal lattice."""
+    for _, g in _corpus(60, 1500):
+        if g.m:
+            _certify(g)
+    assert _certify(ladder(2000)) == Fraction(2999, 1000)
+    assert _certify(hex_lattice(8, 8)) == Fraction(215, 77)
