@@ -75,8 +75,10 @@ def generate_sparse(n: int, m: int, seed: int) -> Graph:
 
 
 def _emit(payload: dict) -> None:
-    # one line: json.dumps runs the C encoder, json.dump and indent do not
-    sys.stdout.write(json.dumps(payload, default=str) + "\n")
+    # one line: json.dumps runs the C encoder, json.dump and indent do not.
+    # Every payload is a fresh tree built by its command, so the circular
+    # reference check has nothing to find.
+    sys.stdout.write(json.dumps(payload, default=str, check_circular=False) + "\n")
     sys.stdout.flush()  # a closed stdout fails here, inside main's handlers
 
 

@@ -2,14 +2,15 @@
 
 Edges are inserted in reverse deletion order (smallest-last).  Each edge is
 first placed by direct assignment (M1): the lowest color free at both ends
-that passes the kernel's Fact-1 cycle test.  An edge M1 cannot place gets a
-local exact repair: uncolor the colored edges of the ball of radius r
-around it, keep every other color fixed, and search the ball exhaustively
-for colors that extend the rest, committing only a full extension.  Radii
-1 and 2 run under the move budget; with the fallback on, a last radius
-takes the edge's whole component under the solver's budget, which makes
-the procedure total.  A finished coloring is re-checked by the independent
-validator.
+that passes the kernel's Fact-1 cycle test.  M1 is ``color_graph``'s
+insertion loop itself, one bitmask and at most one two-color walk per color
+tried.  An edge M1 cannot place gets a local exact repair (``place``):
+uncolor the colored edges of the ball of radius r around it, keep every
+other color fixed, and search the ball exhaustively for colors that extend
+the rest, committing only a full extension.  Radii 1 and 2 run under the
+move budget; with the fallback on, a last radius takes the edge's whole
+component under the solver's budget, which makes the procedure total.  A
+finished coloring is re-checked by the independent validator.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 from typing import Literal
 
@@ -79,9 +81,10 @@ def peel_palette(g: Graph, order: list[int]) -> tuple[int, str] | None:
 
 
 class _Colorer(_Search):
-    """The search kernel plus the colorer's insertion order, move budget
-    and move log.  One node counter, ``nodes``, counts M1's color tries and
-    the bounded repairs' search nodes against the move budget."""
+    """The search kernel plus the colorer's insertion order, move budget,
+    move log and repairs.  One node counter, ``nodes``, counts M1's color
+    tries (made by ``color_graph``) and the bounded repairs' search nodes
+    against the move budget."""
 
     def __init__(self, g: Graph, k: int, move_budget: int,
                  order: list[int] | None = None):
@@ -91,46 +94,15 @@ class _Colorer(_Search):
         if order is None:
             order = deletion_edge_order(g)
         self.insertion = order[::-1]
-        self.pos = {e: i for i, e in enumerate(self.insertion)}
         self.trace: list[Move] = []
-        self.counts = {"assign": 0, "repair": 0}
+        self.repairs = 0
 
     def _recolor(self, edges: list[int], max_used: int) -> bool:
         if self.extend_over(edges, max_used) != "yes":
             return False
         self.trace.append(("repair", tuple(edges), tuple(self.assign[e] for e in edges)))
-        self.counts["repair"] += 1
+        self.repairs += 1
         return True
-
-    def try_direct(self, e: int) -> bool:
-        """M1: the lowest color free at both ends that passes the Fact-1
-        cycle test.  The free colors are the bits of one mask, tried from
-        the lowest; each color tried is one node.
-
-        A cycle closed by uv leaves u on a color present at both ends
-        (``walk_ends_at``), so when the ends share no color the first free
-        color is placed without a walk."""
-        # A one-edge repair, _recolor([e], self.k), picks the same color in
-        # the same nodes, but each call pays for the search's generator,
-        # budget exception and saved colors.  Placing every edge that way
-        # took the benchmark's regular_tight pass from 0.20 s to 0.27 s and
-        # sparse_auto's from 0.088 s to 0.10 s (2-core machine).
-        u, v = self.g.edges[e]
-        mask_u, mask_v = self.used_mask[u], self.used_mask[v]
-        free, common = ((2 << self.k) - 2) & ~(mask_u | mask_v), mask_u & mask_v
-        while free:
-            low = free & -free
-            free ^= low
-            c = low.bit_length() - 1
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                return False
-            if not common or not self.walk_ends_at(u, v, common, c):
-                self.set(e, c)
-                self.trace.append(("assign", e, c))
-                self.counts["assign"] += 1
-                return True
-        return False
 
     def ball(self, e: int, r: float) -> list[int]:
         """e plus the colored edges with an end within distance r - 1 of
@@ -147,16 +119,18 @@ class _Colorer(_Search):
             edges = {f for f in edges if self.assign[f]} | {e}
         return sorted(edges, key=self.pos.__getitem__)
 
+    @cached_property
+    def pos(self) -> dict[int, int]:
+        """Each edge's position in the insertion order, built by the first
+        ``ball``: M1 alone never needs it."""
+        return {e: i for i, e in enumerate(self.insertion)}
+
     def place(self, e: int) -> bool:
-        """M1, then exact repairs of radius 1 and 2, all under the move
-        budget.  A radius whose ball is no larger than the last one's is
-        skipped.  Nothing runs once the budget is spent, so a run that
-        runs out reports ``moves_spent`` = budget + 1: the node that
-        overran it."""
-        if self.nodes > self.max_nodes:
-            return False
-        if self.try_direct(e):
-            return True
+        """The exact repairs of radius 1 and 2 of an edge M1 could not
+        place, under the move budget.  A radius whose ball is no larger
+        than the last one's is skipped, so a ball of e alone, which M1 has
+        already tried, is never searched.  Nothing runs once the budget is
+        spent."""
         size = 1
         for r in (1, 2):
             if self.nodes > self.max_nodes:
@@ -197,7 +171,9 @@ def color_graph(
     the caller already has ``deletion_edge_order(g)``), placing each by M1
     or a bounded repair; with the fallback on, an edge these cannot place
     gets its whole component recolored by exact search, and the outcome is
-    "fallback-success".  A move budget below 1 raises ValueError.
+    "fallback-success".  A move budget below 1 raises ValueError.  Nothing
+    but the fallback runs once the move budget is spent, so a run that runs
+    out reports ``moves_spent`` = budget + 1: the node that overran it.
 
     The engine runs at min(k, m) colors, so its n(k + 1) neighbor slots
     stay O(nm) however large k is; the report carries k.  With k >= m the
@@ -214,10 +190,43 @@ def color_graph(
     if move_budget is None:
         move_budget = 50 * max(g.m, 1)
     engine = _Colorer(g, min(k, g.m), move_budget, order)
+    # M1, run here with the kernel's lists and bound methods in locals: the
+    # lowest color free at both ends that passes the Fact-1 cycle test.  The
+    # free colors are the bits of one mask, tried from the lowest, each try
+    # one node.  A cycle closed by uv leaves u on a color present at both
+    # ends (walk_ends_at), so when the ends share none the first free color
+    # is placed without a walk.  A one-edge repair would pick the same color
+    # in the same nodes, but pays for the search's generator, budget
+    # exception and saved colors on every edge.  engine.nodes is written
+    # back before place reads it.
+    edges, assign, used_mask = g.edges, engine.assign, engine.used_mask
+    set_color, walk_ends_at, log = engine.set, engine.walk_ends_at, engine.trace.append
+    palette, max_nodes = (2 << engine.k) - 2, engine.max_nodes
+    assigned = 0
     outcome = "success"
     for e in engine.insertion:
-        if engine.assign[e] or engine.place(e):
+        if assign[e]:
             continue
+        nodes = engine.nodes
+        if nodes <= max_nodes:
+            u, v = edges[e]
+            mask_u, mask_v = used_mask[u], used_mask[v]
+            free, common = palette & ~(mask_u | mask_v), mask_u & mask_v
+            while free:
+                low = free & -free
+                free ^= low
+                nodes += 1
+                if nodes > max_nodes:
+                    break
+                c = low.bit_length() - 1
+                if not common or not walk_ends_at(u, v, common, c):
+                    set_color(e, c)
+                    log(("assign", e, c))
+                    assigned += 1
+                    break
+            engine.nodes = nodes
+            if assign[e] or engine.place(e):
+                continue
         if fallback and engine.place_component(e, solve_budget or SolveBudget()):
             outcome = "fallback-success"
             continue
@@ -230,5 +239,5 @@ def color_graph(
         raise ColoringError("colorer produced an invalid coloring")
     return ColoringReport(
         outcome, k, coloring, len(coloring.colors_used()),
-        dict(engine.counts), engine.nodes, engine.trace,
+        {"assign": assigned, "repair": engine.repairs}, engine.nodes, engine.trace,
     )

@@ -6,9 +6,12 @@ taking one return new values and never mutate their inputs.  This module
 defines no mutable state.
 
 ``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
-form the validator.  The mutable coloring kernel, ``solver._Search``, lives
-in another module and this one imports nothing from it, so every coloring
-the kernel produces is checked by code that did not produce it.
+form the validator.  ``has_bichromatic_cycle`` checks properness in one pass,
+then, color pair by color pair, merges the second color's edges into the
+paths of the first color's matching, one comparison of two path ends per
+edge: O(k*m) in all.  The mutable coloring kernel, ``solver._Search``,
+lives in another module and this one imports nothing from it, so every
+coloring the kernel produces is checked by code that did not produce it.
 """
 
 from __future__ import annotations
@@ -143,12 +146,35 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
 
     Rejects an improper coloring with ImproperColoringError, naming the
     vertex ``properness_violation`` returns, and a coloring of the wrong
-    length with ColoringError.  A union-find over each color pair in
-    turn (``_closing_end``, one root list of n entries for every pair)
-    finds the first pair with a cycle in O(n + k*m).  The edge that closes it
-    lies on the cycle, which is the whole (a,b)-component of its ends, so
-    tracing from one end finds the cycle; it is reported as traced from its
-    lowest vertex.
+    length with ColoringError.  The color pairs (a, b), a < b, are taken in
+    order, and the first pair with a cycle is reported.
+
+    For each color a, the ends of a's edges are numbered into 2|A| slots,
+    the i-th edge's ends getting slots 2i and 2i + 1, so slot t's partner
+    across its a-edge is t ^ 1.  Each later color b's edges are then
+    merged, in order, into ``end``, a fresh copy of those partners.
+    Properness makes the (a,b)-subgraph a union of disjoint paths and even
+    cycles (Fact 1).  Two rules keep the merge exact:
+
+    - A b-edge with an end x outside a's matching lies on no (a,b)-cycle:
+      every vertex of such a cycle has an a-edge.  x has no other edge in
+      the subgraph, so the edge only adds x as a leaf, joins no two
+      vertices that another edge meets, and is skipped.
+    - Every other b-edge joins two path ends.  Before it, each end has its
+      a-edge and, properness again, no b-edge yet, so each end is the end
+      of a path of the subgraph built so far, which holds the whole
+      matching and the b-edges before it.  Each path's two end slots name
+      each other in the copy, which the merge keeps true: two different
+      paths become one whose ends are their far ends.  When the two slots
+      end one path, the edge closes it into a cycle.  That is the first
+      edge whose ends are already connected, the edge that a union-find
+      over the same edges closes first.
+
+    So the cost is O(|A| + |B|) for a pair, O(k*m) in all, with no per-pair
+    reset; ``where``, the slot of each vertex, is written and cleared once
+    per color.  The edge that closes a cycle lies on it, and the cycle is
+    the whole (a,b)-component of its ends, so tracing from one end finds
+    the cycle; it is reported as traced from its lowest vertex.
     """
     bad = properness_violation(g, c)
     if bad is not None:
@@ -157,46 +183,31 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     for edge, col in zip(g.edges, c.colors):
         by_color.setdefault(col, []).append(edge)
     used = sorted(by_color.keys() - {0})  # class 0 is the uncolored edges
-    root = list(range(g.n))
-    for i, a in enumerate(used):
+    where = [-1] * g.n
+    for i in range(len(used) - 1):  # the last color has no later one
+        a = used[i]
+        matching = by_color[a]
+        partner: list[int] = []
+        for x, y in matching:
+            t = len(partner)
+            where[x] = t
+            where[y] = t + 1
+            partner += t + 1, t
         for b in used[i + 1:]:
-            v = _closing_end(by_color[a], by_color[b], root)
-            if v is not None:
-                cycle = trace_bichromatic(g, c, a, b, v)
-                return trace_bichromatic(g, c, a, b, min(cycle.vertices))
-    return None
-
-
-def _closing_end(matching: list[tuple[int, int]], edges: list[tuple[int, int]],
-                 root: list[int]) -> int | None:
-    """An end of the first of ``edges`` that closes a cycle with
-    ``matching`` and the edges before it, or None if together they form a
-    forest.
-
-    ``root`` is a union-find forest (path halving) over the vertices with
-    every vertex its own root on entry.  Only the ends of the two lists
-    move, and a None return resets just those, so one list of n entries
-    serves every color pair of a call.  ``matching`` is a color class of a
-    proper coloring, so no two of its edges share an end: each is linked
-    directly, and no find runs for it.
-    """
-    for x, y in matching:
-        root[x] = y
-    for end, v in edges:
-        u = end
-        while root[u] != u:
-            root[u] = u = root[root[u]]
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        if u == v:
-            return end
-        root[u] = v
-    for x, y in matching:
-        root[x] = x
-        root[y] = y
-    for x, y in edges:
-        root[x] = x
-        root[y] = y
+            end = partner[:]  # end[t]: the far end slot of the path ending at t
+            for u, v in by_color[b]:
+                s, t = where[u], where[v]
+                if s < 0 or t < 0:
+                    continue
+                p = end[s]
+                if p == t:
+                    cycle = trace_bichromatic(g, c, a, b, u)
+                    return trace_bichromatic(g, c, a, b, min(cycle.vertices))
+                q = end[t]
+                end[p] = q
+                end[q] = p
+        for x, y in matching:
+            where[x] = where[y] = -1
     return None
 
 

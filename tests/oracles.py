@@ -8,7 +8,10 @@ Goldberg's vertex network; they check ``aecolor.density._density_exceeds``.  ``c
 graphs on n vertices, one per isomorphism class, without the networkx atlas
 that ``aecolor.structure.connected_graphs_upto`` reads.  ``replay_trace``
 rebuilds a coloring from the colorer's move log on a plain list, without
-the coloring kernel that made the moves.
+the coloring kernel that made the moves.  ``union_find_bichromatic_cycle``
+and ``_closing_end`` are the union-find validator that the package's
+path-end merge replaced, kept as they were; they check
+``aecolor.coloring.has_bichromatic_cycle``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from aecolor.coloring import EdgeColoring
+from aecolor.coloring import (
+    BichromaticTrace,
+    EdgeColoring,
+    ImproperColoringError,
+    properness_violation,
+    trace_bichromatic,
+)
 from aecolor.graph import Graph, build_graph, is_connected
 
 
@@ -233,3 +242,65 @@ def dinic_exceeds(g: Graph, p: int, q: int) -> set[int] | None:
     if net.max_flow(src, snk) >= excess:
         return None
     return {v for v in range(n) if net.level[v] >= 0}
+
+
+def union_find_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
+    """Some bichromatic cycle if one exists; None means the coloring is acyclic.
+
+    Rejects an improper coloring with ImproperColoringError, naming the
+    vertex ``properness_violation`` returns, and a coloring of the wrong
+    length with ColoringError.  A union-find over each color pair in
+    turn (``_closing_end``, one root list of n entries for every pair)
+    finds the first pair with a cycle in O(n + k*m).  The edge that closes it
+    lies on the cycle, which is the whole (a,b)-component of its ends, so
+    tracing from one end finds the cycle; it is reported as traced from its
+    lowest vertex.
+    """
+    bad = properness_violation(g, c)
+    if bad is not None:
+        raise ImproperColoringError(bad)
+    by_color: dict[int, list[tuple[int, int]]] = {}
+    for edge, col in zip(g.edges, c.colors):
+        by_color.setdefault(col, []).append(edge)
+    used = sorted(by_color.keys() - {0})  # class 0 is the uncolored edges
+    root = list(range(g.n))
+    for i, a in enumerate(used):
+        for b in used[i + 1:]:
+            v = _closing_end(by_color[a], by_color[b], root)
+            if v is not None:
+                cycle = trace_bichromatic(g, c, a, b, v)
+                return trace_bichromatic(g, c, a, b, min(cycle.vertices))
+    return None
+
+
+def _closing_end(matching: list[tuple[int, int]], edges: list[tuple[int, int]],
+                 root: list[int]) -> int | None:
+    """An end of the first of ``edges`` that closes a cycle with
+    ``matching`` and the edges before it, or None if together they form a
+    forest.
+
+    ``root`` is a union-find forest (path halving) over the vertices with
+    every vertex its own root on entry.  Only the ends of the two lists
+    move, and a None return resets just those, so one list of n entries
+    serves every color pair of a call.  ``matching`` is a color class of a
+    proper coloring, so no two of its edges share an end: each is linked
+    directly, and no find runs for it.
+    """
+    for x, y in matching:
+        root[x] = y
+    for end, v in edges:
+        u = end
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            return end
+        root[u] = v
+    for x, y in matching:
+        root[x] = x
+        root[y] = y
+    for x, y in edges:
+        root[x] = x
+        root[y] = y
+    return None

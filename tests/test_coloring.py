@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 import aecolor.coloring
+from aecolor.cli import generate_sparse
 from aecolor.coloring import (
     BichromaticTrace,
     ColoringError,
@@ -20,6 +22,7 @@ from aecolor.graph import build_graph
 from aecolor.solver import _Search
 from aecolor.structure import fact2_verify
 from conftest import complete, cycle, edge_index, load, path, random_graph, snapshot
+from oracles import union_find_bichromatic_cycle
 
 
 def colored_cycle(n, colors):
@@ -327,6 +330,21 @@ def _is_closed_alternating(g, c, trace):
             and all(x != y for x, y in zip(cols, cols[1:] + cols[:1])))
 
 
+def _random_colors(rng, g, k, uncolored=0.0):
+    """A random free color per edge, in random edge order; an edge with
+    none, or drawn with probability ``uncolored``, stays uncolored."""
+    used = [0] * g.n
+    colors = [0] * g.m
+    for e in rng.sample(range(g.m), g.m):
+        u, v = g.edges[e]
+        free = [x for x in range(1, k + 1) if not (used[u] | used[v]) >> x & 1]
+        if free and not (uncolored and rng.random() < uncolored):
+            colors[e] = col = rng.choice(free)
+            used[u] |= 1 << col
+            used[v] |= 1 << col
+    return colors
+
+
 def _check_against_scan(g, c):
     """has_bichromatic_cycle against the scan over every color pair in
     order; returns the scan's cycles of the first pair that has one."""
@@ -349,7 +367,7 @@ def _check_against_scan(g, c):
     return cycles
 
 
-def test_union_find_validator_matches_pairwise_trace_scan():
+def test_path_end_validator_matches_pairwise_trace_scan():
     """On random proper colorings, partial and total, cyclic and acyclic,
     has_bichromatic_cycle agrees with the pairwise scan: the same verdict,
     the same first color pair, the scan's cycle whenever that pair has only
@@ -363,19 +381,78 @@ def test_union_find_validator_matches_pairwise_trace_scan():
         if i % 3 == 0:
             c = snapshot(random_acyclic_state(rng, g, k))
         else:
-            # random free color per edge; an edge with none stays uncolored
-            used = [set() for _ in range(g.n)]
-            colors = [0] * g.m
-            for e in rng.sample(range(g.m), g.m):
-                u, v = g.edges[e]
-                free = [x for x in range(1, k + 1) if x not in used[u] | used[v]]
-                if free:
-                    colors[e] = col = rng.choice(free)
-                    used[u].add(col)
-                    used[v].add(col)
-            c = EdgeColoring(k, tuple(colors))
+            c = EdgeColoring(k, tuple(_random_colors(rng, g, k)))
         verdicts.add(not _check_against_scan(g, c))
     assert verdicts == {True, False}
+
+
+def _verdict(validator, g, c):
+    """A validator's answer: its trace or None, or the vertex that its
+    ImproperColoringError names."""
+    try:
+        return validator(g, c)
+    except ImproperColoringError as exc:
+        return ("improper", exc.vertex)
+
+
+def test_path_end_merge_matches_the_union_find_validator():
+    """On seeded random colorings, partial and total, proper and improper,
+    cyclic and acyclic, has_bichromatic_cycle answers as the union-find
+    validator it replaced: the same BichromaticTrace, the same None, or an
+    ImproperColoringError naming the same vertex."""
+    rng = random.Random(47)
+    kinds = Counter()
+    for i in range(600):
+        n = rng.randint(2, 24)
+        g = random_graph(rng, n, rng.randint(1, min(3 * n, n * (n - 1) // 2)))
+        k = max(g.max_degree(), 2) + rng.randint(0, 3)
+        mode = i % 4
+        if mode == 0:
+            colors = snapshot(random_acyclic_state(rng, g, k)).colors
+        elif mode == 3:
+            # any colors at all: usually improper
+            colors = [rng.randint(0, k) for _ in range(g.m)]
+        else:
+            colors = _random_colors(rng, g, k, uncolored=0.3 if mode == 1 else 0.0)
+        c = EdgeColoring(k, tuple(colors))
+        want = _verdict(union_find_bichromatic_cycle, g, c)
+        assert _verdict(has_bichromatic_cycle, g, c) == want, (i, g.edges, colors)
+        kinds["total" if c.is_total() else "partial"] += 1
+        kinds["acyclic" if want is None else
+              "cyclic" if isinstance(want, BichromaticTrace) else "improper"] += 1
+    assert min(kinds[x] for x in ("total", "partial", "acyclic", "cyclic", "improper")) >= 50
+
+
+def test_path_end_merge_matches_the_union_find_validator_on_many_colors():
+    """A sparse graph with at least 200 colors, plus a 6-cycle left
+    uncolored or colored alternately with two of them: the validators agree
+    on it acyclic, cyclic, partial and improper."""
+    rng = random.Random(53)
+    sparse = generate_sparse(1000, 1500, 5)
+    hexagon = [(1000 + i, 1000 + (i + 1) % 6) for i in range(6)]
+    g = build_graph(1006, list(sparse.edges) + hexagon)
+    k = 300
+    colors = _random_colors(rng, sparse, k) + [0] * 6
+    assert len(set(colors) - {0}) >= 200
+    cases = {"acyclic": colors[:]}
+    colors[-6:] = [150, 151] * 3
+    cases["cyclic"] = colors[:]
+    cases["partial"] = [0 if rng.random() < 0.2 else col for col in colors]
+    u, v = sparse.edges[0]
+    clash = next(f for f, (x, y) in enumerate(sparse.edges) if f and u in (x, y))
+    improper = colors[:]
+    improper[clash] = improper[0]
+    cases["improper"] = improper
+    verdicts = {}
+    for name, cols in cases.items():
+        c = EdgeColoring(k, tuple(cols))
+        want = _verdict(union_find_bichromatic_cycle, g, c)
+        assert _verdict(has_bichromatic_cycle, g, c) == want, name
+        verdicts[name] = want
+    assert verdicts["acyclic"] is None
+    assert verdicts["cyclic"] == BichromaticTrace(
+        (150, 151), (1000, 1001, 1002, 1003, 1004, 1005, 1000), True)
+    assert verdicts["improper"] == ("improper", u)
 
 
 def test_validator_reports_the_cycle_the_union_find_closes():
@@ -390,8 +467,9 @@ def test_validator_reports_the_cycle_the_union_find_closes():
     assert has_bichromatic_cycle(g, c).vertices == (4, 5, 6, 7, 4)
 
 
-# One root list serves every color pair of a call; the next three tests
-# fail if the vertices a pair joined are not reset before the next pair.
+# Each color pair merges into a fresh copy of color a's slot partners, and
+# the slots of a's ends are cleared before the next a; the next three tests
+# fail if the paths of one pair leak into a later one.
 
 def test_validator_finds_a_cycle_in_the_last_pair_only():
     # C4 0-1-2-3 colored 2,3,2,3 plus the chord 0-2 colored 1: pairs (1,2)
