@@ -181,9 +181,9 @@ def cmd_color(args) -> int:
         "colors_used": report.colors_used,
         "move_counts": report.move_counts,
         "moves_spent": report.moves_spent,
-        "coloring": _coloring_triples(g, report.coloring) if report.coloring else None,
+        "coloring": _coloring_triples(g, report.coloring),
     }
-    if args.out and report.coloring is not None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(ck.format_coloring(g, report.coloring))
         payload["coloring_file"] = args.out
@@ -191,7 +191,7 @@ def cmd_color(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as f:
             json.dump([list(m) for m in report.trace], f)
         payload["trace_file"] = args.trace
-    if args.dot and report.coloring is not None:
+    if args.dot:
         write_dot(g, report.coloring, args.dot)
         payload["dot_file"] = args.dot
     _emit(payload)

@@ -8,23 +8,23 @@ tried.  An edge M1 cannot place gets a local exact repair (``place``):
 uncolor the colored edges of the ball of radius r around it, keep every
 other color fixed, and search the ball exhaustively for colors that extend
 the rest, committing only a full extension.  Radii 1 and 2 run under the
-move budget; with the fallback on, a last radius takes the edge's whole
-component under the solver's budget, which makes the procedure total.  A
+move budget; with the fallback on, the solver's decision on the edge's
+whole component, under the solver's budget, makes the procedure total.  A
 finished coloring is re-checked by the independent validator.
 """
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import inf
 from typing import Literal
 
 from .coloring import ColoringError, EdgeColoring, has_bichromatic_cycle
-from .graph import Graph
-from .solver import SolveBudget, _Search, deletion_edge_order, walk_peel
+from .graph import Graph, build_graph
+from .solver import (SolveBudget, _Search, deletion_edge_order,
+                     is_acyclically_k_colorable, walk_peel)
 
 Move = tuple  # ("assign", e, c) | ("repair", (edges...), (colors...))
 
@@ -33,7 +33,7 @@ Move = tuple  # ("assign", e, c) | ("repair", (edges...), (colors...))
 class ColoringReport:
     outcome: Literal["success", "fallback-success", "failure"]
     k: int
-    coloring: EdgeColoring | None
+    coloring: EdgeColoring  # partial on failure
     colors_used: int
     move_counts: dict[str, int]
     moves_spent: int
@@ -95,34 +95,30 @@ class _Colorer(_Search):
             order = deletion_edge_order(g)
         self.insertion = order[::-1]
         self.trace: list[Move] = []
-        self.repairs = 0
 
-    def _recolor(self, edges: list[int], max_used: int) -> bool:
-        if self.extend_over(edges, max_used) != "yes":
-            return False
+    def _log_repair(self, edges: list[int]) -> bool:
         self.trace.append(("repair", tuple(edges), tuple(self.assign[e] for e in edges)))
-        self.repairs += 1
         return True
 
-    def ball(self, e: int, r: float) -> list[int]:
-        """e plus the colored edges with an end within distance r - 1 of
-        an end of e (r >= 1), in insertion order; r = inf gives every edge
-        of e's component, colored or not."""
-        g = self.g
-        near = frontier = set(g.edges[e])
+    def near(self, e: int, r: int) -> set[int]:
+        """The vertices within distance r - 1 of an end of e (r >= 1)."""
+        near = frontier = set(self.g.edges[e])
         while frontier and r > 1:
-            frontier = {w for x in frontier for w in g.neighbors(x)} - near
+            frontier = {w for x in frontier for w in self.g.neighbors(x)} - near
             near |= frontier
             r -= 1
-        edges = {f for x in near for f in g.incident_edge_ids(x)}
-        if r < inf:
-            edges = {f for f in edges if self.assign[f]} | {e}
+        return near
+
+    def ball(self, e: int, r: int) -> list[int]:
+        """e and the colored edges at ``near(e, r)``, in insertion order."""
+        assign, inc = self.assign, self.g.incident_edge_ids
+        edges = {f for x in self.near(e, r) for f in inc(x) if assign[f]} | {e}
         return sorted(edges, key=self.pos.__getitem__)
 
     @cached_property
     def pos(self) -> dict[int, int]:
         """Each edge's position in the insertion order, built by the first
-        ``ball``: M1 alone never needs it."""
+        ``ball`` or fallback: M1 alone never needs it."""
         return {e: i for i, e in enumerate(self.insertion)}
 
     def place(self, e: int) -> bool:
@@ -136,25 +132,41 @@ class _Colorer(_Search):
             if self.nodes > self.max_nodes:
                 return False
             ball = self.ball(e, r)
-            if len(ball) > size and self._recolor(ball, self.k):
-                return True
+            if len(ball) > size and self.extend_over(ball) == "yes":
+                return self._log_repair(ball)
             size = len(ball)
         return False
 
     def place_component(self, e: int, budget: SolveBudget) -> bool:
-        """The last, unbounded radius: recolor e's whole component from
-        scratch under the solver's node and time budget.  Its nodes do not
-        count against the move budget."""
-        edges = self.ball(e, inf)
-        spent, limit = self.nodes, self.max_nodes
-        self.nodes, self.max_nodes = 0, budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds
-        try:
-            # nothing colored touches a whole component, so the color-renaming
-            # reduction stays on (see extend_over)
-            return self._recolor(edges, 0)
-        finally:
-            self.nodes, self.max_nodes, self.deadline = spent, limit, None
+        """The fallback: decide e's component C, built as a graph of its own
+        (vertices relabelled in ascending order, edges in id order), with
+        ``is_acyclically_k_colorable`` under the solver's budget, and on
+        "yes" recolor C.  Its nodes do not count against the move budget.
+        The colors are those of the search over C's edges in insertion
+        order on this kernel at min(k, m) colors, renaming reduction on:
+
+        - nothing colored touches a whole component;
+        - ``deletion_edge_order`` restricted to C is C's own under the
+          order-preserving relabelling: other components never change C's
+          heap keys (d, v), and the incident ids stay ascending;
+        - the reduction offers the i-th edge no color above i + 1 <= m_C,
+          so min(k, m) and min(k, m_C) colors try the same colors, with
+          the same nodes, coloring and trace.
+        """
+        g = self.g
+        vertices = sorted(self.near(e, g.n))  # distance < n reaches all of C
+        label = {v: i for i, v in enumerate(vertices)}
+        edges = sorted({f for v in vertices for f in g.incident_edge_ids(v)})
+        sub = build_graph(len(vertices), [(label[u], label[v]) for u, v in
+                                          map(g.edges.__getitem__, edges)])
+        result = is_acyclically_k_colorable(sub, self.k, budget)
+        if result.status != "yes":
+            return False
+        for f in filter(self.assign.__getitem__, edges):
+            self.unset(f)
+        for f, c in zip(edges, result.coloring.colors):
+            self.set(f, c)
+        return self._log_repair(sorted(edges, key=self.pos.__getitem__))
 
 
 def color_graph(
@@ -170,10 +182,11 @@ def color_graph(
     Processes edges in reverse smallest-last deletion order (``order``, if
     the caller already has ``deletion_edge_order(g)``), placing each by M1
     or a bounded repair; with the fallback on, an edge these cannot place
-    gets its whole component recolored by exact search, and the outcome is
-    "fallback-success".  A move budget below 1 raises ValueError.  Nothing
-    but the fallback runs once the move budget is spent, so a run that runs
-    out reports ``moves_spent`` = budget + 1: the node that overran it.
+    gets its whole component decided and recolored by the exact solver,
+    and the outcome is "fallback-success".  A move budget below 1 raises
+    ValueError.  Nothing but the fallback runs once the move budget is
+    spent, so a run that runs out reports ``moves_spent`` = budget + 1: the
+    node that overran it.
 
     The engine runs at min(k, m) colors, so its n(k + 1) neighbor slots
     stay O(nm) however large k is; the report carries k.  With k >= m the
@@ -181,9 +194,8 @@ def color_graph(
     one by Fact 1, only if a placed edge has it, and fewer than m edges are
     placed; so it accepts a color <= m after the same tries at k as at m,
     unless the move budget runs out, and ``place`` then stops before any
-    ball search.  The fallback's renaming reduction offers the i-th of its
-    <= m edges no color above i.  So the colors, the trace and
-    ``moves_spent`` are the same.
+    ball search.  The fallback decides at the engine's min(k, m) colors.
+    So the colors, the trace and ``moves_spent`` are the same.
     """
     if k < g.max_degree():
         raise ValueError("palette smaller than the maximum degree")
@@ -202,7 +214,6 @@ def color_graph(
     edges, assign, used_mask = g.edges, engine.assign, engine.used_mask
     set_color, walk_ends_at, log = engine.set, engine.walk_ends_at, engine.trace.append
     palette, max_nodes = (2 << engine.k) - 2, engine.max_nodes
-    assigned = 0
     outcome = "success"
     for e in engine.insertion:
         if assign[e]:
@@ -222,7 +233,6 @@ def color_graph(
                 if not common or not walk_ends_at(u, v, common, c):
                     set_color(e, c)
                     log(("assign", e, c))
-                    assigned += 1
                     break
             engine.nodes = nodes
             if assign[e] or engine.place(e):
@@ -237,7 +247,8 @@ def color_graph(
     if outcome != "failure" and (
             not coloring.is_total() or has_bichromatic_cycle(g, coloring) is not None):
         raise ColoringError("colorer produced an invalid coloring")
+    kinds = Counter(move[0] for move in engine.trace)
     return ColoringReport(
         outcome, k, coloring, len(coloring.colors_used()),
-        {"assign": assigned, "repair": engine.repairs}, engine.nodes, engine.trace,
+        {"assign": kinds["assign"], "repair": kinds["repair"]}, engine.nodes, engine.trace,
     )

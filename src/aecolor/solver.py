@@ -6,9 +6,9 @@ encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
 check, and one sound symmetry reduction: new colors are introduced in
 ascending order, which leaves one coloring per orbit of color renamings.
 The decision and the enumerator search the same smallest-last insertion
-order as the colorer.  ``_Search``, the one mutable coloring kernel, runs
-the search with ``extend_over`` for the decision and for the colorer's
-repairs on a partial coloring; the enumerator runs it directly.
+order as the colorer.  ``_Search`` is the one mutable coloring kernel: the
+decision and the enumerator run its search from the empty coloring, and
+``extend_over`` recolors a ball of the colorer's partial coloring.
 ``chi_a_exact`` starts its upward search at a counting lower bound, a
 certificate re-counted on its witness vertex set, not a guess.
 """
@@ -116,8 +116,8 @@ class _Search:
     ``used_mask[v]`` says whether color c is present at v; ``set`` and
     ``unset`` keep the three consistent and assume the coloring stays
     proper.  ``walk_ends_at`` is the incremental Fact-1 cycle test.  The
-    search, driven by ``extend_over``, recolors a list of edges, keeping
-    every other color fixed.  ``deadline`` is read every 4096 nodes; with
+    search, ``_colorings``, colors a list of edges, keeping every other
+    color fixed.  ``deadline`` is read every 4096 nodes; with
     none the clock is never read, so node counts repeat exactly."""
 
     def __init__(self, g: Graph, k: int, max_nodes: int,
@@ -186,41 +186,29 @@ class _Search:
                 and time.monotonic() > self.deadline):
             raise BudgetExhausted
 
-    def extend_over(self, edges: list[int], max_used: int) -> Status:
+    def extend_over(self, edges: list[int]) -> Status:
         """Recolor ``edges``, in this order, keeping every other color
         fixed, so that the coloring stays proper and acyclic.  Returns
         "yes" with the new colors set, or "no" (no recoloring exists) or
         "unknown" (the budget ran out) with the old ones back.  The rest
         must be proper and acyclic: Fact 1 sees only cycles through the
-        edge being colored.  ``max_used`` starts the renaming reduction:
-
-        - ``k`` turns it off (every color is tried), as a bounded ball
-          needs.  A fixed exterior breaks the symmetry: colors no ball edge
-          uses yet differ in which exterior edges carry them, so they are
-          not interchangeable.  With one colored edge at u, color 1 is
-          illegal on uv and a search offering only 1 would miss color 2.
-        - ``0`` keeps it when ``edges`` are whole components that nothing
-          colored touches, such as the whole graph from the empty coloring.
-          Properness joins only edges that share a vertex and a bichromatic
-          cycle is connected, so no constraint leaves the components: the
-          extensions are their own acyclic colorings, closed under
-          renaming, and if any exists one has its colors first appear as
-          1, 2, ..., j along ``edges`` (see ``enumerate_acyclic_colorings``)
-          -- the prefixes it admits.
+        edge being colored.  Every color is offered to every edge: a fixed
+        exterior breaks the renaming symmetry, as colors no edge of
+        ``edges`` uses yet differ in which exterior edges carry them.  With
+        one colored edge at u, color 1 is illegal on uv, and a search
+        offering only 1 would miss color 2.
         """
         old = [self.assign[e] for e in edges]
-        for e in edges:
-            if self.assign[e]:
-                self.unset(e)
+        for e in filter(self.assign.__getitem__, edges):
+            self.unset(e)
         status: Status = "no"
         try:
-            for _ in self._colorings(edges, max_used):
+            for _ in self._colorings(edges, self.k):
                 return "yes"
         except BudgetExhausted:
             status = "unknown"
-            for e in edges:
-                if self.assign[e]:
-                    self.unset(e)
+            for e in filter(self.assign.__getitem__, edges):
+                self.unset(e)
         for e, c in zip(edges, old):
             if c:
                 self.set(e, c)
@@ -300,17 +288,17 @@ def is_acyclically_k_colorable(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g.m == 0:
-        return SolveResult("yes", EdgeColoring(k, ()))
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
     search = _Search(g, min(k, g.m), budget.max_nodes,
                      time.monotonic() + budget.max_seconds)
     if order is None:
         order = deletion_edge_order(g)
-    status = search.extend_over(order[::-1], 0)
-    if status != "yes":
-        return SolveResult(status, None, search.nodes)
+    try:
+        if not any(True for _ in search._colorings(order[::-1], 0)):
+            return SolveResult("no", None, search.nodes)
+    except BudgetExhausted:
+        return SolveResult("unknown", None, search.nodes)
     c = EdgeColoring(k, tuple(search.assign))
     # has_bichromatic_cycle also raises on an improper coloring
     if not c.is_total() or has_bichromatic_cycle(g, c) is not None:

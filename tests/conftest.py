@@ -5,6 +5,7 @@ import networkx as nx
 
 from aecolor.coloring import EdgeColoring
 from aecolor.graph import Graph, build_graph
+from aecolor.solver import _Search
 
 
 def cycle(n: int) -> Graph:
@@ -89,3 +90,18 @@ def load(state, c):
 def snapshot(search) -> EdgeColoring:
     """The coloring that ``search``, a coloring kernel, holds."""
     return EdgeColoring(search.k, tuple(search.assign))
+
+
+def random_acyclic_state(rng, g, k):
+    """A kernel holding a random acyclic partial coloring: edges in random
+    order, each given a random color that keeps the coloring acyclic."""
+    state = _Search(g, k, 1)
+    for e in rng.sample(range(g.m), g.m):
+        u, v = g.edges[e]
+        taken = state.used_mask[u] | state.used_mask[v]
+        common = state.used_mask[u] & state.used_mask[v]
+        ok = [c for c in range(1, k + 1)
+              if not taken >> c & 1 and not state.walk_ends_at(u, v, common, c)]
+        if ok:
+            state.set(e, rng.choice(ok))
+    return state

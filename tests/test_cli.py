@@ -109,6 +109,17 @@ def test_chi_a_budget_exhaustion_exit_2(tmp_path, capsys):
     assert payload["chi_a"] is None
 
 
+def test_chi_a_time_limit_exit_2(tmp_path, capsys):
+    """K5,5 counts 6, and refuting k = 6 takes 887K nodes (about 2 s).  The
+    deadline, read every 4096 nodes, ends that search: nothing above the
+    count is decided, and the nodes spent stop at a multiple of 4096."""
+    path = write_graph(tmp_path, complete_bipartite(5, 5))
+    code, payload = run(capsys, ["chi-a", path, "--budget-secs", "0.05"])
+    assert code == 2
+    assert (payload["chi_a"], payload["decided_up_to"]) == (None, 5)
+    assert payload["nodes"] % 4096 == 0
+
+
 def test_mad_k4(tmp_path, capsys):
     path = write_graph(tmp_path, complete(4))
     code, payload = run(capsys, ["mad", path])

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -418,6 +419,53 @@ def test_spent_move_budget_stops_m1_before_each_fallback():
     assert report.moves_spent == 2
 
 
+def test_fallback_decision_stops_at_its_time_limit():
+    """With one move, K5,5's second edge goes to the fallback, whose
+    decision at k = 6 would take 887K nodes (about 2 s) to refute it
+    (chi'_a is 7); the solver's 0.1 s limit ends it first."""
+    start = time.monotonic()
+    report = color_graph(complete_bipartite(5, 5), 6, move_budget=1,
+                         solve_budget=SolveBudget(10**9, 0.1))
+    assert report.outcome == "failure"
+    assert time.monotonic() - start < 1.0
+
+
+def multi_component_graph(rng):
+    """2-4 random components of 2-7 vertices each, vertices and edges
+    shuffled so that the components interleave in both id orders."""
+    pairs, n = [], 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, 7)
+        within = list(combinations(range(n, n + size), 2))
+        pairs += rng.sample(within, rng.randint(1, min(len(within), 2 * size)))
+        n += size
+    perm = rng.sample(range(n), n)
+    pairs = [(perm[u], perm[v]) for u, v in pairs]
+    rng.shuffle(pairs)
+    return build_graph(n, pairs)
+
+
+def test_fallback_is_pinned_on_multi_component_graphs():
+    """Small move budgets send edges to the fallback, whose node budget
+    (no time limit, so every count repeats) is small enough on some graphs
+    to run out.  sha256 of repr((outcome, colors, trace, moves_spent, move
+    counts)) over 300 seeded graphs, pinned from the colorer whose
+    fallback recolored the component inside the colorer's own kernel."""
+    rng = random.Random(25)
+    digest, outcomes = hashlib.sha256(), Counter()
+    for _ in range(300):
+        g = multi_component_graph(rng)
+        k = g.max_degree() + rng.randint(0, 1)
+        budget = SolveBudget(rng.choice([100, 10**6]), float("inf"))
+        report = color_graph(g, k, move_budget=rng.randint(1, g.m), solve_budget=budget)
+        outcomes[report.outcome] += 1
+        digest.update(repr((report.outcome, report.coloring.colors, report.trace,
+                            report.moves_spent, sorted(report.move_counts.items()))).encode())
+    assert outcomes == {"fallback-success": 223, "failure": 57, "success": 20}
+    assert digest.hexdigest() == (
+        "f0d61b64a5e084a08972527aa5cf54f16b98a3c854ddfa932735ad262d52070b")
+
+
 # sha256 of repr((outcome, colors, trace, moves_spent, move counts)) of
 # color_graph at k = 7 without the fallback on seeded 5-regular graphs with
 # n = 100, pinned from the colorer whose M1 was a kernel method.  No seed
@@ -450,18 +498,6 @@ def test_moves_are_pinned_on_5_regular_graphs(seed, per_edge, extra, outcome, re
     key = repr((report.outcome, report.coloring.colors, report.trace,
                 report.moves_spent, sorted(report.move_counts.items())))
     assert hashlib.sha256(key.encode()).hexdigest() == digest
-
-
-def test_move_counts_match_trace():
-    rng = random.Random(37)
-    for _ in range(20):
-        g = sparse_random_graph(rng, rng.randint(5, 15))
-        report = color_graph(g, g.max_degree() + 2, fallback=False)
-        if report.outcome != "success":
-            continue
-        counted = Counter(move[0] for move in report.trace)
-        for kind, cnt in report.move_counts.items():
-            assert counted.get(kind, 0) == cnt
 
 
 def test_repairs_color_a_tight_7_regular_graph():
@@ -540,7 +576,7 @@ def test_repair_is_exact_on_components_and_local_on_balls(data):
         engine = load(_Colorer(g, k, move_budget=10**6), before)
         ball = engine.ball(e, r)
         assert e in ball
-        bounded.append(engine._recolor(ball, k))
+        bounded.append(engine.extend_over(ball) == "yes")
         if bounded[-1]:
             after = snapshot(engine)
             assert after.colors[e]

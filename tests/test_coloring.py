@@ -21,7 +21,8 @@ from aecolor.coloring import (
 from aecolor.graph import build_graph
 from aecolor.solver import _Search
 from aecolor.structure import fact2_verify
-from conftest import complete, cycle, edge_index, load, path, random_graph, snapshot
+from conftest import (complete, cycle, edge_index, load, path, random_acyclic_state,
+                      random_graph, snapshot)
 from oracles import union_find_bichromatic_cycle
 
 
@@ -284,21 +285,6 @@ def test_cycle_scan_agrees_with_pairwise_brute_force():
                 if t is not None and t.is_cycle:
                     brute = True
         assert (has_bichromatic_cycle(g, c) is not None) == brute
-
-
-def random_acyclic_state(rng, g, k):
-    """A kernel holding a random acyclic partial coloring: edges in random
-    order, each given a random color that keeps the coloring acyclic."""
-    state = _Search(g, k, 1)
-    for e in rng.sample(range(g.m), g.m):
-        u, v = g.edges[e]
-        taken = state.used_mask[u] | state.used_mask[v]
-        common = state.used_mask[u] & state.used_mask[v]
-        ok = [c for c in range(1, k + 1)
-              if not taken >> c & 1 and not state.walk_ends_at(u, v, common, c)]
-        if ok:
-            state.set(e, rng.choice(ok))
-    return state
 
 
 def _scan_cycles(g, c, a, b):

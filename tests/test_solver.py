@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import aecolor
 
 from aecolor import solver
-from aecolor.coloring import has_bichromatic_cycle, is_proper
+from aecolor.coloring import EdgeColoring, has_bichromatic_cycle, is_proper
 from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import (
     SolveBudget,
+    SolveResult,
     _Search,
     chi_a_exact,
     counting_lower_bound,
@@ -274,6 +275,14 @@ def test_lower_bound_delta():
     assert is_acyclically_k_colorable(complete(5), 3).status == "no"
 
 
+def test_decision_rejects_k_below_1_and_colors_an_edgeless_graph():
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            is_acyclically_k_colorable(cycle(3), k)
+    assert is_acyclically_k_colorable(build_graph(3, []), 2) == SolveResult(
+        "yes", EdgeColoring(2, ()), 0)
+
+
 FORCED_BAD_RESULT = """
 import sys
 from aecolor import solver
@@ -284,13 +293,13 @@ from aecolor.graph import build_graph
 bad = EdgeColoring(2, (1, 2, 1, 2))
 
 
-def extend_over(self, edges, max_used):
+def _colorings(self, order, max_used):
     for e, c in enumerate(bad.colors):
         self.set(e, c)
-    return "yes"
+    yield
 
 
-solver._Search.extend_over = extend_over
+solver._Search._colorings = _colorings
 g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 try:
     solver.is_acyclically_k_colorable(g, 2)
