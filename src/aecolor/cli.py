@@ -5,7 +5,8 @@ the environment.  Exit codes: 0 = success / property holds, 1 = checked and
 false (invalid coloring, bound violated), 2 = error or undecided within
 budget.  Errors include bad input, an out-of-range number (a zero or
 negative solver or move budget, fewer than one experiment trial, a worker
-count outside [1..cpu count], a lemma level below Delta(G)), an
+count outside [1..cpu count], a lemma level below Delta(G), a
+critical-sweep ``--n-max`` outside [1..7]), an
 internal check that failed and a closed stdout; any other exception also
 exits 2, reported with its type name.
 """

@@ -142,13 +142,16 @@ class _Colorer(_Search):
         (vertices relabelled in ascending order, edges in id order), with
         ``is_acyclically_k_colorable`` under the solver's budget, and on
         "yes" recolor C.  Its nodes do not count against the move budget.
-        The colors are those of the search over C's edges in insertion
-        order on this kernel at min(k, m) colors, renaming reduction on:
+        The decision is handed C's edges in reverse insertion order, mapped
+        to the sub-graph's ids, rather than recomputing their order.  The
+        colors are those of the search over C's edges in insertion order on
+        this kernel at min(k, m) colors, renaming reduction on:
 
         - nothing colored touches a whole component;
         - ``deletion_edge_order`` restricted to C is C's own under the
           order-preserving relabelling: other components never change C's
-          heap keys (d, v), and the incident ids stay ascending;
+          heap keys (d, v), and the incident ids stay ascending, so the
+          order handed over is the one the decision would compute;
         - the reduction offers the i-th edge no color above i + 1 <= m_C,
           so min(k, m) and min(k, m_C) colors try the same colors, with
           the same nodes, coloring and trace.
@@ -159,14 +162,17 @@ class _Colorer(_Search):
         edges = sorted({f for v in vertices for f in g.incident_edge_ids(v)})
         sub = build_graph(len(vertices), [(label[u], label[v]) for u, v in
                                           map(g.edges.__getitem__, edges)])
-        result = is_acyclically_k_colorable(sub, self.k, budget)
+        inserted = sorted(edges, key=self.pos.__getitem__)
+        sub_id = {f: i for i, f in enumerate(edges)}
+        result = is_acyclically_k_colorable(sub, self.k, budget,
+                                            [sub_id[f] for f in reversed(inserted)])
         if result.status != "yes":
             return False
         for f in filter(self.assign.__getitem__, edges):
             self.unset(f)
         for f, c in zip(edges, result.coloring.colors):
             self.set(f, c)
-        return self._log_repair(sorted(edges, key=self.pos.__getitem__))
+        return self._log_repair(inserted)
 
 
 def color_graph(

@@ -6,11 +6,16 @@ encodings.  Pruning is limited to properness, the incremental Fact-1 cycle
 check, and one sound symmetry reduction: new colors are introduced in
 ascending order, which leaves one coloring per orbit of color renamings.
 The decision and the enumerator search the same smallest-last insertion
-order as the colorer.  ``_Search`` is the one mutable coloring kernel: the
-decision and the enumerator run its search from the empty coloring, and
-``extend_over`` recolors a ball of the colorer's partial coloring.
-``chi_a_exact`` starts its upward search at a counting lower bound, a
-certificate re-counted on its witness vertex set, not a guess.
+order as the colorer, degree ties going to the lowest vertex id.
+``chi_a_exact`` alone breaks those ties by ``frontier_rank``, a
+breadth-first rank, so that the colored region grows as one compact
+frontier whatever the labels: with ties by id, relabelled grids and hex
+lattices scatter it and ran past 200K nodes.  ``_Search`` is the one
+mutable coloring kernel: the decision and the enumerator run its search
+from the empty coloring, and ``extend_over`` recolors a ball of the
+colorer's partial coloring.  ``chi_a_exact`` starts its upward search at a
+counting lower bound, a certificate re-counted on its witness vertex set,
+not a guess.
 """
 
 from __future__ import annotations
@@ -64,7 +69,53 @@ class BudgetExhausted(Exception):
     """The node or time budget of an enumeration ran out."""
 
 
-def deletion_edge_order(g: Graph) -> list[int]:
+def _incident_by(g: Graph, walk: list[int]) -> list[list[int]]:
+    """Each vertex's incident edge ids, listed in the order in which
+    ``walk``, a permutation of range(n), visits their far ends.  Appending
+    each edge to its other end's list while walking the vertices builds
+    every list in O(m), already in that order."""
+    edges, inc = g.edges, g._inc
+    lists: list[list[int]] = [[] for _ in range(g.n)]
+    for x in walk:
+        for e in inc[x]:
+            a, b = edges[e]
+            lists[b if a == x else a].append(e)
+    return lists
+
+
+def frontier_rank(g: Graph) -> list[int]:
+    """A breadth-first rank of g's vertices, in the style of Cuthill and
+    McKee: each component is searched from its vertex of least degree
+    (lowest id among ties), and each vertex's unranked neighbors are ranked
+    by ascending degree, ties going to the lower id.  Components follow
+    one another in the order of their start vertices.  ``rank[v]`` is v's
+    place in the search, a permutation of range(n).  One sort of the n
+    vertices by (degree, id) and ``_incident_by`` put every vertex's edges
+    in (degree, id) order of their far ends, so the rest costs O(m).
+    """
+    edges, n = g.edges, g.n
+    by_degree = sorted(range(n), key=g.degree)  # stable: ids ascend on ties
+    inc = _incident_by(g, by_degree)
+    rank = [-1] * n
+    r = 0
+    for s in by_degree:
+        if rank[s] >= 0:
+            continue
+        rank[s] = r
+        r += 1
+        queue = [s]
+        for v in queue:  # the queue grows as the loop reads it
+            for e in inc[v]:
+                a, b = edges[e]
+                w = b if a == v else a
+                if rank[w] < 0:
+                    rank[w] = r
+                    r += 1
+                    queue.append(w)
+    return rank
+
+
+def deletion_edge_order(g: Graph, rank: list[int] | None = None) -> list[int]:
     """Edge deletion sequence: repeatedly take a minimum-degree vertex's
     lowest-id incident edge, ties going to the lowest vertex.  Reversing it
     gives the insertion order used by both the solver and the constructive
@@ -82,8 +133,26 @@ def deletion_edge_order(g: Graph) -> list[int]:
     again, and v is still least.  Each step pushes w's new entry alone;
     v's entry is never pushed back.  An edge vw is still live when v's run
     reaches it iff w has not had its run, i.e. iff w's degree is not 0.
+
+    With ``rank``, a permutation of range(n) such as ``frontier_rank(g)``,
+    degree ties go to the lower rank and a vertex's run goes out in the
+    rank order of the edges' far ends.  The same loop runs on the ends
+    renamed by rank, (rank[u], rank[v]), with each renamed vertex's edges
+    listed by far-end rank (``_incident_by``, O(m)); edge ids are not
+    renamed, so the result is a list of g's edge ids all the same.  The
+    run proof holds with ranks for ids: before each step of v's run every
+    tie belongs to a vertex of higher rank; w, which had at least d, ties
+    v at d - 1 only if it tied v at d, so rank[w] > rank[v]; and v stays
+    least until its degree is 0, taking its live edges down its list.
     """
     edges, inc, n = g.edges, g._inc, g.n  # ascending ids at each vertex
+    if rank is not None:
+        by_rank = [0] * n
+        for v, r in enumerate(rank):
+            by_rank[r] = v
+        runs = _incident_by(g, by_rank)
+        edges = [(rank[a], rank[b]) for a, b in edges]
+        inc = [runs[v] for v in by_rank]
     deg = [len(a) for a in inc]
     heap = [d * n + v for v, d in enumerate(deg) if d]
     heapq.heapify(heap)
@@ -273,12 +342,15 @@ def is_acyclically_k_colorable(
 ) -> SolveResult:
     """Decide whether g admits a total acyclic edge k-coloring.
 
-    The search runs from the empty coloring over the smallest-last
-    insertion order with the renaming reduction on from 0, the order and
-    reduction ``enumerate_acyclic_colorings`` iterates; its orbit argument
-    holds for any edge order, so the search finds a coloring iff g has one,
-    and a "yes" coloring is the enumeration's first.  ``order``, if given,
-    is ``deletion_edge_order(g)``, passed in by a caller that has it.
+    The search runs from the empty coloring over the reverse of the
+    deletion order ``order``, by default ``deletion_edge_order(g)``, with
+    the renaming reduction on from 0.  That is the order and reduction
+    ``enumerate_acyclic_colorings`` iterates, so a "yes" coloring is the
+    enumeration's first.  The reduction's orbit argument holds for any
+    edge order, so the search finds a coloring iff g has one whatever
+    ``order`` is: a caller may pass any permutation of g's edge ids, such
+    as the order it already has (the colorer's fallback) or the frontier
+    order (``chi_a_exact``); only the nodes and the coloring found change.
 
     "yes" answers carry a coloring re-checked by the independent validator
     (an invalid one raises ColoringError); "no" means the search space was
@@ -430,7 +502,7 @@ def counting_lower_bound(g: Graph, order: list[int] | None = None
     vertex when no count exceeds Delta; either way g[W] contains the
     counted edges, so ``_count_bound(g, W)`` re-counts at least the bound.
     O(m log n), the cost of the peel; O(m) given ``order``, which is then
-    ``deletion_edge_order(g)``.
+    ``deletion_edge_order(g)``, with or without a rank.
     """
     if order is None:
         order = deletion_edge_order(g)
@@ -470,7 +542,16 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
     The counting lower bound of ``counting_lower_bound`` is re-counted on
     its witness, then each k from it upward is decided by
     ``is_acyclically_k_colorable``; the bound and every level share one
-    smallest-last order.  Every k up to ``decided_up_to`` is
+    smallest-last order, ``deletion_edge_order(g, frontier_rank(g))``.  Its
+    degree ties go to the lower breadth-first rank, so the search colors
+    outward from one frontier whatever g's labels are.  Any order decides
+    each k exactly (see ``is_acyclically_k_colorable``), so chi'_a is the
+    one the order with ties by id finds; the nodes and the coloring differ.
+    The count holds for the peel sets of any deletion order, so the bound
+    stays sound, though it may count other sets than the id order's and
+    read another value; on networkx's atlas of graphs up to 7 vertices,
+    as labelled there, it never does.  Every
+    k up to ``decided_up_to`` is
     decided: below the bound "no" by the count, from it on by the search.
     The answer is the first "yes", whose coloring the validator checked.
     An "unknown" ends the run with ``chi_a`` None at ``decided_up_to`` =
@@ -479,7 +560,7 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
     """
     if g.m == 0:
         return ChiAResult(0, 0, EdgeColoring(0, ()))
-    order = deletion_edge_order(g)
+    order = deletion_edge_order(g, frontier_rank(g))
     bound, witness = counting_lower_bound(g, order)
     if _count_bound(g, witness) < bound:
         raise ValueError(f"lower bound {bound} is not re-counted on its witness")

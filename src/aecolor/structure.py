@@ -422,6 +422,8 @@ def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
     class list is built on the first call and reused by every later call in
     the process; a ``Graph`` is immutable, so the callers share its values.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > 7:
         raise ValueError("atlas enumeration is complete only up to 7 vertices")
     for g in _atlas_classes():

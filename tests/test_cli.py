@@ -86,20 +86,20 @@ def test_chi_a_reports_its_lower_bound(tmp_path, capsys):
 
 def test_chi_a_orders_the_edges_once(tmp_path, capsys, monkeypatch):
     """The counting bound and every level searched share one smallest-last
-    order."""
+    order, with degree ties broken by the frontier rank."""
     orders = []
     original = solver.deletion_edge_order
 
-    def counted(graph):
-        orders.append(graph.m)
-        return original(graph)
+    def counted(graph, rank=None):
+        orders.append((graph.m, rank == solver.frontier_rank(graph)))
+        return original(graph, rank)
 
     monkeypatch.setattr(solver, "deletion_edge_order", counted)
     # K4 counts 2*6/3 = 4 but has chi'_a 5: levels 4 and 5 are searched
     code, payload = run(capsys, ["chi-a", write_graph(tmp_path, complete(4))])
     assert code == 0
     assert (payload["lower_bound"], payload["chi_a"]) == (4, 5)
-    assert orders == [6]
+    assert orders == [(6, True)]
 
 
 def test_chi_a_budget_exhaustion_exit_2(tmp_path, capsys):
@@ -391,6 +391,17 @@ def test_critical_sweep_cli(tmp_path, capsys):
     assert code == 0
     assert len(payload["critical"]) == 1
     assert payload["critical"][0]["k"] == 4
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_critical_sweep_n_max_below_1_exit_2(capsys, monkeypatch, n_max):
+    """An empty sweep would read as "no critical graph"; the range is
+    checked before networkx's atlas is loaded."""
+    monkeypatch.setattr(structure, "_atlas_classes",
+                        lambda: pytest.fail("the atlas was loaded"))
+    code, payload = run(capsys, ["critical-sweep", "--n-max", n_max])
+    assert code == 2
+    assert payload == {"error": f"n_max must be at least 1, got {n_max}"}
 
 
 def test_color_dot_file(tmp_path, capsys):

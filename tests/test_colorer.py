@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aecolor import colorer
 from aecolor.cli import generate_sparse
 from aecolor.colorer import (
     _Colorer,
@@ -464,6 +465,27 @@ def test_fallback_is_pinned_on_multi_component_graphs():
     assert outcomes == {"fallback-success": 223, "failure": 57, "success": 20}
     assert digest.hexdigest() == (
         "f0d61b64a5e084a08972527aa5cf54f16b98a3c854ddfa932735ad262d52070b")
+
+
+def test_fallback_hands_the_component_its_own_order(monkeypatch):
+    """The order place_component hands the decision, its component's edges
+    in reverse insertion order renamed to the sub-graph's ids, is the one
+    the decision would compute, as place_component's docstring proves."""
+    handed = []
+    decide = colorer.is_acyclically_k_colorable
+
+    def recorded(sub, k, budget, order):
+        handed.append((sub, order))
+        return decide(sub, k, budget, order)
+
+    monkeypatch.setattr(colorer, "is_acyclically_k_colorable", recorded)
+    rng = random.Random(26)
+    for _ in range(300):
+        g = multi_component_graph(rng)
+        color_graph(g, g.max_degree() + rng.randint(0, 1), move_budget=rng.randint(1, g.m))
+    assert len(handed) >= 300
+    for sub, order in handed:
+        assert order == deletion_edge_order(sub)
 
 
 # sha256 of repr((outcome, colors, trace, moves_spent, move counts)) of
