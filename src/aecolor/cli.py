@@ -4,9 +4,8 @@ Every setting is a command-line flag; none is read from a config file or
 the environment.  Exit codes: 0 = success / property holds, 1 = checked and
 false (invalid coloring, bound violated), 2 = error or undecided within
 budget.  Errors include bad input, an out-of-range number (a zero or
-negative solver or move budget, fewer than one experiment trial, a worker
-count outside [1..cpu count], a lemma level below Delta(G), a
-critical-sweep ``--n-max`` outside [1..7]), an
+negative solver or move budget, fewer than one experiment trial, a lemma
+level below Delta(G), a critical-sweep ``--n-max`` outside [1..7]), an
 internal check that failed and a closed stdout; any other exception also
 exits 2, reported with its type name.
 """
@@ -261,9 +260,8 @@ def cmd_critical_sweep(args) -> int:
 EDGE_FACTOR = 1.9  # a trial's largest m as a fraction of n
 
 
-def _theorem_trial(task: tuple[str, int, int]) -> dict:
-    """One experiment instance; runs in a worker process."""
-    name, n, seed = task
+def _theorem_trial(name: str, n: int, seed: int) -> dict:
+    """One experiment instance on a graph drawn from ``seed``."""
     rng = random.Random(seed)
     m = rng.randint(max(1, n // 2), max(1, int(n * EDGE_FACTOR)))
     m = min(m, n * (n - 1) // 2)
@@ -298,25 +296,12 @@ def _theorem_trial(task: tuple[str, int, int]) -> dict:
     return record
 
 
-def run_experiment(name: str, n: int, trials: int, seed: int,
-                   workers: int = 1) -> dict:
-    """Run the trials, serially or in a pool of ``workers`` processes; a
-    trial count below 1 or a worker count outside [1..cpu count] raises
-    ValueError before any process starts."""
+def run_experiment(name: str, n: int, trials: int, seed: int) -> dict:
+    """Run the trials in order; trial i draws its graph from
+    ``seed * 1_000_003 + i``.  A trial count below 1 raises ValueError."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise ValueError(f"workers must be in [1..{cpus}], got {workers}")
-    tasks = [(name, n, seed * 1_000_003 + i) for i in range(trials)]
-    if workers > 1:
-        # imported here: a serial run, and every other command, starts without it
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            records = pool.map(_theorem_trial, tasks)  # preserves input order
-    else:
-        records = [_theorem_trial(t) for t in tasks]
+    records = [_theorem_trial(name, n, seed * 1_000_003 + i) for i in range(trials)]
     usable = [r for r in records if "skipped" not in r]
     failures = [r for r in usable if not r.get("ok")]
     return {
@@ -329,8 +314,7 @@ def run_experiment(name: str, n: int, trials: int, seed: int,
 
 
 def cmd_experiment(args) -> int:
-    summary = run_experiment(args.name, args.n, args.trials, args.seed,
-                             args.workers)
+    summary = run_experiment(args.name, args.n, args.trials, args.seed)
     _emit(summary)
     return EXIT_FALSE if summary["violations"] else EXIT_OK
 
@@ -395,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 

@@ -93,7 +93,18 @@ def girth(g: Graph) -> float:
     """Length of the shortest cycle; math.inf for forests.
 
     BFS from every vertex; a non-tree edge at BFS levels d1, d2 closes a
-    cycle of length d1 + d2 + 1 through the root.
+    closed walk of length d1 + d2 + 1 through the root, which contains a
+    cycle, and from a root on a shortest cycle some non-tree edge closes
+    a walk as long as that cycle.
+
+    Each BFS stops when it pops a vertex u with 2 * dist[u] + 1 >= best.
+    An edge is seen first from whichever end is popped first: if the other
+    end is unvisited then, the edge joins the tree.  So a non-tree edge
+    first seen from u or a later pop has its other end not yet popped,
+    and BFS pops in level order: both ends lie at level dist[u] or deeper
+    and the walk is at least 2 * dist[u] + 1 long.  The stop drops only
+    walks no shorter than the best one found, so the minimum over all
+    roots is still the girth.
     """
     best = inf
     for s in range(g.n):
@@ -103,6 +114,8 @@ def girth(g: Graph) -> float:
         q = deque([s])
         while q:
             u = q.popleft()
+            if 2 * dist[u] + 1 >= best:
+                break
             for w in g.neighbors(u):
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1

@@ -1,6 +1,5 @@
 import argparse
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -524,27 +523,23 @@ def test_experiment_cli_exit_codes(capsys):
     assert payload["violations"] == 0
 
 
-def test_experiment_workers_preserve_order():
-    def strip_timing(records):
-        return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+@pytest.mark.parametrize("name", ["theorem2", "theorem3", "colorer"])
+def test_experiment_is_reproducible_from_its_seed(name):
+    def strip_timing(summary):
+        return {**summary, "records": [{k: v for k, v in r.items() if k != "seconds"}
+                                       for r in summary["records"]]}
 
-    serial = run_experiment("theorem3", n=7, trials=4, seed=5, workers=1)
-    pooled = run_experiment("theorem3", n=7, trials=4, seed=5, workers=2)
-    assert strip_timing(serial["records"]) == strip_timing(pooled["records"])
+    first = run_experiment(name, n=9, trials=5, seed=4)
+    again = run_experiment(name, n=9, trials=5, seed=4)
+    assert strip_timing(first) == strip_timing(again)
+    assert [r["seed"] for r in first["records"]] == [4 * 1_000_003 + i for i in range(5)]
 
 
-@pytest.mark.parametrize("workers", [0, -1, pytest.param((os.cpu_count() or 1) + 1,
-                                                        id="cpus+1")])
-def test_experiment_workers_out_of_range_exit_2(capsys, monkeypatch, workers):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool was started")
-
-    # run_experiment imports Pool from multiprocessing when it needs one
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    code, payload = run(capsys, ["experiment", "colorer", "--n", "6", "--trials", "1",
-                                 "--workers", str(workers)])
-    assert code == 2
-    assert payload["error"].startswith("workers must be in [1..")
+def test_experiment_rejects_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "colorer", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

@@ -2,8 +2,10 @@ import random
 from itertools import permutations
 from math import inf
 
+import networkx as nx
 import pytest
 
+from aecolor.cli import generate_sparse
 from aecolor.graph import (
     GraphError,
     ParseError,
@@ -15,7 +17,7 @@ from aecolor.graph import (
     n_k,
     parse_edge_list,
 )
-from conftest import complete, cube, cycle, path, random_graph, star
+from conftest import complete, cube, cycle, from_networkx, path, random_graph, star
 
 
 def test_build_triangle():
@@ -146,6 +148,54 @@ def test_girth_matches_brute_force_small():
         m = rng.randint(0, n * (n - 1) // 2)
         g = random_graph(rng, n, m)
         assert girth(g) == _girth_brute(g)
+
+
+def _nx_girth(g) -> float:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return nx.girth(h)
+
+
+def test_girth_matches_networkx_on_sparse_graphs():
+    # m = n .. 1.3n leaves short cycles rare, so later roots' searches
+    # stop at levels 1 and deeper instead of running to the end
+    for n in range(10, 61):
+        for m in sorted({n, (23 * n) // 20, (13 * n) // 10}):
+            for seed in range(3):
+                g = generate_sparse(n, m, seed)
+                assert girth(g) == _nx_girth(g), (n, m, seed)
+
+
+@pytest.mark.parametrize("name", ["petersen_graph", "heawood_graph", "pappus_graph",
+                                  "desargues_graph", "dodecahedral_graph"])
+def test_girth_matches_networkx_on_named_cages(name):
+    h = getattr(nx, name)()
+    g = from_networkx(h)
+    assert girth(g) == nx.girth(h) in (5, 6)
+    for seed in range(5):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        shuffled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert girth(shuffled) == nx.girth(h), seed
+
+
+def test_girth_of_cycles_with_one_chord():
+    # the chord (0, j) splits C_n into cycles of lengths j + 1 and n - j + 1
+    for n in range(4, 16):
+        for j in range(2, n - 1):
+            g = build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, j)])
+            assert girth(g) == min(j + 1, n - j + 1) == _nx_girth(g), (n, j)
+
+
+def test_girth_of_forests_is_infinite():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        # each vertex hangs from an earlier one, or starts a new tree
+        pairs = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        g = build_graph(n, pairs)
+        assert girth(g) == _nx_girth(g) == inf
 
 
 def _has_cut_vertex(g) -> bool:

@@ -56,14 +56,22 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_neither_networkx_nor_multiprocessing():
-    """Every command but critical-sweep starts without networkx, and every
-    run but a pooled experiment without multiprocessing."""
+    """Importing the package or its CLI, or running an experiment, loads
+    neither networkx (only critical-sweep needs it) nor multiprocessing
+    (no command uses it)."""
+    report = "print(sorted(m for m in ('networkx', 'multiprocessing') if m in sys.modules))"
     for module in ("aecolor", "aecolor.cli"):
-        proc = _fresh_python(
-            f"import sys, {module}\n"
-            "print(sorted(m for m in ('networkx', 'multiprocessing') if m in sys.modules))")
+        proc = _fresh_python(f"import sys, {module}\n" + report)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+    proc = _fresh_python(
+        "import contextlib, io, sys, aecolor.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = aecolor.cli.main(['experiment', 'colorer', '--n', '8', '--trials', '2'])\n"
+        + report + "\n"
+        "sys.exit(code)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_critical_sweep_imports_networkx_on_demand():
