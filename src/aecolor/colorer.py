@@ -15,6 +15,7 @@ finished coloring is re-checked by the independent validator.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,9 +53,9 @@ def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:
 
 
 def peel_palette(g: Graph, order: list[int]) -> tuple[int, str] | None:
-    """``choose_palette(g, mad_exact(g))``, when one walk of g's edge
-    deletion order ``order`` (``walk_peel``) settles which side of 3 and 4
-    mad(g) lies on; None when it does not.
+    """``choose_palette(g, x)`` for an x on mad(g)'s side of 3 and 4, when
+    one walk of g's edge deletion order ``order`` (``walk_peel``) settles
+    that side; None when it does not.
 
     Each peel set is a subgraph of g, so mad >= ``densest``.  By
     ``walk_peel``, every subgraph H with an edge has a vertex of degree at
@@ -67,16 +68,17 @@ def peel_palette(g: Graph, order: list[int]) -> tuple[int, str] | None:
     - D <= 1: 2e(H)/|H| < 2D <= 2; or Delta <= 2: 2e(H)/|H| <= 2.
       Either way mad < 3, "mad<3";
     - ``densest`` >= 3, so mad >= 3, and D <= 2 (2e(H)/|H| < 4) or
-      Delta <= 3 (2e(H)/|H| <= 3), so mad < 4: "mad<4".
+      Delta <= 3 (2e(H)/|H| <= 3), so mad < 4, and ``densest`` is in
+      [3, 4): "mad<4".
     """
     peel = walk_peel(g, order)
     delta = g.max_degree()
     if peel.densest >= 4:
-        return delta + 2, "no-guarantee"
+        return choose_palette(g, Fraction(4))
     if peel.degeneracy <= 1 or delta <= 2:
-        return delta + 1, "mad<3"
+        return choose_palette(g, Fraction(0))
     if peel.densest >= 3 and (peel.degeneracy <= 2 or delta <= 3):
-        return delta + 2, "mad<4"
+        return choose_palette(g, peel.densest)
     return None
 
 
@@ -84,13 +86,13 @@ class _Colorer(_Search):
     """The search kernel plus the colorer's insertion order, move budget,
     move log and repairs.  One node counter, ``nodes``, counts M1's color
     tries (made by ``color_graph``) and the bounded repairs' search nodes
-    against the move budget."""
+    against the move budget, which has no time limit: runs repeat exactly."""
 
     def __init__(self, g: Graph, k: int, move_budget: int,
                  order: list[int] | None = None):
         if move_budget < 1:
             raise ValueError("move budget must be positive")
-        super().__init__(g, k, move_budget)
+        super().__init__(g, k, SolveBudget(move_budget, math.inf))
         if order is None:
             order = deletion_edge_order(g)
         self.insertion = order[::-1]
@@ -180,7 +182,7 @@ def color_graph(
     k: int,
     move_budget: int | None = None,
     fallback: bool = True,
-    solve_budget: SolveBudget | None = None,
+    solve_budget: SolveBudget = SolveBudget(),
     order: list[int] | None = None,
 ) -> ColoringReport:
     """Color all edges of g with palette [1..k], acyclically.
@@ -243,7 +245,7 @@ def color_graph(
             engine.nodes = nodes
             if assign[e] or engine.place(e):
                 continue
-        if fallback and engine.place_component(e, solve_budget or SolveBudget()):
+        if fallback and engine.place_component(e, solve_budget):
             outcome = "fallback-success"
             continue
         outcome = "failure"

@@ -107,22 +107,23 @@ def girth(g: Graph) -> float:
     roots is still the girth.
     """
     best = inf
+    dist = [-1] * g.n
+    parent = [-1] * g.n
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
         dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
+        queue = [s]
+        for u in queue:  # the queue grows as the loop reads it
             if 2 * dist[u] + 1 >= best:
                 break
             for w in g.neighbors(u):
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     parent[w] = u
-                    q.append(w)
+                    queue.append(w)
                 elif parent[u] != w and parent[w] != u:
                     best = min(best, dist[u] + dist[w] + 1)
+        for v in queue:  # reset what this BFS touched, not all n
+            dist[v] = parent[v] = -1
     return best
 
 
@@ -142,12 +143,12 @@ def is_connected(g: Graph) -> bool:
 
 def is_2_connected(g: Graph) -> bool:
     """Connected, at least 3 vertices, and no cut vertex (Tarjan lowpoints)."""
-    if g.n < 3 or not is_connected(g):
+    if g.n < 3:
         return False
     disc = [-1] * g.n
     low = [0] * g.n
     timer = 0
-    # iterative DFS from vertex 0
+    # iterative DFS from vertex 0; g is connected iff it reaches all n
     stack: list[tuple[int, int, iter]] = [(0, -1, iter(g.neighbors(0)))]
     disc[0] = low[0] = timer
     timer += 1
@@ -173,7 +174,7 @@ def is_2_connected(g: Graph) -> bool:
                 low[pv] = min(low[pv], low[v])
                 if pv != 0 and low[v] >= disc[pv]:
                     return False
-    return root_children <= 1
+    return root_children <= 1 and timer == g.n
 
 
 def delete_edge(g: Graph, e: int) -> Graph:

@@ -186,19 +186,19 @@ class _Search:
     ``unset`` keep the three consistent and assume the coloring stays
     proper.  ``walk_ends_at`` is the incremental Fact-1 cycle test.  The
     search, ``_colorings``, colors a list of edges, keeping every other
-    color fixed.  ``deadline`` is read every 4096 nodes; with
-    none the clock is never read, so node counts repeat exactly."""
+    color fixed.  It stops after ``budget.max_nodes`` nodes or, the clock
+    read every 4096 nodes, ``budget.max_seconds`` after it was built; an
+    infinite ``max_seconds`` never stops it, so node counts repeat exactly."""
 
-    def __init__(self, g: Graph, k: int, max_nodes: int,
-                 deadline: float | None = None):
+    def __init__(self, g: Graph, k: int, budget: SolveBudget):
         self.g = g
         self.k = k
         self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
         self.used_mask = [0] * g.n
         self.assign = [0] * g.m
         self.nodes = 0
-        self.max_nodes = max_nodes
-        self.deadline = deadline
+        self.max_nodes = budget.max_nodes
+        self.deadline = time.monotonic() + budget.max_seconds
 
     def set(self, e: int, c: int) -> None:
         u, v = self.g.edges[e]
@@ -251,8 +251,7 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExhausted
-        if (self.nodes % 4096 == 0 and self.deadline is not None
-                and time.monotonic() > self.deadline):
+        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise BudgetExhausted
 
     def extend_over(self, edges: list[int]) -> Status:
@@ -362,8 +361,7 @@ def is_acyclically_k_colorable(
         raise ValueError("k must be at least 1")
     if k < g.max_degree():
         return SolveResult("no", None, 0)  # below the proper-coloring bound
-    search = _Search(g, min(k, g.m), budget.max_nodes,
-                     time.monotonic() + budget.max_seconds)
+    search = _Search(g, min(k, g.m), budget)
     if order is None:
         order = deletion_edge_order(g)
     try:
@@ -418,8 +416,7 @@ def enumerate_acyclic_colorings(
     Raises BudgetExhausted, after the colorings found so far, once the
     budget's node or time limit runs out.
     """
-    search = _Search(g, min(k, g.m), budget.max_nodes,
-                     time.monotonic() + budget.max_seconds)
+    search = _Search(g, min(k, g.m), budget)
     for _ in search._colorings(list(reversed(deletion_edge_order(g))), 0):
         yield EdgeColoring(k, tuple(search.assign))
 
@@ -480,8 +477,7 @@ def walk_peel(g: Graph, order: list[int]) -> Peel:
     return Peel(bound, start, degeneracy, Fraction(2 * dense_e, dense_w))
 
 
-def counting_lower_bound(g: Graph, order: list[int] | None = None
-                         ) -> tuple[int, list[int]]:
+def counting_lower_bound(g: Graph, order: list[int]) -> tuple[int, list[int]]:
     """A lower bound on chi'_a(g) and the vertex set W that proves it.
 
     Take an acyclic k-coloring of g with k >= 2 and a subgraph H of g with
@@ -495,17 +491,14 @@ def counting_lower_bound(g: Graph, order: list[int] | None = None
     once Delta(g) >= 2.  The step is required: K2 has chi'_a = 1 but its
     count reads 2.  So with Delta <= 1 the bound is Delta alone.
 
-    The subgraphs counted are the peel sets of ``deletion_edge_order``
-    (``walk_peel``): before each deletion, the live edges and the vertices
-    they touch.  The bound is the larger of Delta and the largest count.
-    W is the first peel set reaching the bound, or every non-isolated
-    vertex when no count exceeds Delta; either way g[W] contains the
-    counted edges, so ``_count_bound(g, W)`` re-counts at least the bound.
-    O(m log n), the cost of the peel; O(m) given ``order``, which is then
-    ``deletion_edge_order(g)``, with or without a rank.
+    The subgraphs counted are the peel sets of ``order``, any edge deletion
+    order (``walk_peel``): before each deletion, the live edges and the
+    vertices they touch.  The bound is the larger of Delta and the largest
+    count.  W is the first peel set reaching the bound, or every
+    non-isolated vertex when no count exceeds Delta; either way g[W]
+    contains the counted edges, so ``_count_bound(g, W)`` re-counts at
+    least the bound.  O(m) on top of the order.
     """
-    if order is None:
-        order = deletion_edge_order(g)
     peel = walk_peel(g, order)
     return peel.bound, sorted({v for e in order[peel.start:] for v in g.edges[e]})
 

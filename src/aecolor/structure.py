@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .coloring import EdgeColoring, _color_at, has_bichromatic_cycle
-from .density import mad_exact
+from .coloring import ColoringError, EdgeColoring, _color_at, has_bichromatic_cycle
 from .graph import Graph, build_graph, delete_edge, is_2_connected, n_k
 from .solver import (
     CriticalityReport,
@@ -34,7 +33,7 @@ class LemmaPredicateResult:
     note: str = ""
 
 
-def check_2connected(g: Graph, k: int | None = None) -> LemmaPredicateResult:
+def check_2connected(g: Graph) -> LemmaPredicateResult:
     """Critical graphs are 2-connected."""
     ok = is_2_connected(g)
     return LemmaPredicateResult("2-connected", ok,
@@ -62,7 +61,7 @@ def check_2vertex_neighborhood(g: Graph, k: int) -> LemmaPredicateResult:
     return LemmaPredicateResult("2-vertex-neighborhood", True)
 
 
-def check_2vertex_count(g: Graph, k: int | None = None) -> LemmaPredicateResult:
+def check_2vertex_count(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+1: every vertex has n_2(v) <= Delta - 2."""
     delta = g.max_degree()
     for v in range(g.n):
@@ -73,7 +72,7 @@ def check_2vertex_count(g: Graph, k: int | None = None) -> LemmaPredicateResult:
     return LemmaPredicateResult("2-vertex-count", True)
 
 
-def check_2and3_count(g: Graph, k: int | None = None) -> LemmaPredicateResult:
+def check_2and3_count(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: if n_2(v) != 0 then n_2(v)+n_3(v) <= Delta - 3."""
     delta = g.max_degree()
     for v in range(g.n):
@@ -125,7 +124,7 @@ def check_3vertex_neighbors(g: Graph, k: int) -> LemmaPredicateResult:
     return LemmaPredicateResult("3-vertex-neighbors", True)
 
 
-def check_3adj4(g: Graph, k: int | None = None) -> LemmaPredicateResult:
+def check_3adj4(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: a 3-vertex v with a 4-neighbor x has its other two
     neighbors y, z of degree >= 5, with one of them adjacent to at least
     three 4+-vertices and the other to at least two (three if its degree
@@ -168,7 +167,7 @@ def check_3adj4(g: Graph, k: int | None = None) -> LemmaPredicateResult:
     return LemmaPredicateResult("3-adjacent-4", True)
 
 
-def check_tvertex_2s(g: Graph, k: int | None = None) -> LemmaPredicateResult:
+def check_tvertex_2s(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: a t-vertex with t >= 5 has n_2(v) <= t - 4, and when
     equality holds, n_3(v) = 0."""
     for v in range(g.n):
@@ -188,7 +187,7 @@ def check_tvertex_2s(g: Graph, k: int | None = None) -> LemmaPredicateResult:
     return LemmaPredicateResult("t-vertex-2-count", True)
 
 
-def check_5vertex(g: Graph, k: int | None = None) -> LemmaPredicateResult:
+def check_5vertex(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: every 5-vertex has n_2(v) + n_3(v) <= 3."""
     for v in range(g.n):
         if g.degree(v) != 5:
@@ -213,21 +212,21 @@ def lemma_suite(g: Graph, k: int) -> list[LemmaPredicateResult]:
     if k < delta:
         raise ValueError(f"level k = {k} is below Delta(G) = {delta}")
     results = [
-        check_2connected(g, k),
+        check_2connected(g),
         check_2vertex_neighborhood(g, k),
     ]
     if k > delta:
         results.append(check_neighbor_of_2vertex(g, k))
     if k == delta + 1:
-        results.append(check_2vertex_count(g, k))
+        results.append(check_2vertex_count(g))
     if k >= delta + 2:
         results.append(check_3vertex_neighbors(g, k))
     if k == delta + 2:
         results.extend([
-            check_2and3_count(g, k),
-            check_3adj4(g, k),
-            check_tvertex_2s(g, k),
-            check_5vertex(g, k),
+            check_2and3_count(g),
+            check_3adj4(g),
+            check_tvertex_2s(g),
+            check_5vertex(g),
         ])
     return results
 
@@ -247,13 +246,18 @@ def fact2_verify(g: Graph, k: int, e: int, c: EdgeColoring) -> Fact2Result:
     disjoint, d(u) + d(v) >= k + 2 must hold; if they share t colors with
     matched neighbors u_i, v_i, both sums over the matched neighbors'
     degrees plus d(u) + d(v) must reach k + t + 2.
+
+    ``c`` colors g - e (ids as ``delete_edge`` gives them) and is checked
+    as the coloring of g that leaves e uncolored, with the same colored edges.
     """
     u, v = g.endpoints(e)
-    gm = delete_edge(g, e)
+    if len(c.colors) != g.m - 1:
+        raise ColoringError(f"coloring has {len(c.colors)} entries, graph has {g.m - 1} edges")
+    c = EdgeColoring(c.k, c.colors[:e] + (0,) + c.colors[e:])
     # an improper coloring raises ImproperColoringError, a ValueError
-    if has_bichromatic_cycle(gm, c) is not None:
+    if has_bichromatic_cycle(g, c) is not None:
         raise ValueError("coloring of g - e is not acyclic")
-    fu, fv = _color_at(gm, c, u), _color_at(gm, c, v)
+    fu, fv = _color_at(g, c, u), _color_at(g, c, v)
     shared = sorted(set(fu) & set(fv))
     du, dv = g.degree(u), g.degree(v)
     if not shared:
@@ -379,16 +383,15 @@ class DischargeReport:
 
 
 def discharging_contradiction_report(
-    g: Graph, rules: RuleSetName, mad: Fraction | None = None
+    g: Graph, rules: RuleSetName, mad: Fraction
 ) -> DischargeReport:
-    """Run the discharging argument on a graph meeting the mad hypothesis.
+    """Run the discharging argument on a graph meeting the mad hypothesis,
+    given ``mad`` = mad(g) (``density.mad_exact``).
 
     The mad bound forces a negative total initial charge; if vertices end
     negative the graph cannot be critical, and the report cross-references
     which lemma predicates fail on it.
     """
-    if mad is None:
-        mad = mad_exact(g)
     bound = 4 if rules == "mad4" else 3
     if mad >= bound:
         raise ValueError(f"mad(G) = {mad} does not satisfy mad < {bound}")

@@ -5,7 +5,7 @@ import networkx as nx
 
 from aecolor.coloring import EdgeColoring
 from aecolor.graph import Graph, build_graph
-from aecolor.solver import _Search
+from aecolor.solver import SolveBudget, _Search
 
 
 def cycle(n: int) -> Graph:
@@ -95,7 +95,7 @@ def snapshot(search) -> EdgeColoring:
 def random_acyclic_state(rng, g, k):
     """A kernel holding a random acyclic partial coloring: edges in random
     order, each given a random color that keeps the coloring acyclic."""
-    state = _Search(g, k, 1)
+    state = _Search(g, k, SolveBudget(1))
     for e in rng.sample(range(g.m), g.m):
         u, v = g.edges[e]
         taken = state.used_mask[u] | state.used_mask[v]

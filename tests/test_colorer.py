@@ -4,14 +4,14 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aecolor import colorer
+from aecolor import colorer, solver
 from aecolor.cli import generate_sparse
 from aecolor.colorer import (
     _Colorer,
@@ -231,7 +231,7 @@ def test_direct_filter_matches_full_scan():
         m = rng.randint(3, min(2 * n, n * (n - 1) // 2))
         g = random_graph(rng, n, m)
         k = g.max_degree() + 2
-        state = _Search(g, k, 1)  # the kernel alone: nothing searches
+        state = _Search(g, k, SolveBudget(1))  # the kernel alone: nothing searches
         for e in reversed(deletion_edge_order(g)):
             u, v = g.edges[e]
             held = snapshot(state)
@@ -429,6 +429,19 @@ def test_fallback_decision_stops_at_its_time_limit():
                          solve_budget=SolveBudget(10**9, 0.1))
     assert report.outcome == "failure"
     assert time.monotonic() - start < 1.0
+
+
+def test_colorer_reads_no_clock(monkeypatch):
+    """The colorer's kernel has no time limit, so its node counts repeat
+    exactly: under a clock that jumps 10**9 s at every read, a seeded
+    5-regular graph at k = 6, whose repairs run it past three multiples of
+    4096 nodes (the kernel's clock checks), gets the same report."""
+    g = seeded_regular_graph(5, 100, 178)
+    want = color_graph(g, 6, fallback=False)
+    assert want.move_counts["repair"] > 0 and want.moves_spent > 3 * 4096
+    clock = count(0.0, 1e9)
+    monkeypatch.setattr(solver.time, "monotonic", lambda: next(clock))
+    assert color_graph(g, 6, fallback=False) == want
 
 
 def multi_component_graph(rng):

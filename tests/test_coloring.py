@@ -19,7 +19,7 @@ from aecolor.coloring import (
     trace_bichromatic,
 )
 from aecolor.graph import build_graph
-from aecolor.solver import _Search
+from aecolor.solver import SolveBudget, _Search
 from aecolor.structure import fact2_verify
 from conftest import (complete, cycle, edge_index, load, path, random_acyclic_state,
                       random_graph, snapshot)
@@ -62,7 +62,7 @@ def test_is_proper_partial_allowed():
 
 
 def _loaded(g, c):
-    return load(_Search(g, c.k, 1), c)  # the kernel alone: nothing searches
+    return load(_Search(g, c.k, SolveBudget(1)), c)  # the kernel alone: nothing searches
 
 
 def _colors(mask):

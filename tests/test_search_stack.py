@@ -14,6 +14,7 @@ path too.
 The reduction itself is checked against a plain backtracker with none.
 """
 
+import math
 import random
 import time
 
@@ -37,13 +38,13 @@ class _Exhausted(Exception):
 
 
 class _RecursiveSearch(_Search):
-    def __init__(self, g, k, max_nodes, deadline=None):
-        super().__init__(g, k, max_nodes, deadline)
+    def __init__(self, g, k, budget):
+        super().__init__(g, k, budget)
         self.order = []
 
     @classmethod
     def whole_graph(cls, g, k, budget):
-        s = cls(g, k, budget.max_nodes, time.monotonic() + budget.max_seconds)
+        s = cls(g, k, budget)
         s.order = list(reversed(deletion_edge_order(g)))
         return s
 
@@ -51,8 +52,7 @@ class _RecursiveSearch(_Search):
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise _Exhausted
-        if (self.nodes % 4096 == 0 and self.deadline is not None
-                and time.monotonic() > self.deadline):
+        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Exhausted
 
     def solve(self):
@@ -196,8 +196,9 @@ def test_extend_over_matches_recursive():
         base = snapshot(random_acyclic_state(rng, g, k))
         edges = rng.sample(range(g.m), rng.randint(1, min(g.m, 15)))
         for max_nodes in (10**9, rng.randint(1, 30)):
-            new = load(_Search(g, k, max_nodes), base)
-            old = load(_RecursiveSearch(g, k, max_nodes), base)
+            budget = SolveBudget(max_nodes, math.inf)
+            new = load(_Search(g, k, budget), base)
+            old = load(_RecursiveSearch(g, k, budget), base)
             got = new.extend_over(list(edges))
             found = old.extend_over(list(edges), k)
             want = "yes" if found else "unknown" if old.nodes > max_nodes else "no"

@@ -503,7 +503,7 @@ def test_counting_bound_is_a_certified_lower_bound(data):
         if all_pairs else st.just([])
     )
     g = build_graph(n, pairs)
-    bound, witness = counting_lower_bound(g)
+    bound, witness = counting_lower_bound(g, deletion_edge_order(g))
     assert g.max_degree() <= bound
     # colorability is monotone in k, so bound <= chi'_a iff bound - 1 fails
     assert bound == g.max_degree() or is_acyclically_k_colorable(g, bound - 1).status == "no"
@@ -518,7 +518,7 @@ def test_chi_a_matches_delta_start_on_atlas():
         result = chi_a_exact(g)
         assert result.chi_a == _chi_a_from_delta(g)
         # the frontier order's peel counts what the id order's counts
-        assert result.lower_bound == counting_lower_bound(g)[0]
+        assert result.lower_bound == counting_lower_bound(g, deletion_edge_order(g))[0]
         above_delta += result.lower_bound > g.max_degree()
     assert above_delta == 78  # the peel misses one of the 79 exact maxima
 
@@ -527,7 +527,7 @@ def test_chi_a_matches_delta_start_on_atlas():
 def test_counting_bound_on_matchings_is_delta(pairs):
     # K2 counts 2/(2-1) = 2 but has chi'_a = 1: the k >= 2 step is needed
     g = build_graph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
-    assert counting_lower_bound(g) == (1, list(range(2 * pairs)))
+    assert counting_lower_bound(g, deletion_edge_order(g)) == (1, list(range(2 * pairs)))
     result = chi_a_exact(g)
     assert result.chi_a == result.lower_bound == 1
     assert result.nodes == pairs
@@ -540,7 +540,7 @@ def test_counting_bound_on_matchings_is_delta(pairs):
     ("Q4", hypercube(4), 5),
 ])
 def test_counting_bound_values(name, g, bound):
-    got, witness = counting_lower_bound(g)
+    got, witness = counting_lower_bound(g, deletion_edge_order(g))
     assert got == bound
     assert _recount(g, witness) >= bound
 
@@ -571,7 +571,7 @@ def test_walk_peel_on_atlas():
     is no denser than mad."""
     for a in nx.graph_atlas_g()[1:]:
         g = build_graph(a.number_of_nodes(), sorted(a.edges()))
-        assert counting_lower_bound(g) == _counting_bound_alone(g)
+        assert counting_lower_bound(g, deletion_edge_order(g)) == _counting_bound_alone(g)
         peel = walk_peel(g, deletion_edge_order(g))
         assert peel.degeneracy == max(nx.core_number(a).values())
         assert peel.densest <= mad_exact(g)
@@ -649,7 +649,7 @@ def test_counting_bound_reads_the_labels():
                                   for p in pairs))
         result = chi_a_exact(g)
         assert (result.chi_a, result.lower_bound) == (4, bound)
-        assert counting_lower_bound(g)[0] == bound
+        assert counting_lower_bound(g, deletion_edge_order(g))[0] == bound
 
 
 def _shuffled_lattice(lattice, seed):

@@ -7,6 +7,7 @@ import pytest
 import aecolor
 from aecolor import coloring, structure
 from aecolor.coloring import EdgeColoring
+from aecolor.density import mad_exact
 from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import SolveBudget, enumerate_acyclic_colorings
 from aecolor.structure import (
@@ -309,13 +310,13 @@ def test_discharge_transfers_recorded():
 
 def test_contradiction_report_rejects_dense():
     with pytest.raises(ValueError):
-        discharging_contradiction_report(complete(5), "mad4")
+        discharging_contradiction_report(complete(5), "mad4", mad_exact(complete(5)))
     with pytest.raises(ValueError):
-        discharging_contradiction_report(complete(4), "mad3")
+        discharging_contradiction_report(complete(4), "mad3", mad_exact(complete(4)))
 
 
 def test_contradiction_report_c6():
-    report = discharging_contradiction_report(cycle(6), "mad3")
+    report = discharging_contradiction_report(cycle(6), "mad3", mad_exact(cycle(6)))
     assert report.state.total_initial < 0
     assert report.state.negative_vertices() == list(range(6))
     assert report.failing_predicates  # C6 is far from critical
@@ -328,10 +329,10 @@ def test_contradiction_report_total_negative_under_mad4():
         n = rng.randint(3, 12)
         m = rng.randint(2, min(2 * n - 1, n * (n - 1) // 2))
         g = random_graph(rng, n, m)
-        from aecolor.density import mad_exact
-        if mad_exact(g) >= 4:
+        mad = mad_exact(g)
+        if mad >= 4:
             continue
-        report = discharging_contradiction_report(g, "mad4")
+        report = discharging_contradiction_report(g, "mad4", mad)
         assert report.state.total_initial == 2 * g.m - 4 * g.n
         assert report.state.total_initial < 0 or 2 * g.m >= 4 * g.n
         done += 1
