@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from math import inf
 
@@ -125,20 +124,6 @@ def girth(g: Graph) -> float:
         for v in queue:  # reset what this BFS touched, not all n
             dist[v] = parent[v] = -1
     return best
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
-    return len(seen) == g.n
 
 
 def is_2_connected(g: Graph) -> bool:

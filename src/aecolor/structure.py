@@ -4,6 +4,8 @@ verification, and the two discharging rule sets.
 The predicates are pure structural checks evaluable on any graph; whether a
 graph actually satisfies the criticality hypothesis is decided separately by
 the exact solver, so tests can exhibit both vacuous and violating cases.
+A failing predicate's witness names the lowest-numbered failing vertex and,
+where it names a neighbor, the lowest-numbered failing neighbor of it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 from .coloring import ColoringError, EdgeColoring, _color_at, has_bichromatic_cycle
 from .graph import Graph, build_graph, delete_edge, is_2_connected, n_k
@@ -40,6 +42,17 @@ def check_2connected(g: Graph) -> LemmaPredicateResult:
                                 witness=None if ok else {"graph": "not 2-connected"})
 
 
+def _scan(lemma_id: str, g: Graph,
+          failure: Callable[[int], dict | None]) -> LemmaPredicateResult:
+    """Holds unless ``failure`` returns a witness for some vertex; the result
+    carries the lowest such vertex's witness."""
+    for v in range(g.n):
+        witness = failure(v)
+        if witness is not None:
+            return LemmaPredicateResult(lemma_id, False, witness=witness)
+    return LemmaPredicateResult(lemma_id, True)
+
+
 def check_2vertex_neighborhood(g: Graph, k: int) -> LemmaPredicateResult:
     """Every vertex adjacent to a 2-vertex has at least k-Delta+1 neighbors
     of degree at least k-Delta+2.  Hypothesis: k <= 2*Delta - 2."""
@@ -49,59 +62,55 @@ def check_2vertex_neighborhood(g: Graph, k: int) -> LemmaPredicateResult:
                                     note=f"hypothesis k<=2*Delta-2 fails (k={k}, Delta={delta})")
     need_count = k - delta + 1
     need_deg = k - delta + 2
-    for v in range(g.n):
-        if n_k(g, v, 2) == 0:
-            continue
-        strong = sum(1 for w in g.neighbors(v) if g.degree(w) >= need_deg)
-        if strong < need_count:
-            return LemmaPredicateResult(
-                "2-vertex-neighborhood", False,
-                witness={"vertex": v, "strong_neighbors": strong,
-                         "required": need_count})
-    return LemmaPredicateResult("2-vertex-neighborhood", True)
+
+    def failure(v: int) -> dict | None:
+        if n_k(g, v, 2) != 0:
+            strong = sum(1 for w in g.neighbors(v) if g.degree(w) >= need_deg)
+            if strong < need_count:
+                return {"vertex": v, "strong_neighbors": strong, "required": need_count}
+        return None
+    return _scan("2-vertex-neighborhood", g, failure)
 
 
 def check_2vertex_count(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+1: every vertex has n_2(v) <= Delta - 2."""
-    delta = g.max_degree()
-    for v in range(g.n):
-        if n_k(g, v, 2) > delta - 2:
-            return LemmaPredicateResult(
-                "2-vertex-count", False,
-                witness={"vertex": v, "n2": n_k(g, v, 2), "bound": delta - 2})
-    return LemmaPredicateResult("2-vertex-count", True)
+    bound = g.max_degree() - 2
+
+    def failure(v: int) -> dict | None:
+        n2 = n_k(g, v, 2)
+        return {"vertex": v, "n2": n2, "bound": bound} if n2 > bound else None
+    return _scan("2-vertex-count", g, failure)
 
 
 def check_2and3_count(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: if n_2(v) != 0 then n_2(v)+n_3(v) <= Delta - 3."""
-    delta = g.max_degree()
-    for v in range(g.n):
+    bound = g.max_degree() - 3
+
+    def failure(v: int) -> dict | None:
         n2 = n_k(g, v, 2)
-        if n2 == 0:
-            continue
-        n3 = n_k(g, v, 3)
-        if n2 + n3 > delta - 3:
-            return LemmaPredicateResult(
-                "2-and-3-vertex-count", False,
-                witness={"vertex": v, "n2": n2, "n3": n3, "bound": delta - 3})
-    return LemmaPredicateResult("2-and-3-vertex-count", True)
+        if n2 != 0 and n2 + n_k(g, v, 3) > bound:
+            return {"vertex": v, "n2": n2, "n3": n_k(g, v, 3), "bound": bound}
+        return None
+    return _scan("2-and-3-vertex-count", g, failure)
+
+
+def _neighbors_at_least(lemma_id: str, g: Graph, d: int,
+                        threshold: int) -> LemmaPredicateResult:
+    """Every d-vertex has only neighbors of degree at least ``threshold``."""
+    def failure(v: int) -> dict | None:
+        if g.degree(v) == d:
+            for w in g.neighbors(v):
+                if g.degree(w) < threshold:
+                    return {"vertex": v, "neighbor": w,
+                            "degree": g.degree(w), "threshold": threshold}
+        return None
+    return _scan(lemma_id, g, failure)
 
 
 def check_neighbor_of_2vertex(g: Graph, k: int) -> LemmaPredicateResult:
     """At k > Delta: every 2-vertex has only neighbors of degree
     at least k - Delta + 3."""
-    delta = g.max_degree()
-    threshold = k - delta + 3
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        for w in g.neighbors(v):
-            if g.degree(w) < threshold:
-                return LemmaPredicateResult(
-                    "neighbor-of-2-vertex", False,
-                    witness={"vertex": v, "neighbor": w,
-                             "degree": g.degree(w), "threshold": threshold})
-    return LemmaPredicateResult("neighbor-of-2-vertex", True)
+    return _neighbors_at_least("neighbor-of-2-vertex", g, 2, k - g.max_degree() + 3)
 
 
 def check_3vertex_neighbors(g: Graph, k: int) -> LemmaPredicateResult:
@@ -111,17 +120,7 @@ def check_3vertex_neighbors(g: Graph, k: int) -> LemmaPredicateResult:
     if k < delta + 2:
         return LemmaPredicateResult("3-vertex-neighbors", True, applicable=False,
                                     note=f"hypothesis k>=Delta+2 fails (k={k})")
-    threshold = k - delta + 2
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            continue
-        for w in g.neighbors(v):
-            if g.degree(w) < threshold:
-                return LemmaPredicateResult(
-                    "3-vertex-neighbors", False,
-                    witness={"vertex": v, "neighbor": w,
-                             "degree": g.degree(w), "threshold": threshold})
-    return LemmaPredicateResult("3-vertex-neighbors", True)
+    return _neighbors_at_least("3-vertex-neighbors", g, 3, k - delta + 2)
 
 
 def check_3adj4(g: Graph) -> LemmaPredicateResult:
@@ -136,68 +135,49 @@ def check_3adj4(g: Graph) -> LemmaPredicateResult:
     def strong(w: int) -> int:
         return sum(1 for x in g.neighbors(w) if g.degree(x) >= 4)
 
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            continue
+    def roles_met(p: int, q: int) -> bool:
+        return strong(p) >= 3 and strong(q) >= (3 if g.degree(q) == 5 else 2)
+
+    def failure(v: int) -> dict | None:
         nbrs = g.neighbors(v)
-        if not any(g.degree(x) == 4 for x in nbrs):
-            continue
+        if g.degree(v) != 3 or not any(g.degree(x) == 4 for x in nbrs):
+            return None
         x = min(w for w in nbrs if g.degree(w) == 4)
-        others = [w for w in nbrs if w != x]
-        y, z = others
+        y, z = others = [w for w in nbrs if w != x]
         if g.degree(y) < 5 or g.degree(z) < 5:
-            return LemmaPredicateResult(
-                "3-adjacent-4", False,
-                witness={"vertex": v, "four_neighbor": x,
-                         "others": others,
-                         "degrees": [g.degree(y), g.degree(z)]})
-        ok = False
-        for p, q in ((y, z), (z, y)):
-            if strong(p) < 3:
-                continue
-            need_q = 3 if g.degree(q) == 5 else 2
-            if strong(q) >= need_q:
-                ok = True
-                break
-        if not ok:
-            return LemmaPredicateResult(
-                "3-adjacent-4", False,
-                witness={"vertex": v, "four_neighbor": x, "others": others,
-                         "strong_counts": [strong(y), strong(z)]})
-    return LemmaPredicateResult("3-adjacent-4", True)
+            return {"vertex": v, "four_neighbor": x, "others": others,
+                    "degrees": [g.degree(y), g.degree(z)]}
+        if not (roles_met(y, z) or roles_met(z, y)):
+            return {"vertex": v, "four_neighbor": x, "others": others,
+                    "strong_counts": [strong(y), strong(z)]}
+        return None
+    return _scan("3-adjacent-4", g, failure)
 
 
 def check_tvertex_2s(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: a t-vertex with t >= 5 has n_2(v) <= t - 4, and when
     equality holds, n_3(v) = 0."""
-    for v in range(g.n):
+    def failure(v: int) -> dict | None:
         t = g.degree(v)
         if t < 5:
-            continue
+            return None
         n2 = n_k(g, v, 2)
         if n2 > t - 4:
-            return LemmaPredicateResult(
-                "t-vertex-2-count", False,
-                witness={"vertex": v, "n2": n2, "bound": t - 4})
+            return {"vertex": v, "n2": n2, "bound": t - 4}
         if n2 == t - 4 and n_k(g, v, 3) != 0:
-            return LemmaPredicateResult(
-                "t-vertex-2-count", False,
-                witness={"vertex": v, "n2": n2, "n3": n_k(g, v, 3),
-                         "note": "equality case requires n3 = 0"})
-    return LemmaPredicateResult("t-vertex-2-count", True)
+            return {"vertex": v, "n2": n2, "n3": n_k(g, v, 3),
+                    "note": "equality case requires n3 = 0"}
+        return None
+    return _scan("t-vertex-2-count", g, failure)
 
 
 def check_5vertex(g: Graph) -> LemmaPredicateResult:
     """At k = Delta+2: every 5-vertex has n_2(v) + n_3(v) <= 3."""
-    for v in range(g.n):
-        if g.degree(v) != 5:
-            continue
-        total = n_k(g, v, 2) + n_k(g, v, 3)
-        if total > 3:
-            return LemmaPredicateResult(
-                "5-vertex", False,
-                witness={"vertex": v, "n2_plus_n3": total})
-    return LemmaPredicateResult("5-vertex", True)
+    def failure(v: int) -> dict | None:
+        if g.degree(v) == 5 and n_k(g, v, 2) + n_k(g, v, 3) > 3:
+            return {"vertex": v, "n2_plus_n3": n_k(g, v, 2) + n_k(g, v, 3)}
+        return None
+    return _scan("5-vertex", g, failure)
 
 
 def lemma_suite(g: Graph, k: int) -> list[LemmaPredicateResult]:
@@ -339,9 +319,9 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
     graphs negative final charges are informative output, not an error.
     """
     if rules == "mad4":
-        base = 4
+        base, rule, share = 4, "R1", Fraction(1)
     elif rules == "mad3":
-        base = 3
+        base, rule, share = 3, "R", Fraction(1, 2)
     else:
         raise ValueError(f"unknown rule set {rules!r}")
     initial = {v: Fraction(g.degree(v) - base) for v in range(g.n)}
@@ -353,26 +333,20 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
         final[receiver] += amount
         transfers.append((rule, giver, receiver, amount))
 
-    if rules == "mad3":
-        for v in range(g.n):
-            if g.degree(v) == 2:
-                for w in g.neighbors(v):
-                    give("R", w, v, Fraction(1, 2))
-    else:
-        for v in range(g.n):
-            if g.degree(v) == 2:
-                for w in g.neighbors(v):
-                    give("R1", w, v, Fraction(1))
+    for v in range(g.n):
+        if g.degree(v) == 2:
+            for w in g.neighbors(v):
+                give(rule, w, v, share)
+    if rules == "mad4":
         for v in range(g.n):
             if g.degree(v) != 3:
                 continue
-            if any(g.degree(w) == 4 for w in g.neighbors(v)):
-                for w in g.neighbors(v):
-                    if g.degree(w) >= 5:
-                        give("R2", w, v, Fraction(1, 2))
-            else:
-                for w in g.neighbors(v):
+            near_4 = any(g.degree(w) == 4 for w in g.neighbors(v))
+            for w in g.neighbors(v):
+                if not near_4:
                     give("R2", w, v, Fraction(1, 3))
+                elif g.degree(w) >= 5:
+                    give("R2", w, v, Fraction(1, 2))
     return ChargeState(rules, initial, final, transfers)
 
 

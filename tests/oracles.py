@@ -1,7 +1,10 @@
 """Reference oracles for the tests: brute force that shares no code with the
 algorithms it checks.
 
-``mad_brute`` maximises the density over every vertex subset; it checks
+``is_connected`` is a breadth-first search from vertex 0; it checks
+``aecolor.graph.is_2_connected``, which reads connectivity off its own
+DFS, and keeps ``connected_classes`` to connected graphs.  ``mad_brute``
+maximises the density over every vertex subset; it checks
 ``aecolor.density.mad_exact``.  ``Dinic`` is the iterative Dinic max flow
 that the package's push-relabel replaced, and ``dinic_exceeds`` runs it on
 Goldberg's vertex network; they check ``aecolor.density._density_exceeds``.  ``connected_classes`` lists the connected
@@ -16,6 +19,7 @@ path-end merge replaced, kept as they were; they check
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -26,7 +30,21 @@ from aecolor.coloring import (
     properness_violation,
     trace_bichromatic,
 )
-from aecolor.graph import Graph, build_graph, is_connected
+from aecolor.graph import Graph, build_graph
+
+
+def is_connected(g: Graph) -> bool:
+    if g.n == 0:
+        return True
+    seen = {0}
+    q = deque([0])
+    while q:
+        u = q.popleft()
+        for w in g.neighbors(u):
+            if w not in seen:
+                seen.add(w)
+                q.append(w)
+    return len(seen) == g.n
 
 
 def mad_brute(g: Graph) -> Fraction:

@@ -13,11 +13,11 @@ from aecolor.graph import (
     delete_edge,
     girth,
     is_2_connected,
-    is_connected,
     n_k,
     parse_edge_list,
 )
 from conftest import complete, cube, cycle, from_networkx, path, random_graph, star
+from oracles import is_connected
 
 
 def test_build_triangle():

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 
 import aecolor
 from aecolor import coloring, structure
+from aecolor.cli import generate_sparse
 from aecolor.coloring import EdgeColoring
 from aecolor.density import mad_exact
 from aecolor.graph import build_graph, delete_edge
@@ -189,6 +193,176 @@ def test_lemma_suite_gates_by_k():
     ids_high = {r.lemma_id for r in lemma_suite(complete(4), 5)}
     assert "2-vertex-count" in ids_low and "2-vertex-count" not in ids_high
     assert "3-adjacent-4" in ids_high and "3-adjacent-4" not in ids_low
+
+
+@functools.cache
+def _lemma_corpus() -> tuple:
+    """The connected atlas graphs on at most 7 vertices, then 3,000 seeded
+    ``generate_sparse`` graphs on 2 to 40 vertices with n - 1 to 3n edges."""
+    sparse = []
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
+        sparse.append(generate_sparse(n, m, seed))
+    return (*connected_graphs_upto(7), *sparse)
+
+
+@functools.cache
+def _lemma_suites() -> tuple:
+    """Each corpus graph with its lemma suites at the levels k = Delta .. Delta+3."""
+    return tuple((g, [(k, lemma_suite(g, k))
+                      for k in range(g.max_degree(), g.max_degree() + 4)])
+                 for g in _lemma_corpus())
+
+
+def test_lemma_and_discharge_outputs_are_pinned():
+    # a digest of every result's fields, witness key order and transfer
+    # order included: a change to a witness, a level gate or a transfer
+    # changes it
+    digest = hashlib.sha256()
+    failing = 0
+    for _, suites in _lemma_suites():
+        for _, results in suites:
+            for r in results:
+                failing += r.applicable and not r.holds
+                line = (r.lemma_id, r.holds, r.applicable, json.dumps(r.witness), r.note)
+                digest.update(repr(line).encode())
+    for g in _lemma_corpus():
+        for rules in ("mad3", "mad4"):
+            state = discharge(g, rules)
+            line = (rules, sorted(state.initial.items()), sorted(state.final.items()),
+                    state.transfers)
+            digest.update(repr(line).encode())
+    assert failing == 34461
+    assert digest.hexdigest() == (
+        "516efbc3cc68956d23fdf2c71dbd55eb9694d38f684953c1fa638644c12a1498")
+
+
+def _recount(g):
+    """Neighbor lists, degrees and counts of 2- and 3-neighbors, read off
+    ``g.edges`` alone."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = [sorted(a) for a in adj]
+    deg = [len(a) for a in adj]
+    n2 = [sum(deg[w] == 2 for w in a) for a in adj]
+    n3 = [sum(deg[w] == 3 for w in a) for a in adj]
+    return adj, deg, n2, n3
+
+
+def _vertex_fails(lemma_id, v, k, adj, deg, n2, n3) -> bool:
+    """Whether vertex v breaks the lemma's local degree pattern at level k."""
+    delta = max(deg)
+    t = deg[v]
+
+    def strong(w):
+        return sum(deg[x] >= 4 for x in adj[w])
+
+    def roles_met(p, q):
+        return strong(p) >= 3 and strong(q) >= (3 if deg[q] == 5 else 2)
+
+    if lemma_id == "2-vertex-neighborhood":
+        return n2[v] > 0 and sum(deg[w] >= k - delta + 2 for w in adj[v]) < k - delta + 1
+    if lemma_id == "2-vertex-count":
+        return n2[v] > delta - 2
+    if lemma_id == "2-and-3-vertex-count":
+        return n2[v] > 0 and n2[v] + n3[v] > delta - 3
+    if lemma_id == "neighbor-of-2-vertex":
+        return t == 2 and any(deg[w] < k - delta + 3 for w in adj[v])
+    if lemma_id == "3-vertex-neighbors":
+        return t == 3 and any(deg[w] < k - delta + 2 for w in adj[v])
+    if lemma_id == "3-adjacent-4":
+        fours = [w for w in adj[v] if deg[w] == 4]
+        if t != 3 or not fours:
+            return False
+        y, z = (w for w in adj[v] if w != fours[0])
+        return min(deg[y], deg[z]) < 5 or not (roles_met(y, z) or roles_met(z, y))
+    if lemma_id == "t-vertex-2-count":
+        return t >= 5 and (n2[v] > t - 4 or n2[v] == t - 4 and n3[v] > 0)
+    if lemma_id == "5-vertex":
+        return t == 5 and n2[v] + n3[v] > 3
+    raise AssertionError(f"no oracle for {lemma_id}")
+
+
+def test_witnesses_recount_from_the_edge_list():
+    # each failing predicate's witness names the lowest vertex the oracle
+    # fails, with the counts it names recounted and its inequality broken;
+    # a predicate that holds has no vertex the oracle fails
+    kinds = set()
+    for g, suites in _lemma_suites():
+        counts = _recount(g)
+        adj, deg, n2, n3 = counts
+        delta = max(deg)
+        for k, r in ((k, r) for k, results in suites for r in results):
+            w = r.witness
+            if r.lemma_id == "2-connected":
+                assert w == (None if r.holds else {"graph": "not 2-connected"})
+                continue
+            if not r.applicable:
+                continue
+            first = next((v for v in range(g.n)
+                          if _vertex_fails(r.lemma_id, v, k, *counts)), None)
+            if r.holds:
+                assert first is None
+                continue
+            v = w["vertex"]
+            assert first == v
+            kinds.add((r.lemma_id, *sorted(w)))
+            if r.lemma_id == "2-vertex-neighborhood":
+                strong = sum(deg[x] >= k - delta + 2 for x in adj[v])
+                assert w == {"vertex": v, "strong_neighbors": strong,
+                             "required": k - delta + 1}
+                assert n2[v] > 0 and w["strong_neighbors"] < w["required"]
+            elif r.lemma_id == "2-vertex-count":
+                assert w == {"vertex": v, "n2": n2[v], "bound": delta - 2}
+                assert w["n2"] > w["bound"]
+            elif r.lemma_id == "2-and-3-vertex-count":
+                assert w == {"vertex": v, "n2": n2[v], "n3": n3[v], "bound": delta - 3}
+                assert w["n2"] > 0 and w["n2"] + w["n3"] > w["bound"]
+            elif r.lemma_id in ("neighbor-of-2-vertex", "3-vertex-neighbors"):
+                d, slack = (2, 3) if r.lemma_id == "neighbor-of-2-vertex" else (3, 2)
+                x = w["neighbor"]
+                assert w == {"vertex": v, "neighbor": x, "degree": deg[x],
+                             "threshold": k - delta + slack}
+                assert deg[v] == d and x in adj[v] and w["degree"] < w["threshold"]
+                assert all(deg[y] >= w["threshold"] for y in adj[v] if y < x)
+            elif r.lemma_id == "3-adjacent-4":
+                x = min(a for a in adj[v] if deg[a] == 4)
+                y, z = others = [a for a in adj[v] if a != x]
+                assert deg[v] == 3
+                assert (w["four_neighbor"], w["others"]) == (x, others)
+                if "degrees" in w:
+                    assert w["degrees"] == [deg[y], deg[z]] and min(w["degrees"]) < 5
+                else:
+                    strong = [sum(deg[a] >= 4 for a in adj[b]) for b in others]
+                    assert w["strong_counts"] == strong and min(deg[y], deg[z]) >= 5
+                    need = [3 if deg[b] == 5 else 2 for b in others]
+                    assert not (strong[0] >= 3 and strong[1] >= need[1])
+                    assert not (strong[1] >= 3 and strong[0] >= need[0])
+            elif r.lemma_id == "t-vertex-2-count":
+                t = deg[v]
+                if "bound" in w:
+                    assert w == {"vertex": v, "n2": n2[v], "bound": t - 4}
+                    assert w["n2"] > w["bound"]
+                else:
+                    assert w == {"vertex": v, "n2": n2[v], "n3": n3[v],
+                                 "note": "equality case requires n3 = 0"}
+                    assert w["n2"] == t - 4 and w["n3"] > 0
+            else:
+                assert w == {"vertex": v, "n2_plus_n3": n2[v] + n3[v]}
+                assert deg[v] == 5 and w["n2_plus_n3"] > 3
+    # every witness shape occurs, so no branch above is vacuous
+    assert {kind[0] for kind in kinds} == {
+        "2-vertex-neighborhood", "2-vertex-count", "2-and-3-vertex-count",
+        "neighbor-of-2-vertex", "3-vertex-neighbors", "3-adjacent-4",
+        "t-vertex-2-count", "5-vertex"}
+    assert ("3-adjacent-4", "degrees", "four_neighbor", "others", "vertex") in kinds
+    assert ("3-adjacent-4", "four_neighbor", "others", "strong_counts", "vertex") in kinds
+    assert ("t-vertex-2-count", "bound", "n2", "vertex") in kinds
+    assert ("t-vertex-2-count", "n2", "n3", "note", "vertex") in kinds
 
 
 # --- Fact 2 -------------------------------------------------------------------
