@@ -29,6 +29,7 @@ from .density import mad_exact, mad_witness
 from .graph import Graph, girth, load_graph
 from .solver import SolveBudget, chi_a_exact
 from .structure import (
+    RULE_SETS,
     critical_sweep,
     discharge,
     discharging_contradiction_report,
@@ -216,7 +217,7 @@ def cmd_lemmas(args) -> int:
 def cmd_discharge(args) -> int:
     g = load_graph(args.file)
     value = mad_exact(g)
-    bound = 4 if args.rules == "mad4" else 3
+    bound = RULE_SETS[args.rules].bound
     # the report runs the discharging pass itself; reuse its charges
     report = discharging_contradiction_report(g, args.rules, value) if value < bound else None
     state = report.state if report is not None else discharge(g, args.rules)
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discharge", help="run a discharging rule set")
     p.add_argument("file")
-    p.add_argument("--rules", choices=["mad4", "mad3"], required=True)
+    p.add_argument("--rules", choices=list(RULE_SETS), required=True)
 
     p = sub.add_parser("critical-sweep", help="find small critical graphs")
     p.add_argument("--n-max", type=int, default=7)

@@ -542,8 +542,8 @@ def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),
     one the order with ties by id finds; the nodes and the coloring differ.
     The count holds for the peel sets of any deletion order, so the bound
     stays sound, though it may count other sets than the id order's and
-    read another value; on networkx's atlas of graphs up to 7 vertices,
-    as labelled there, it never does.  Every
+    read another value; on the atlas of graphs up to 7 vertices that
+    ``critical_sweep`` reads, as labelled there, it never does.  Every
     k up to ``decided_up_to`` is
     decided: below the bound "no" by the count, from it on by the search.
     The answer is the first "yes", whose coloring the validator checked.

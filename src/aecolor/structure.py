@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Literal
@@ -287,6 +288,33 @@ def fact2_sweep(
 RuleSetName = Literal["mad4", "mad3"]
 
 
+@dataclass(frozen=True)
+class RuleSet:
+    """One discharging argument: a graph with mad < ``bound`` is shown not
+    critical at k = Delta + ``slack``.  Each vertex starts with d(v) - bound
+    charge, and every 2-vertex takes ``share`` from each neighbor by rule
+    ``rule``."""
+
+    bound: int
+    slack: int
+    rule: str
+    share: Fraction
+
+
+RULE_SETS: dict[str, RuleSet] = {
+    "mad4": RuleSet(4, 2, "R1", Fraction(1)),
+    "mad3": RuleSet(3, 1, "R", Fraction(1, 2)),
+}
+
+
+def rule_set(name: str) -> RuleSet:
+    """The entry of ``RULE_SETS`` named ``name``; ValueError for any other."""
+    try:
+        return RULE_SETS[name]
+    except KeyError:
+        raise ValueError(f"unknown rule set {name!r}") from None
+
+
 @dataclass
 class ChargeState:
     rules: RuleSetName
@@ -309,6 +337,9 @@ class ChargeState:
 def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
     """Apply one simultaneous discharging pass.
 
+    The rule set's table entry (``RULE_SETS``) gives the initial charges
+    and the 2-vertex rule; an unknown name raises ValueError.
+
     mad4: initial d(v)-4; every 2-vertex takes 1 from each neighbor (R1);
     a 3-vertex adjacent to a 4-vertex takes 1/2 from each adjacent
     5+-vertex, any other 3-vertex takes 1/3 from each neighbor (R2).
@@ -318,13 +349,8 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
     Rules are applied literally from the initial degrees: on non-critical
     graphs negative final charges are informative output, not an error.
     """
-    if rules == "mad4":
-        base, rule, share = 4, "R1", Fraction(1)
-    elif rules == "mad3":
-        base, rule, share = 3, "R", Fraction(1, 2)
-    else:
-        raise ValueError(f"unknown rule set {rules!r}")
-    initial = {v: Fraction(g.degree(v) - base) for v in range(g.n)}
+    rs = rule_set(rules)
+    initial = {v: Fraction(g.degree(v) - rs.bound) for v in range(g.n)}
     final = dict(initial)
     transfers: list[tuple[str, int, int, Fraction]] = []
 
@@ -336,7 +362,7 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
     for v in range(g.n):
         if g.degree(v) == 2:
             for w in g.neighbors(v):
-                give(rule, w, v, share)
+                give(rs.rule, w, v, rs.share)
     if rules == "mad4":
         for v in range(g.n):
             if g.degree(v) != 3:
@@ -364,38 +390,76 @@ def discharging_contradiction_report(
 
     The mad bound forces a negative total initial charge; if vertices end
     negative the graph cannot be critical, and the report cross-references
-    which lemma predicates fail on it.
+    which lemma predicates fail on it at k = Delta + slack.  An unknown rule
+    set is rejected before the mad hypothesis is checked.
     """
-    bound = 4 if rules == "mad4" else 3
-    if mad >= bound:
-        raise ValueError(f"mad(G) = {mad} does not satisfy mad < {bound}")
+    rs = rule_set(rules)
+    if mad >= rs.bound:
+        raise ValueError(f"mad(G) = {mad} does not satisfy mad < {rs.bound}")
     state = discharge(g, rules)
-    k = g.max_degree() + (2 if rules == "mad4" else 1)
+    k = g.max_degree() + rs.slack
     failing = [r for r in lemma_suite(g, k) if r.applicable and not r.holds]
     return DischargeReport(failing, state)
 
 
 # --- small-graph enumeration and the critical sweep --------------------------
 
+# Read and Wilson, "An Atlas of Graphs" (1998): every graph on 0..7 vertices,
+# in atlas order, as the NetworkX developers distribute it (BSD-3).  Each
+# entry is "GRAPH i", "NODES n" and then one "u v" line per edge.
+ATLAS_FILE = os.path.join(os.path.dirname(__file__), "atlas.dat.gz")
+ATLAS_SIZE = 1253
+
+
+def _is_connected(g: Graph) -> bool:
+    """A search from vertex 0 reaches every vertex (g has at least one)."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
 @functools.cache
 def _atlas_classes() -> tuple[Graph, ...]:
-    """The connected classes of the networkx graph atlas, in atlas order.
+    """The connected classes of the graph atlas in ``ATLAS_FILE``, in atlas
+    order, each with its edges sorted.
 
-    networkx is imported here, so only a caller of the enumeration loads it.
+    gzip is imported here, so only a caller of the enumeration loads it.  A
+    file that is missing, cut short or out of order raises OSError or
+    ValueError, which the CLI reports as an error.
     """
-    import networkx as nx
+    import gzip
+    import zlib
 
-    return tuple(
-        build_graph(ag.number_of_nodes(), sorted(ag.edges()))
-        for ag in nx.graph_atlas_g()[1:]
-        if nx.is_connected(ag)
-    )
+    try:
+        with gzip.open(ATLAS_FILE, "rb") as f:
+            entries = f.read().split(b"GRAPH ")[1:]
+    except (EOFError, zlib.error) as exc:
+        raise ValueError(f"atlas file {ATLAS_FILE} is damaged: {exc}") from None
+    if len(entries) != ATLAS_SIZE:
+        raise ValueError(f"atlas file {ATLAS_FILE} holds {len(entries)} graphs, "
+                         f"expected {ATLAS_SIZE}")
+    classes = []
+    for i, entry in enumerate(entries[1:], start=1):  # graph 0 has no vertex
+        index, nodes, n, *ends = entry.split()
+        if int(index) != i or nodes != b"NODES" or len(ends) % 2:
+            raise ValueError(f"atlas file {ATLAS_FILE}: entry {i} is malformed")
+        ends = list(map(int, ends))
+        g = build_graph(int(n), sorted(
+            (u, v) if u < v else (v, u) for u, v in zip(ends[::2], ends[1::2])))
+        if _is_connected(g):
+            classes.append(g)
+    return tuple(classes)
 
 
 def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
     """All connected graphs on 1..n_max vertices, one per isomorphism class.
 
-    Backed by the networkx graph atlas (complete through 7 vertices).  The
+    Read from the packaged graph atlas (complete through 7 vertices).  The
     class list is built on the first call and reused by every later call in
     the process; a ``Graph`` is immutable, so the callers share its values.
     """

@@ -8,8 +8,8 @@ maximises the density over every vertex subset; it checks
 ``aecolor.density.mad_exact``.  ``Dinic`` is the iterative Dinic max flow
 that the package's push-relabel replaced, and ``dinic_exceeds`` runs it on
 Goldberg's vertex network; they check ``aecolor.density._density_exceeds``.  ``connected_classes`` lists the connected
-graphs on n vertices, one per isomorphism class, without the networkx atlas
-that ``aecolor.structure.connected_graphs_upto`` reads.  ``replay_trace``
+graphs on n vertices, one per isomorphism class, without the packaged graph
+atlas that ``aecolor.structure.connected_graphs_upto`` reads.  ``replay_trace``
 rebuilds a coloring from the colorer's move log on a plain list, without
 the coloring kernel that made the moves.  ``union_find_bichromatic_cycle``
 and ``_closing_end`` are the union-find validator that the package's

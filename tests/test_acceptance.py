@@ -28,7 +28,7 @@ _cache = {}
 def small_connected_classes():
     """Connected graphs on 2..6 vertices, one per isomorphism class, from the
     orbit enumeration of ``oracles.connected_classes`` (independent of the
-    networkx atlas that ``critical_sweep`` reads)."""
+    packaged graph atlas that ``critical_sweep`` reads)."""
     if "classes" not in _cache:
         graphs = []
         for n in range(2, 7):

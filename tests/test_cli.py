@@ -1,4 +1,5 @@
 import argparse
+import gzip
 import json
 import os
 import random
@@ -395,12 +396,41 @@ def test_critical_sweep_cli(tmp_path, capsys):
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_critical_sweep_n_max_below_1_exit_2(capsys, monkeypatch, n_max):
     """An empty sweep would read as "no critical graph"; the range is
-    checked before networkx's atlas is loaded."""
+    checked before the packaged atlas file is read."""
     monkeypatch.setattr(structure, "_atlas_classes",
                         lambda: pytest.fail("the atlas was loaded"))
     code, payload = run(capsys, ["critical-sweep", "--n-max", n_max])
     assert code == 2
     assert payload == {"error": f"n_max must be at least 1, got {n_max}"}
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("missing", "No such file or directory"),
+    ("cut", "is damaged"),
+    ("short", "holds 627 graphs, expected 1253"),
+])
+def test_critical_sweep_damaged_atlas_exit_2(tmp_path, capsys, monkeypatch, damage, message):
+    """A missing atlas file, one cut off mid-stream, and a whole gzip file
+    of the first half of the atlas each end in a JSON error, not a
+    traceback or a sweep over too few graphs."""
+    with open(structure.ATLAS_FILE, "rb") as f:
+        packaged = f.read()
+    path = tmp_path / "atlas.dat.gz"
+    if damage == "cut":
+        path.write_bytes(packaged[:4000])
+    elif damage == "short":
+        text = gzip.decompress(packaged)
+        path.write_bytes(gzip.compress(text[:text.index(b"GRAPH 627\n")]))
+    monkeypatch.setattr(structure, "ATLAS_FILE", str(path))
+    structure._atlas_classes.cache_clear()
+    try:
+        code = main(["critical-sweep", "--n-max", "7"])
+    finally:
+        structure._atlas_classes.cache_clear()  # later sweeps read the packaged file
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert message in json.loads(out)["error"]
+    assert err == ""
 
 
 def test_color_dot_file(tmp_path, capsys):

@@ -489,6 +489,27 @@ def test_contradiction_report_rejects_dense():
         discharging_contradiction_report(complete(4), "mad3", mad_exact(complete(4)))
 
 
+@pytest.mark.parametrize("g", [complete(5), cycle(6)], ids=["K5", "C6"])
+def test_contradiction_report_rejects_unknown_rules_first(g):
+    """The rule set is looked up before the mad hypothesis: K5 (mad 4)
+    would fail either bound, and C6 (mad 2) would meet both."""
+    with pytest.raises(ValueError, match="unknown rule set 'mad5'"):
+        discharging_contradiction_report(g, "mad5", mad_exact(g))
+
+
+def test_rule_sets_table():
+    """Both rule sets read one table: mad < bound, the lemmas at Delta +
+    slack, and the 2-vertex rule with its share."""
+    assert structure.RULE_SETS == {
+        "mad4": structure.RuleSet(4, 2, "R1", Fraction(1)),
+        "mad3": structure.RuleSet(3, 1, "R", Fraction(1, 2)),
+    }
+    for name, rs in structure.RULE_SETS.items():
+        state = discharge(path(3), name)
+        assert state.initial == {0: 1 - rs.bound, 1: 2 - rs.bound, 2: 1 - rs.bound}
+        assert state.transfers == [(rs.rule, 0, 1, rs.share), (rs.rule, 2, 1, rs.share)]
+
+
 def test_contradiction_report_c6():
     report = discharging_contradiction_report(cycle(6), "mad3", mad_exact(cycle(6)))
     assert report.state.total_initial < 0
@@ -532,6 +553,15 @@ def test_atlas_counts():
 def test_atlas_rejects_large_n():
     with pytest.raises(ValueError):
         list(connected_graphs_upto(8))
+
+
+ATLAS_SHA256 = "73fc416df0164923607751cb759f4ae81deb5f6550bf25be59c86de3b747e41d"
+
+
+def test_atlas_file_is_pinned():
+    """The packaged atlas is the NetworkX developers' atlas.dat.gz, byte for byte."""
+    with open(structure.ATLAS_FILE, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == ATLAS_SHA256
 
 
 def test_class_list_matches_the_atlas():

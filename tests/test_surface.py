@@ -57,8 +57,8 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 def test_import_loads_neither_networkx_nor_multiprocessing():
     """Importing the package or its CLI, or running an experiment, loads
-    neither networkx (only critical-sweep needs it) nor multiprocessing
-    (no command uses it)."""
+    neither networkx (a test dependency only) nor multiprocessing (no
+    command uses it)."""
     report = "print(sorted(m for m in ('networkx', 'multiprocessing') if m in sys.modules))"
     for module in ("aecolor", "aecolor.cli"):
         proc = _fresh_python(f"import sys, {module}\n" + report)
@@ -74,15 +74,21 @@ def test_import_loads_neither_networkx_nor_multiprocessing():
     assert proc.stdout.strip() == "[]"
 
 
-def test_critical_sweep_imports_networkx_on_demand():
+def test_critical_sweep_runs_without_networkx():
+    """The sweep reads its graph classes from the packaged atlas file: an
+    interpreter that cannot import networkx finds the four critical graphs
+    on at most 7 vertices, and never loads it."""
     proc = _fresh_python(
-        "import sys, aecolor.cli\n"
-        "code = aecolor.cli.main(['critical-sweep', '--n-max', '5'])\n"
-        "print('networkx' in sys.modules)\n"
+        "import sys\n"
+        "sys.modules['networkx'] = None  # any import of networkx now fails\n"
+        "import aecolor.cli\n"
+        "code = aecolor.cli.main(['critical-sweep', '--n-max', '7'])\n"
+        "print(sys.modules['networkx'] is None)\n"
         "sys.exit(code)")
     assert proc.returncode == 0, proc.stderr
-    report, loaded = proc.stdout.splitlines()
+    report, blocked = proc.stdout.splitlines()
     critical = json.loads(report)["critical"]
-    k4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-    assert {"n": 4, "edges": k4, "k": 4, "status": "critical"} in critical
-    assert loaded == "True"
+    assert [(r["n"], len(r["edges"]), r["k"]) for r in critical] == [
+        (4, 6, 4), (6, 9, 4), (6, 12, 5), (6, 14, 6)]
+    assert {r["status"] for r in critical} == {"critical"}
+    assert blocked == "True"
