@@ -337,9 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = SolveBudget()
+
     def budget_flags(p):
-        p.add_argument("--budget-nodes", type=int, default=SolveBudget.max_nodes)
-        p.add_argument("--budget-secs", type=float, default=SolveBudget.max_seconds)
+        p.add_argument("--budget-nodes", type=int, default=default.max_nodes)
+        p.add_argument("--budget-secs", type=float, default=default.max_seconds)
 
     p = sub.add_parser("chi-a", help="exact acyclic chromatic index")
     p.add_argument("file")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Literal
@@ -30,15 +29,31 @@ from .solver import (SolveBudget, _Search, deletion_edge_order,
 Move = tuple  # ("assign", e, c) | ("repair", (edges...), (colors...))
 
 
-@dataclass
 class ColoringReport:
-    outcome: Literal["success", "fallback-success", "failure"]
-    k: int
-    coloring: EdgeColoring  # partial on failure
-    colors_used: int
-    move_counts: dict[str, int]
-    moves_spent: int
-    trace: list[Move] = field(default_factory=list)
+    """What ``color_graph`` did: the coloring, partial on failure, and the
+    moves that built it; the trace list is the report's own."""
+
+    __slots__ = ("outcome", "k", "coloring", "colors_used", "move_counts",
+                 "moves_spent", "trace")
+
+    def __init__(self, outcome: Literal["success", "fallback-success", "failure"],
+                 k: int, coloring: EdgeColoring, colors_used: int,
+                 move_counts: dict[str, int], moves_spent: int,
+                 trace: list[Move] | None = None):
+        self.outcome = outcome
+        self.k = k
+        self.coloring = coloring
+        self.colors_used = colors_used
+        self.move_counts = move_counts
+        self.moves_spent = moves_spent
+        self.trace = [] if trace is None else trace
+
+    def _key(self) -> tuple:
+        return (self.outcome, self.k, self.coloring, self.colors_used, self.move_counts,
+                self.moves_spent, self.trace)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
 
 def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:

@@ -16,7 +16,7 @@ coloring the kernel produces is checked by code that did not produce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -33,18 +33,43 @@ class ImproperColoringError(ColoringError):
         self.vertex = vertex
 
 
-@dataclass(frozen=True)
 class EdgeColoring:
     """Palette colors of a graph's edges: ``colors[e]`` is the color of edge
-    id e, 0 if it is uncolored."""
+    id e, 0 if it is uncolored.  Immutable; two colorings are equal when
+    their k and colors are."""
 
+    __slots__ = ("k", "colors")
     k: int
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        for e, c in enumerate(self.colors):
-            if not 0 <= c <= self.k:
-                raise ColoringError(f"color {c} on edge {e} outside [0..{self.k}]")
+    def __init__(self, k: int, colors: tuple[int, ...]):
+        for e, c in enumerate(colors):
+            if not 0 <= c <= k:
+                raise ColoringError(f"color {c} on edge {e} outside [0..{k}]")
+        init = object.__setattr__  # the instance's own __setattr__ refuses
+        init(self, "k", k)
+        init(self, "colors", colors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable EdgeColoring")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable EdgeColoring")
+
+    def _key(self) -> tuple:
+        return self.k, self.colors
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return EdgeColoring, self._key()
+
+    def __repr__(self) -> str:
+        return f"EdgeColoring(k={self.k!r}, colors={self.colors!r})"
 
     def is_total(self) -> bool:
         return 0 not in self.colors
@@ -53,8 +78,7 @@ class EdgeColoring:
         return set(self.colors) - {0}
 
 
-@dataclass(frozen=True)
-class BichromaticTrace:
+class BichromaticTrace(NamedTuple):
     """Maximal two-color component: alternating open path or even cycle."""
 
     colors: tuple[int, int]

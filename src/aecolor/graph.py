@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 
 
@@ -10,20 +9,49 @@ class GraphError(ValueError):
     """Raised on malformed graph input (self-loops, duplicates, bad ids)."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph.
 
     Vertices are 0..n-1.  Edges carry dense ids 0..m-1 in first-seen order.
     Each vertex keeps its neighbors and its incident edge ids, each as an
     ascending tuple.  Mutating operations (delete_edge) return new Graph
-    values.
+    values.  Two graphs are equal when all four fields are.
     """
 
+    __slots__ = ("n", "edges", "_adj", "_inc")
     n: int
     edges: tuple[tuple[int, int], ...]
-    _adj: tuple[tuple[int, ...], ...] = field(repr=False)
-    _inc: tuple[tuple[int, ...], ...] = field(repr=False)
+    _adj: tuple[tuple[int, ...], ...]
+    _inc: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 _adj: tuple[tuple[int, ...], ...], _inc: tuple[tuple[int, ...], ...]):
+        init = object.__setattr__  # the instance's own __setattr__ refuses
+        init(self, "n", n)
+        init(self, "edges", edges)
+        init(self, "_adj", _adj)
+        init(self, "_inc", _inc)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
+
+    def _key(self) -> tuple:
+        return self.n, self.edges, self._adj, self._inc
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Graph, self._key()
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:

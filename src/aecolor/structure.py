@@ -13,9 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, NamedTuple
 
 from .coloring import ColoringError, EdgeColoring, _color_at, has_bichromatic_cycle
 from .graph import Graph, build_graph, delete_edge, is_2_connected, n_k
@@ -27,8 +26,7 @@ from .solver import (
 )
 
 
-@dataclass
-class LemmaPredicateResult:
+class LemmaPredicateResult(NamedTuple):
     lemma_id: str
     holds: bool
     applicable: bool = True
@@ -214,8 +212,7 @@ def lemma_suite(g: Graph, k: int) -> list[LemmaPredicateResult]:
 
 # --- Fact 2 ------------------------------------------------------------------
 
-@dataclass
-class Fact2Result:
+class Fact2Result(NamedTuple):
     holds: bool
     t: int
 
@@ -288,8 +285,7 @@ def fact2_sweep(
 RuleSetName = Literal["mad4", "mad3"]
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     """One discharging argument: a graph with mad < ``bound`` is shown not
     critical at k = Delta + ``slack``.  Each vertex starts with d(v) - bound
     charge, and every 2-vertex takes ``share`` from each neighbor by rule
@@ -315,12 +311,26 @@ def rule_set(name: str) -> RuleSet:
         raise ValueError(f"unknown rule set {name!r}") from None
 
 
-@dataclass
 class ChargeState:
-    rules: RuleSetName
-    initial: dict[int, Fraction]
-    final: dict[int, Fraction]
-    transfers: list[tuple[str, int, int, Fraction]] = field(default_factory=list)
+    """Charges before and after one discharging pass, and each transfer
+    (rule, giver, receiver, amount) in the order it was made; the
+    transfer list is the state's own."""
+
+    __slots__ = ("rules", "initial", "final", "transfers")
+
+    def __init__(self, rules: RuleSetName, initial: dict[int, Fraction],
+                 final: dict[int, Fraction],
+                 transfers: list[tuple[str, int, int, Fraction]] | None = None):
+        self.rules = rules
+        self.initial = initial
+        self.final = final
+        self.transfers = [] if transfers is None else transfers
+
+    def _key(self) -> tuple:
+        return self.rules, self.initial, self.final, self.transfers
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def total_initial(self) -> Fraction:
@@ -376,8 +386,7 @@ def discharge(g: Graph, rules: RuleSetName) -> ChargeState:
     return ChargeState(rules, initial, final, transfers)
 
 
-@dataclass
-class DischargeReport:
+class DischargeReport(NamedTuple):
     failing_predicates: list[LemmaPredicateResult]
     state: ChargeState
 
@@ -473,8 +482,7 @@ def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
         yield g
 
 
-@dataclass
-class SweepRecord:
+class SweepRecord(NamedTuple):
     graph: Graph
     k: int
     report: CriticalityReport

@@ -6,15 +6,26 @@ package no longer defines is reported as a coverage miss by the traced
 benchmark.  Checking the names here makes such a deletion fail the tests.
 """
 
+import copy
 import importlib
 import importlib.util
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import aecolor
+from aecolor.colorer import ColoringReport
+from aecolor.coloring import ColoringError, EdgeColoring
+from aecolor.graph import build_graph
+from aecolor.solver import ChiAResult, SolveBudget
+from aecolor.structure import ChargeState
+from conftest import petersen
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -72,6 +83,77 @@ def test_import_loads_neither_networkx_nor_multiprocessing():
         "sys.exit(code)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_and_commands_load_no_dataclasses(tmp_path):
+    """Importing the package or its CLI, or running ``chi-a``, ``color`` and
+    a small ``critical-sweep`` in process, loads none of dataclasses and the
+    modules it pulls in (inspect, ast, dis), which cost every one-shot
+    command about 10 ms of start-up."""
+    g = petersen()
+    graph_file = tmp_path / "petersen.txt"
+    graph_file.write_text(f"p {g.n} {g.m}\n" + "".join(f"e {u} {v}\n" for u, v in g.edges))
+    report = ("print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis')\n"
+              "             if m in sys.modules and m not in before))")
+    for module in ("aecolor", "aecolor.cli"):
+        proc = _fresh_python(f"import sys\nbefore = set(sys.modules)\nimport {module}\n" + report)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+    proc = _fresh_python(
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import aecolor.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [aecolor.cli.main(['chi-a', {str(graph_file)!r}]),\n"
+        f"             aecolor.cli.main(['color', {str(graph_file)!r}]),\n"
+        "             aecolor.cli.main(['critical-sweep', '--n-max', '5'])]\n"
+        "print(codes)\n" + report)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0]", "[]"]
+
+
+def test_records_keep_their_value_semantics():
+    """Graph, EdgeColoring and SolveBudget are immutable values that check
+    their fields, compare by value and survive copy and pickle; the result
+    records with a list field give each default-constructed record a list
+    of its own."""
+    values = [build_graph(3, [(0, 1), (1, 2)]), EdgeColoring(2, (1, 2)), SolveBudget()]
+    for value, field in zip(values, ("edges", "colors", "max_nodes")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        assert copy.copy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    # SolveBudget() is the shared default of the search functions' budgets
+    assert (SolveBudget().max_nodes, SolveBudget().max_seconds) == (200_000_000, 600.0)
+    for bad in (lambda: SolveBudget(0), lambda: SolveBudget(max_seconds=math.nan),
+                lambda: SolveBudget(max_nodes=-1), lambda: SolveBudget(10, 0.0)):
+        with pytest.raises(ValueError, match="budget limits must be positive"):
+            bad()
+    with pytest.raises(ColoringError, match=r"color 3 on edge 1 outside \[0..2\]"):
+        EdgeColoring(2, (1, 3, -1))
+    with pytest.raises(ColoringError, match=r"color -1 on edge 0 outside \[0..2\]"):
+        EdgeColoring(2, (-1, 3))
+    assert EdgeColoring(2, ()).colors == ()
+
+    g = petersen()
+    assert g == petersen() and hash(g) == hash(petersen())
+    assert g != build_graph(g.n, g.edges[1:]) and g != (g.n, g.edges)
+    assert EdgeColoring(2, (1, 2)) == EdgeColoring(2, (1, 2)) != EdgeColoring(3, (1, 2))
+    assert {SolveBudget(5), SolveBudget(5)} == {SolveBudget(5, 600.0)}
+    assert repr(build_graph(2, [(0, 1)])) == "Graph(n=2, edges=((0, 1),))"
+
+    for make, field in ((lambda: ChiAResult(None, 0), "lower_bound_witness"),
+                        (lambda: ChargeState("mad3", {}, {}), "transfers"),
+                        (lambda: ColoringReport("success", 0, EdgeColoring(0, ()), 0, {}, 0),
+                         "trace")):
+        first, second = make(), make()
+        getattr(first, field).append(1)
+        assert getattr(second, field) == []
+        assert first != second and make() == second
 
 
 def test_critical_sweep_runs_without_networkx():
