@@ -16,7 +16,6 @@ finished coloring is re-checked by the independent validator.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Literal
@@ -112,9 +111,11 @@ class _Colorer(_Search):
             order = deletion_edge_order(g)
         self.insertion = order[::-1]
         self.trace: list[Move] = []
+        self.repairs = 0  # the trace's repair moves; the rest are assigns
 
     def _log_repair(self, edges: list[int]) -> bool:
         self.trace.append(("repair", tuple(edges), tuple(self.assign[e] for e in edges)))
+        self.repairs += 1
         return True
 
     def near(self, e: int, r: int) -> set[int]:
@@ -167,7 +168,7 @@ class _Colorer(_Search):
         - nothing colored touches a whole component;
         - ``deletion_edge_order`` restricted to C is C's own under the
           order-preserving relabelling: other components never change C's
-          heap keys (d, v), and the incident ids stay ascending, so the
+          queue keys (d, v), and the incident ids stay ascending, so the
           order handed over is the one the decision would compute;
         - the reduction offers the i-th edge no color above i + 1 <= m_C,
           so min(k, m) and min(k, m_C) colors try the same colors, with
@@ -270,8 +271,8 @@ def color_graph(
     if outcome != "failure" and (
             not coloring.is_total() or has_bichromatic_cycle(g, coloring) is not None):
         raise ColoringError("colorer produced an invalid coloring")
-    kinds = Counter(move[0] for move in engine.trace)
+    repairs = engine.repairs
     return ColoringReport(
         outcome, k, coloring, len(coloring.colors_used()),
-        {"assign": kinds["assign"], "repair": kinds["repair"]}, engine.nodes, engine.trace,
+        {"assign": len(engine.trace) - repairs, "repair": repairs}, engine.nodes, engine.trace,
     )

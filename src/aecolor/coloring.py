@@ -6,11 +6,13 @@ taking one return new values and never mutate their inputs.  This module
 defines no mutable state.
 
 ``properness_violation``, ``trace_bichromatic`` and ``has_bichromatic_cycle``
-form the validator.  ``has_bichromatic_cycle`` checks properness in one pass,
-then, color pair by color pair, merges the second color's edges into the
-paths of the first color's matching, one comparison of two path ends per
-edge: O(k*m) in all.  The mutable coloring kernel, ``solver._Search``,
-lives in another module and this one imports nothing from it, so every
+form the validator.  ``has_bichromatic_cycle`` takes the colors in order,
+numbers each color's edge ends, which finds any vertex the color meets
+twice, and merges each later color's edges into the paths of its matching,
+one comparison of two path ends per edge: O(k*m) in all, with properness
+checked in the same pass.  ``properness_violation`` runs only once a clash
+is found, to name the lowest clashing vertex.  The mutable coloring
+kernel, ``solver._Search``, lives in another module and this one imports nothing from it, so every
 coloring the kernel produces is checked by code that did not produce it.
 """
 
@@ -43,9 +45,10 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __init__(self, k: int, colors: tuple[int, ...]):
-        for e, c in enumerate(colors):
-            if not 0 <= c <= k:
-                raise ColoringError(f"color {c} on edge {e} outside [0..{k}]")
+        if colors and not 0 <= min(colors) <= max(colors) <= k:
+            # name the first edge out of range
+            e, c = next((e, c) for e, c in enumerate(colors) if not 0 <= c <= k)
+            raise ColoringError(f"color {c} on edge {e} outside [0..{k}]")
         init = object.__setattr__  # the instance's own __setattr__ refuses
         init(self, "k", k)
         init(self, "colors", colors)
@@ -175,10 +178,17 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
 
     For each color a, the ends of a's edges are numbered into 2|A| slots,
     the i-th edge's ends getting slots 2i and 2i + 1, so slot t's partner
-    across its a-edge is t ^ 1.  Each later color b's edges are then
-    merged, in order, into ``end``, a fresh copy of those partners.
-    Properness makes the (a,b)-subgraph a union of disjoint paths and even
-    cycles (Fact 1).  Two rules keep the merge exact:
+    across its a-edge is t ^ 1.  ``where``, the slot of each vertex, is
+    written and cleared once per color, so a vertex whose slot is already
+    written when a's edges are numbered meets two a-edges: that is exactly
+    a properness clash, and every used color, the last one included, is
+    numbered.  Only then is ``properness_violation`` run, to name the
+    lowest clashing vertex; a proper coloring never pays for it.
+
+    Each later color b's edges are merged, in order, into ``end``, a fresh
+    copy of the partners.  When the coloring is proper, the (a,b)-subgraph
+    is a union of disjoint paths and even cycles (Fact 1), and two rules
+    keep the merge exact:
 
     - A b-edge with an end x outside a's matching lies on no (a,b)-cycle:
       every vertex of such a cycle has an a-edge.  x has no other edge in
@@ -194,45 +204,60 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
       edge whose ends are already connected, the edge that a union-find
       over the same edges closes first.
 
+    A clash in a color b > a is only seen when b is numbered, after the
+    (a, b) merge has run.  So a cycle is only noted, with its pair and the
+    end u of the closing edge; the merges stop, the remaining colors are
+    still numbered, and the cycle is traced once every class has been
+    found to be a matching.  An improper coloring thus raises whichever
+    pair closes a cycle first, and ``trace_bichromatic``, which needs
+    properness, only ever reads a proper one.
+
     So the cost is O(|A| + |B|) for a pair, O(k*m) in all, with no per-pair
-    reset; ``where``, the slot of each vertex, is written and cleared once
-    per color.  The edge that closes a cycle lies on it, and the cycle is
-    the whole (a,b)-component of its ends, so tracing from one end finds
-    the cycle; it is reported as traced from its lowest vertex.
+    reset, and nothing is sized by k.  The edge that closes a cycle lies on
+    it, and the cycle is the whole (a,b)-component of its ends, so tracing
+    from one end finds the cycle; it is reported as traced from its lowest
+    vertex.
     """
-    bad = properness_violation(g, c)
-    if bad is not None:
-        raise ImproperColoringError(bad)
+    _check_length(g, c)
     by_color: dict[int, list[tuple[int, int]]] = {}
     for edge, col in zip(g.edges, c.colors):
         by_color.setdefault(col, []).append(edge)
     used = sorted(by_color.keys() - {0})  # class 0 is the uncolored edges
     where = [-1] * g.n
-    for i in range(len(used) - 1):  # the last color has no later one
-        a = used[i]
+    flip = [t ^ 1 for t in range(g.n)]  # a matching has at most n ends
+    cycle = None  # (a, b, u): the first pair's colors and a closing end
+    for i, a in enumerate(used):
         matching = by_color[a]
-        partner: list[int] = []
+        slots = 0
         for x, y in matching:
-            t = len(partner)
-            where[x] = t
-            where[y] = t + 1
-            partner += t + 1, t
-        for b in used[i + 1:]:
-            end = partner[:]  # end[t]: the far end slot of the path ending at t
-            for u, v in by_color[b]:
-                s, t = where[u], where[v]
-                if s < 0 or t < 0:
-                    continue
-                p = end[s]
-                if p == t:
-                    cycle = trace_bichromatic(g, c, a, b, u)
-                    return trace_bichromatic(g, c, a, b, min(cycle.vertices))
-                q = end[t]
-                end[p] = q
-                end[q] = p
+            if where[x] >= 0 or where[y] >= 0:
+                raise ImproperColoringError(properness_violation(g, c))
+            where[x] = slots
+            where[y] = slots + 1
+            slots += 2
+        if cycle is None:
+            for b in used[i + 1:]:
+                end = flip[:slots]  # end[t]: the far end slot of the path ending at t
+                for u, v in by_color[b]:
+                    s, t = where[u], where[v]
+                    if s < 0 or t < 0:
+                        continue
+                    p = end[s]
+                    if p == t:
+                        cycle = a, b, u
+                        break
+                    q = end[t]
+                    end[p] = q
+                    end[q] = p
+                if cycle is not None:
+                    break
         for x, y in matching:
             where[x] = where[y] = -1
-    return None
+    if cycle is None:
+        return None
+    a, b, u = cycle
+    first = trace_bichromatic(g, c, a, b, u)
+    return trace_bichromatic(g, c, a, b, min(first.vertices))
 
 
 # --- coloring file format ---------------------------------------------------

@@ -143,10 +143,12 @@ def deletion_edge_order(g: Graph, rank: list[int] | None = None) -> list[int]:
     """Edge deletion sequence: repeatedly take a minimum-degree vertex's
     lowest-id incident edge, ties going to the lowest vertex.  Reversing it
     gives the insertion order used by both the solver and the constructive
-    colorer (smallest-last).  A heap of integer keys d * n + v for vertex
-    v at degree d, skipped once stale, makes it O(m log n); as v < n, the
-    keys sort as the (d, v) pairs would, and ``divmod(key, n)`` gives them
-    back.
+    colorer (smallest-last).  The vertices wait in a bucket queue (Matula
+    and Beck 1983): ``buckets[d]`` is a heap of the vertex ids pushed at
+    degree d, so a pop from the lowest bucket that holds a live entry gives
+    the least (degree, id) pair.  An entry of w in ``buckets[d]`` is live
+    iff w's degree is still d: degrees only fall, so w is pushed at most
+    once per degree, and an entry left behind is skipped when popped.
 
     A popped vertex v keeps the turn until its degree reaches 0, so its
     live edges go out as one run, in ascending id order.  Before each step
@@ -158,11 +160,22 @@ def deletion_edge_order(g: Graph, rank: list[int] | None = None) -> list[int]:
     v's entry is never pushed back.  An edge vw is still live when v's run
     reaches it iff w has not had its run, i.e. iff w's degree is not 0.
 
+    The scan pointer ``low`` never exceeds the least live degree: it
+    starts at 1, moves down to a neighbour's new degree whenever that is
+    below it, and moves up only past an empty bucket, which holds no live
+    vertex.  So the first live entry popped at ``low`` is the least
+    (degree, id) pair.  ``left`` counts the live edges and each run lowers
+    it by its vertex's degree; the loop ends when it reaches 0, leaving
+    only stale entries queued.  The pointer moves down at most once per
+    push and up at most Delta times more than it moves down, so the scan
+    costs O(m) beside the O(m log n) of the heaps.
+
     With ``rank``, a permutation of range(n) such as ``frontier_rank(g)``,
     degree ties go to the lower rank and a vertex's run goes out in the
     rank order of the edges' far ends.  The same loop runs on the ends
     renamed by rank, (rank[u], rank[v]), with each renamed vertex's edges
-    listed by far-end rank (``_incident_by``, O(m)); edge ids are not
+    listed by far-end rank (``_incident_by``, O(m)); the buckets then hold
+    ranks, and the key is the pair (degree, rank).  Edge ids are not
     renamed, so the result is a list of g's edge ids all the same.  The
     run proof holds with ranks for ids: before each step of v's run every
     tie belongs to a vertex of higher rank; w, which had at least d, ties
@@ -178,14 +191,21 @@ def deletion_edge_order(g: Graph, rank: list[int] | None = None) -> list[int]:
         edges = [(rank[a], rank[b]) for a, b in edges]
         inc = [runs[v] for v in by_rank]
     deg = [len(a) for a in inc]
-    heap = [d * n + v for v, d in enumerate(deg) if d]
-    heapq.heapify(heap)
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)  # ids ascend, so each bucket is a heap
     push, pop = heapq.heappush, heapq.heappop
     order: list[int] = []
-    while heap:
-        d, v = divmod(pop(heap), n)
-        if d != deg[v]:
+    left, low = len(edges), 1
+    while left:
+        bucket = buckets[low]
+        if not bucket:
+            low += 1
             continue
+        v = pop(bucket)
+        if deg[v] != low:
+            continue
+        left -= low
         deg[v] = 0
         for e in inc[v]:
             a, b = edges[e]
@@ -196,7 +216,9 @@ def deletion_edge_order(g: Graph, rank: list[int] | None = None) -> list[int]:
                 dw -= 1
                 deg[w] = dw
                 if dw:
-                    push(heap, dw * n + w)
+                    push(buckets[dw], w)
+                    if dw < low:
+                        low = dw
     return order
 
 

@@ -535,6 +535,25 @@ def test_moves_are_pinned_on_5_regular_graphs(seed, per_edge, extra, outcome, re
     assert hashlib.sha256(key.encode()).hexdigest() == digest
 
 
+def test_move_counts_match_the_trace_when_repairs_happen():
+    """color_graph counts repairs as it logs them and takes the assigns as
+    the rest of the trace.  On 10-regular graphs at k = Delta + 2 the
+    repairs fire and seed 0 runs out of its budget; two 4-cycles at k = 3
+    with a move budget of 1 are colored by the fallback.  The counts are
+    the trace's own in every case."""
+    runs = [color_graph(seeded_regular_graph(10, 60, seed), 12, fallback=False)
+            for seed in range(6)]
+    two_c4 = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    runs.append(color_graph(two_c4, 3, move_budget=1))
+    for report in runs:
+        kinds = Counter(move[0] for move in report.trace)
+        assert list(report.move_counts.items()) == [
+            ("assign", kinds["assign"]), ("repair", kinds["repair"])]
+        assert sum(kinds.values()) == len(report.trace)
+        assert kinds["repair"] >= 1
+    assert {r.outcome for r in runs} == {"success", "failure", "fallback-success"}
+
+
 def test_repairs_color_a_tight_7_regular_graph():
     # the swap/reassign/backtrack cascade ran out of its budget here
     g = seeded_regular_graph(7, 100, 201)

@@ -145,6 +145,37 @@ def test_bichromatic_cycle_rejects_improper():
     assert exc.value.vertex == 1
 
 
+@pytest.mark.parametrize("edges, colors, vertex", [
+    # a (1,2)-cycle on 3-4-5-6 and the path 0-1-2 colored 3, 3
+    ([(3, 4), (4, 5), (5, 6), (6, 3), (0, 1), (1, 2)], (1, 2, 1, 2, 3, 3), 1),
+    # the same cycle on 0-1-2-3, and two 3-colored edges at its vertex 2
+    ([(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (2, 5)], (1, 2, 1, 2, 3, 3), 2),
+])
+def test_validator_raises_on_a_clash_above_a_lower_cycle(edges, colors, vertex):
+    """Pair (1, 2) closes a cycle before color 3 is numbered, and color 3
+    meets a vertex twice: the coloring is improper, so the validator
+    raises, naming properness_violation's vertex, as the union-find does."""
+    g = build_graph(7, edges)
+    c = EdgeColoring(3, colors)
+    assert properness_violation(g, c) == vertex
+    for validator in (has_bichromatic_cycle, union_find_bichromatic_cycle):
+        with pytest.raises(ImproperColoringError,
+                           match=f"^coloring is not proper at vertex {vertex}$") as exc:
+            validator(g, c)
+        assert exc.value.vertex == vertex
+
+
+def test_validator_takes_a_palette_of_10_to_the_8():
+    # nothing the validator allocates is sized by k
+    k = 10**8
+    g = cycle(4)
+    assert has_bichromatic_cycle(g, EdgeColoring(k, (1, 2, k, 2))) is None
+    assert has_bichromatic_cycle(g, EdgeColoring(k, (k, 2, k, 2))) == BichromaticTrace(
+        (2, k), (0, 1, 2, 3, 0), True)
+    with pytest.raises(ImproperColoringError, match="vertex 0"):
+        has_bichromatic_cycle(g, EdgeColoring(k, (k, 2, 1, k)))
+
+
 @pytest.mark.parametrize("colors", [(1, 1, 1), (1, 2, 1, 2, 2)], ids=["short", "long"])
 def test_validator_rejects_a_coloring_of_other_than_m_edges(colors):
     # read on the edges it has, the short tuple is improper and the long one
@@ -170,6 +201,19 @@ def test_coloring_rejects_colors_outside_0_to_k(bad):
     assert EdgeColoring(2, (0, 1, 2)).colors_used() == {1, 2}
     with pytest.raises(ColoringError, match=f"color {bad} on edge 1 outside \\[0..2\\]"):
         EdgeColoring(2, (1, bad, 0))
+
+
+@pytest.mark.parametrize("colors, bad, edge", [
+    # min and max both out of range: the first bad edge is named
+    ((1, 2, -2, 9), -2, 2),
+    ((1, 5, -2, 9), 5, 1),
+    ((0, 1, 2, 9), 9, 3),
+])
+def test_coloring_names_the_first_edge_outside_0_to_k(colors, bad, edge):
+    with pytest.raises(ColoringError, match=f"^color {bad} on edge {edge} outside \\[0..3\\]$"):
+        EdgeColoring(3, colors)
+    assert EdgeColoring(3, ()).colors == ()
+    assert EdgeColoring(3, (0, 3, 0)).colors_used() == {3}
 
 
 def _properness_violation_scan(g, c):

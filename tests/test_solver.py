@@ -345,7 +345,7 @@ def _deletion_scan_steps(g, rank=None):
 
 
 def _deletion_order_scan(g, rank=None):
-    """The oracle for the heap-based deletion_edge_order."""
+    """The oracle for the bucket-queue deletion_edge_order."""
     return [e for _, e in _deletion_scan_steps(g, rank)]
 
 
@@ -408,6 +408,32 @@ def _order_corpus(rng):
     for _ in range(110):  # sparse graphs with m about 1.5n
         n = rng.randint(10, 60)
         yield random_graph(rng, n, 3 * n // 2)
+    # a hub of degree 150 on pendant paths of 1, 2 and 3 edges, as vertex 0
+    # and as the last vertex: 151 buckets, and the hub falls through all of
+    # them one entry at a time while the scan stays at degree 1
+    hub = _pendant_hub(150)
+    yield hub
+    yield _relabel(hub.n, hub.edges, list(range(hub.n - 1, -1, -1)))
+    yield _path_into_k7()
+
+
+def _pendant_hub(paths):
+    pairs, n = [], 1
+    for i in range(paths):
+        prev = 0
+        for _ in range(i % 3 + 1):
+            pairs.append((prev, n))
+            prev, n = n, n + 1
+    return build_graph(n, pairs)
+
+
+def _path_into_k7():
+    """The path 0-1-...-10 whose end 10 is a vertex of the K7 on 10..16:
+    the path goes out at degree 1, the scan climbs to 6 past the path's
+    stale degree-2 entries, and the K7's runs then each drop the rest a
+    bucket lower, two below the first K7 run's bucket after two runs."""
+    return build_graph(17, [(v, v + 1) for v in range(10)]
+                       + [(u, v) for u in range(10, 17) for v in range(u + 1, 17)])
 
 
 def test_deletion_order_matches_scan():
@@ -428,7 +454,7 @@ def test_frontier_rank_matches_scan():
 
 
 def test_ranked_deletion_order_matches_scan():
-    """With a rank, the heap's order is the ranked definition's, for the
+    """With a rank, the bucket queue's order is the ranked definition's, for the
     frontier rank and for any permutation; the order is a permutation of
     the edge ids either way."""
     rng = random.Random(47)
@@ -452,6 +478,30 @@ def test_ranked_order_ignores_edge_ids():
         h = build_graph(g.n, shuffled)
         assert ([g.edges[e] for e in deletion_edge_order(g, frontier_rank(g))]
                 == [h.edges[e] for e in deletion_edge_order(h, frontier_rank(h))])
+
+
+def test_order_corpus_moves_the_scan_down_and_up():
+    """The degree at which each run starts, on the scan: the path into K7
+    runs at degree 1, then at 6, 5, 4, 3, 2, 1, so the queue's scan climbs
+    five empty or stale buckets and is reset down five times in a row; on
+    the hub, every run starts at degree 1, and the hub's stale entries in
+    buckets 2 to 150 are never popped."""
+    def run_degrees(g):
+        deg = [g.degree(v) for v in range(g.n)]
+        starts, prev = [], None
+        for v, e in _deletion_scan_steps(g):
+            if v != prev:
+                starts.append(deg[v])
+                prev = v
+            for w in g.edges[e]:
+                deg[w] -= 1
+        return starts
+
+    path_k7, hub = _path_into_k7(), _pendant_hub(150)
+    assert run_degrees(path_k7) == [1] * 10 + [6, 5, 4, 3, 2, 1]
+    assert hub.max_degree() == 150 and set(run_degrees(hub)) == {1}
+    for g in (path_k7, hub):
+        assert deletion_edge_order(g) == _deletion_order_scan(g)
 
 
 def test_least_vertex_keeps_the_turn_until_its_degree_is_0():

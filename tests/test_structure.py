@@ -399,6 +399,9 @@ def test_fact2_rejects_improper_coloring():
 
 
 def test_fact2_verify_scans_properness_once(monkeypatch):
+    """The validator checks properness inside its per-color pass: a proper
+    coloring runs no properness_violation scan, and an improper one runs
+    exactly one, only to name the lowest clashing vertex."""
     scans = []
     scan = coloring.properness_violation
 
@@ -412,11 +415,11 @@ def test_fact2_verify_scans_properness_once(monkeypatch):
     g = complete(4)
     gm = delete_edge(g, 0)
     fact2_verify(g, 4, 0, next(iter(enumerate_acyclic_colorings(gm, 4))))
-    assert len(scans) == 1
+    assert len(scans) == 0
     # every edge of K4 - e colored 1: vertex 0 is the lowest with a clash
     with pytest.raises(ValueError, match="^coloring is not proper at vertex 0$"):
         fact2_verify(g, 4, 0, EdgeColoring(4, (1,) * 5))
-    assert len(scans) == 2
+    assert len(scans) == 1
 
 
 def test_fact2_rejects_bichromatic_coloring():
