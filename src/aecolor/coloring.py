@@ -9,7 +9,8 @@ defines no mutable state.
 form the validator.  ``has_bichromatic_cycle`` takes the colors in order,
 numbers each color's edge ends, which finds any vertex the color meets
 twice, and merges each later color's edges into the paths of its matching,
-one comparison of two path ends per edge: O(k*m) in all, with properness
+one comparison of two path ends per edge, skipping the pairs with a
+one-edge class, which hold no cycle: O(k*m) in all, with properness
 checked in the same pass.  ``properness_violation`` runs only once a clash
 is found, to name the lowest clashing vertex.  The mutable coloring
 kernel, ``solver._Search``, lives in another module and this one imports nothing from it, so every
@@ -212,6 +213,16 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     pair closes a cycle first, and ``trace_bichromatic``, which needs
     properness, only ever reads a proper one.
 
+    A pair (a, b) in which either class has fewer than two edges is not
+    merged.  Along a bichromatic cycle the colors alternate, so the cycle
+    has even length at least 4 and at least two edges of each color; a
+    class of one edge can lie on none.  A skipped pair thus holds no cycle,
+    and the first pair with one, the pair reported, is the same as with
+    every pair merged.  Every color is still numbered, so properness is
+    still checked whole.  A coloring with many colors of one edge each, as
+    the exact search's colorings of small graphs have, pays only for the
+    pairs of its larger classes.
+
     So the cost is O(|A| + |B|) for a pair, O(k*m) in all, with no per-pair
     reset, and nothing is sized by k.  The edge that closes a cycle lies on
     it, and the cycle is the whole (a,b)-component of its ends, so tracing
@@ -223,10 +234,12 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     for edge, col in zip(g.edges, c.colors):
         by_color.setdefault(col, []).append(edge)
     used = sorted(by_color.keys() - {0})  # class 0 is the uncolored edges
+    pairable = [a for a in used if len(by_color[a]) > 1]  # may hold a cycle
     where = [-1] * g.n
     flip = [t ^ 1 for t in range(g.n)]  # a matching has at most n ends
     cycle = None  # (a, b, u): the first pair's colors and a closing end
-    for i, a in enumerate(used):
+    i = 0  # the pairable colors numbered so far
+    for a in used:
         matching = by_color[a]
         slots = 0
         for x, y in matching:
@@ -235,22 +248,24 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
             where[x] = slots
             where[y] = slots + 1
             slots += 2
-        if cycle is None:
-            for b in used[i + 1:]:
-                end = flip[:slots]  # end[t]: the far end slot of the path ending at t
-                for u, v in by_color[b]:
-                    s, t = where[u], where[v]
-                    if s < 0 or t < 0:
-                        continue
-                    p = end[s]
-                    if p == t:
-                        cycle = a, b, u
+        if len(matching) > 1:  # a is pairable[i], paired with the pairable colors above it
+            i += 1
+            if cycle is None:
+                for b in pairable[i:]:
+                    end = flip[:slots]  # end[t]: the far end slot of the path ending at t
+                    for u, v in by_color[b]:
+                        s, t = where[u], where[v]
+                        if s < 0 or t < 0:
+                            continue
+                        p = end[s]
+                        if p == t:
+                            cycle = a, b, u
+                            break
+                        q = end[t]
+                        end[p] = q
+                        end[q] = p
+                    if cycle is not None:
                         break
-                    q = end[t]
-                    end[p] = q
-                    end[q] = p
-                if cycle is not None:
-                    break
         for x, y in matching:
             where[x] = where[y] = -1
     if cycle is None:

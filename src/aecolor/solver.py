@@ -232,14 +232,18 @@ class _Search:
     ``unset`` keep the three consistent and assume the coloring stays
     proper.  ``walk_ends_at`` is the incremental Fact-1 cycle test.  The
     search, ``_colorings``, colors a list of edges, keeping every other
-    color fixed.  It stops after ``budget.max_nodes`` nodes or, the clock
-    read every 4096 nodes, ``budget.max_seconds`` after it was built; an
-    infinite ``max_seconds`` never stops it, so node counts repeat exactly."""
+    color fixed.  ``nodes`` counts the colors tried by every search the
+    kernel has run; a search counts in a local and writes ``nodes`` back
+    whenever its caller regains control.  A search stops at the node past
+    ``budget.max_nodes``, which is counted, or, the clock read once here
+    and then at every 4096th node, ``budget.max_seconds`` after the kernel
+    was built; an infinite ``max_seconds`` never stops it, so node counts
+    repeat exactly."""
 
     def __init__(self, g: Graph, k: int, budget: SolveBudget):
         self.g = g
         self.k = k
-        self.col_nbr = [[-1] * (k + 1) for _ in range(g.n)]
+        self.col_nbr = [*map(list.copy, [[-1] * (k + 1)] * g.n)]  # n fresh rows
         self.used_mask = [0] * g.n
         self.assign = [0] * g.m
         self.nodes = 0
@@ -293,13 +297,6 @@ class _Search:
                 want, other = other, want
         return False
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExhausted
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExhausted
-
     def extend_over(self, edges: list[int]) -> Status:
         """Recolor ``edges``, in this order, keeping every other color
         fixed, so that the coloring stays proper and acyclic.  Returns
@@ -342,20 +339,33 @@ class _Search:
         color tried is one node, checked by Fact 1 against the colors at
         both ends; ends that share no color close no cycle, so the walk is
         skipped.  An exhausted search leaves ``order`` uncolored.
+
+        The node count, the budget, the deadline and the depth (the length
+        of ``stack``) live in locals too.  The count starts from
+        ``self.nodes`` and is written back to it before every yield, return
+        and BudgetExhausted, the only points at which a caller can read it.
+        The node past ``max_nodes`` raises, so an exhausted budget reports
+        ``max_nodes + 1`` nodes; the clock is read at every node whose count
+        is a multiple of 4096 and not past the budget.
         """
         edges, k = self.g.edges, self.k
         used_mask = self.used_mask
-        tick, walk, set_, unset = self._tick, self.walk_ends_at, self.set, self.unset
+        walk, set_, unset = self.walk_ends_at, self.set, self.unset
+        nodes, max_nodes, deadline = self.nodes, self.max_nodes, self.deadline
         stack: list[tuple[int, int, int, int, int, int]] = []
+        push, pop = stack.append, stack.pop
+        depth, size = 0, len(order)
         peak = max_used
         while True:
-            if len(stack) < len(order):
-                e = order[len(stack)]
+            if depth < size:
+                e = order[depth]
                 u, v = edges[e]
                 mask_u, mask_v = used_mask[u], used_mask[v]
-                untried = ((2 << min(k, peak + 1)) - 2) & ~(mask_u | mask_v)
+                top = peak + 1 if peak < k else k
+                untried = ((2 << top) - 2) & ~(mask_u | mask_v)
                 common = mask_u & mask_v
             else:
+                self.nodes = nodes
                 yield
                 untried = 0  # nothing follows a full coloring: backtrack
             # the current edge's next color that closes no cycle, popping
@@ -365,18 +375,25 @@ class _Search:
                     low = untried & -untried
                     untried ^= low
                     c = low.bit_length() - 1
-                    tick()
+                    nodes += 1
+                    if nodes > max_nodes or (
+                            not nodes & 4095 and time.monotonic() > deadline):
+                        self.nodes = nodes
+                        raise BudgetExhausted
                     if not common or not walk(u, v, common, c):
                         break
                 else:
-                    if not stack:
+                    if not depth:
+                        self.nodes = nodes
                         return
-                    e, u, v, common, untried, peak = stack.pop()
+                    e, u, v, common, untried, peak = pop()
+                    depth -= 1
                     unset(e)
                     continue
                 break
             set_(e, c)
-            stack.append((e, u, v, common, untried, peak))
+            push((e, u, v, common, untried, peak))
+            depth += 1
             if c > peak:
                 peak = c
 
@@ -411,7 +428,9 @@ def is_acyclically_k_colorable(
     if order is None:
         order = deletion_edge_order(g)
     try:
-        if not any(True for _ in search._colorings(order[::-1], 0)):
+        for _ in search._colorings(order[::-1], 0):
+            break  # the first coloring decides
+        else:
             return SolveResult("no", None, search.nodes)
     except BudgetExhausted:
         return SolveResult("unknown", None, search.nodes)
@@ -460,8 +479,12 @@ def enumerate_acyclic_colorings(
     colorings are the same.
 
     Raises BudgetExhausted, after the colorings found so far, once the
-    budget's node or time limit runs out.
+    budget's node or time limit runs out.  Raises ValueError, when the
+    iteration starts, if k < 0; with k = 0 an edgeless graph has one
+    coloring, the empty one, and any other graph none.
     """
+    if k < 0:
+        raise ValueError("k must be at least 0")
     search = _Search(g, min(k, g.m), budget)
     for _ in search._colorings(list(reversed(deletion_edge_order(g))), 0):
         yield EdgeColoring(k, tuple(search.assign))

@@ -150,13 +150,18 @@ def test_bichromatic_cycle_rejects_improper():
     ([(3, 4), (4, 5), (5, 6), (6, 3), (0, 1), (1, 2)], (1, 2, 1, 2, 3, 3), 1),
     # the same cycle on 0-1-2-3, and two 3-colored edges at its vertex 2
     ([(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (2, 5)], (1, 2, 1, 2, 3, 3), 2),
+    # the same cycle, one-edge colors 3 and 4, whose pairs are not merged,
+    # and color 5 twice at vertex 4
+    ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 5), (4, 5), (4, 6)],
+     (1, 2, 1, 2, 3, 4, 5, 5), 4),
 ])
 def test_validator_raises_on_a_clash_above_a_lower_cycle(edges, colors, vertex):
-    """Pair (1, 2) closes a cycle before color 3 is numbered, and color 3
-    meets a vertex twice: the coloring is improper, so the validator
-    raises, naming properness_violation's vertex, as the union-find does."""
+    """Pair (1, 2) closes a cycle before the clashing color is numbered,
+    and that color meets a vertex twice: the coloring is improper, so the
+    validator raises, naming properness_violation's vertex, as the
+    union-find does."""
     g = build_graph(7, edges)
-    c = EdgeColoring(3, colors)
+    c = EdgeColoring(max(colors), colors)
     assert properness_violation(g, c) == vertex
     for validator in (has_bichromatic_cycle, union_find_bichromatic_cycle):
         with pytest.raises(ImproperColoringError,
@@ -485,6 +490,79 @@ def test_path_end_merge_matches_the_union_find_validator_on_many_colors():
     assert verdicts["improper"] == ("improper", u)
 
 
+def test_validator_finds_a_4_cycle_of_two_edge_classes_among_one_edge_classes():
+    # C4 0-1-2-3 colored 2, 4, 2, 4, each of its colors on two edges, and
+    # one-edge colors 1, 3, 5, 6, 7 on the pendant edges and 4-5: every pair
+    # but (2, 4) has a class of one edge and is not merged
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                        (0, 4), (1, 5), (2, 6), (3, 7), (4, 5)])
+    c = EdgeColoring(7, (2, 4, 2, 4, 1, 3, 5, 6, 7))
+    want = BichromaticTrace((2, 4), (0, 1, 2, 3, 0), True)
+    assert union_find_bichromatic_cycle(g, c) == want
+    assert has_bichromatic_cycle(g, c) == want
+    # edge 4-5 in color 2 instead: color 2 on three edges, the same cycle
+    c = EdgeColoring(7, (2, 4, 2, 4, 1, 3, 5, 6, 2))
+    assert has_bichromatic_cycle(g, c) == union_find_bichromatic_cycle(g, c) == want
+
+
+def _small_class_colors(rng, g, k):
+    """A random proper coloring of g whose classes mostly hold one or two
+    edges: each edge, in random order, takes the first free one of three
+    colors drawn from 1..k, or else a color of its own above k."""
+    used = [set() for _ in range(g.n)]
+    colors = [0] * g.m
+    fresh = k
+    for e in rng.sample(range(g.m), g.m):
+        u, v = g.edges[e]
+        free = [x for x in rng.sample(range(1, k + 1), min(3, k))
+                if x not in used[u] and x not in used[v]]
+        if free:
+            col = free[0]
+        else:
+            fresh += 1
+            col = fresh
+        colors[e] = col
+        used[u].add(col)
+        used[v].add(col)
+    return colors
+
+
+def test_path_end_merge_matches_the_union_find_validator_on_small_classes():
+    """Colorings whose classes mostly hold one or two edges, the sizes
+    around the merge's skip: a random graph colored from a palette of as
+    many colors as it has edges, and a 4-cycle on four more vertices
+    colored alternately with two colors drawn from twice that palette (a
+    cycle), with a third color on one edge (no cycle there), or with one
+    graph edge recolored to clash with a neighbor.  has_bichromatic_cycle
+    answers as the union-find validator."""
+    rng = random.Random(61)
+    kinds = Counter()
+    sizes = Counter()
+    for i in range(600):
+        n = rng.randint(3, 12)
+        sparse = random_graph(rng, n, rng.randint(2, min(2 * n, n * (n - 1) // 2)))
+        g = build_graph(n + 4, list(sparse.edges) + [(n + j, n + (j + 1) % 4) for j in range(4)])
+        k = sparse.m
+        colors = _small_class_colors(rng, sparse, k)
+        a, b, other = rng.sample(range(1, 2 * k + 3), 3)
+        mode = i % 3
+        colors += [a, b, a, other if mode == 1 else b]
+        adjacent = [(e, f) for e, f in combinations(range(sparse.m), 2)
+                    if set(sparse.edges[e]) & set(sparse.edges[f])]
+        if mode == 2 and adjacent:
+            e, f = rng.choice(adjacent)
+            colors[e] = colors[f]
+        c = EdgeColoring(max(colors), tuple(colors))
+        want = _verdict(union_find_bichromatic_cycle, g, c)
+        assert _verdict(has_bichromatic_cycle, g, c) == want, (i, g.edges, colors)
+        kinds["acyclic" if want is None else
+              "cyclic" if isinstance(want, BichromaticTrace) else "improper"] += 1
+        if isinstance(want, BichromaticTrace):
+            sizes[max(colors.count(x) for x in want.colors)] += 1
+    assert min(kinds.values()) >= 100 and len(kinds) == 3
+    assert sizes[2] >= 50  # cycles both of whose classes hold two edges
+
+
 def test_validator_reports_the_cycle_the_union_find_closes():
     # two disjoint (1,2)-cycles, 0-1-2-3 and 4-5-6-7, with the second's
     # edges listed first, so the union-find closes 4-5-6-7 first; the
@@ -530,9 +608,11 @@ def test_validator_calls_in_a_row_answer_as_alone():
         colored_cycle(6, [1, 2, 1, 2, 1, 2]),
         colored_cycle(6, [1, 2, 1, 2, 1, 3]),
         (complete(4), EdgeColoring(3, (1, 2, 3, 3, 2, 1))),
+        # as the 6-cycle, with two 3-edges, so that pair (1, 3) is merged
+        colored_cycle(8, [1, 2, 1, 2, 1, 3, 1, 3]),
     ]
     alone = [has_bichromatic_cycle(g, c) for g, c in cases]
-    assert [t is None for t in alone] == [False, True, False, True, False]
+    assert [t is None for t in alone] == [False, True, False, True, False, True]
     for order in (cases, cases[::-1], cases[1::2] + cases[::2]):
         for g, c in order:
             assert has_bichromatic_cycle(g, c) == alone[cases.index((g, c))]

@@ -3,13 +3,15 @@
 ``_RecursiveSearch`` keeps the recursive ``_extend``/``_enum``
 pair and the ``solve``/``extend_over``/``enumerate`` that drove them, with
 ``whole_graph`` setting up the smallest-last insertion order.  It
-subclasses ``_Search`` for the coloring kernel alone: its own ``_tick``
-and ``extend_over`` replace the search's, and it never runs
-``_colorings``.  On the same graph, palette and node budget
+subclasses ``_Search`` for the coloring kernel alone: its ``extend_over``
+replaces the search's, it never runs ``_colorings``, and it counts its
+nodes in ``self.nodes`` through its own ``_tick``, where ``_colorings``
+keeps the count in a local and writes it back at each yield, return and
+BudgetExhausted.  On the same graph, palette and node budget
 both must try the same colors in the same order: statuses, node counts,
-colorings, enumeration order and the state left after a restore all
-match.  Budgets small enough to run out mid-search compare the restore
-path too.
+the count at each coloring an enumeration yields, colorings, enumeration
+order and the state left after a restore all match.  Budgets small enough
+to run out mid-search compare the restore path too.
 
 The reduction itself is checked against a plain backtracker with none.
 """
@@ -182,6 +184,21 @@ def test_enumerate_matches_recursive():
                     short = enumerate_acyclic_colorings(g, k, SolveBudget(old.nodes - 1))
                     assert _drain(short, BudgetExhausted)[-1] == "exhausted", (g.edges, k)
     assert total > 1000
+
+
+def test_nodes_at_each_yield_match_recursive():
+    """The kernel's node count as each coloring is yielded, and after the
+    last, is the oracle's at the same coloring."""
+    checked = 0
+    for _, g in _graphs(84, 60, 6):
+        k = g.max_degree() + 1
+        new = _Search(g, k, SolveBudget())
+        counts = [new.nodes for _ in new._colorings(list(reversed(deletion_edge_order(g))), 0)]
+        old = _RecursiveSearch.whole_graph(g, k, SolveBudget())
+        assert counts == [old.nodes for _ in old.enumerate()], g.edges
+        assert new.nodes == old.nodes
+        checked += len(counts)
+    assert checked > 300
 
 
 def test_extend_over_matches_recursive():

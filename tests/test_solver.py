@@ -212,7 +212,65 @@ def test_decision_and_enumeration_above_m_as_at_m(g):
 def test_budget_exhaustion_is_unknown():
     g = complete(7)
     result = is_acyclically_k_colorable(g, 7, SolveBudget(max_nodes=5))
-    assert result.status == "unknown"
+    assert (result.status, result.nodes) == ("unknown", 6)
+
+
+@pytest.mark.parametrize("max_nodes", [1, 1000, 4095, 4096, 20000])
+def test_unknown_reports_the_node_past_the_budget(max_nodes):
+    """The node past the budget raises and is counted: an "unknown"
+    decision reports exactly max_nodes + 1 nodes, and so does chi_a_exact,
+    whose count 2*25/9 on K5,5 decides k <= 5 with no search."""
+    g = complete_bipartite(5, 5)
+    budget = SolveBudget(max_nodes)
+    result = is_acyclically_k_colorable(g, 6, budget)
+    assert (result.status, result.nodes) == ("unknown", max_nodes + 1)
+    chi = chi_a_exact(g, budget)
+    assert (chi.chi_a, chi.decided_up_to, chi.nodes) == (None, 5, max_nodes + 1)
+
+
+def _count_clock_reads(monkeypatch) -> list[None]:
+    """One entry per read of the search's clock from now on."""
+    reads: list[None] = []
+    clock = solver.time.monotonic
+
+    def counted():
+        reads.append(None)
+        return clock()
+
+    monkeypatch.setattr(solver.time, "monotonic", counted)
+    return reads
+
+
+@pytest.mark.parametrize("g, k, max_nodes, status, nodes", [
+    (build_graph(10, [(i, 5 + j) for i in range(5) for j in range(5) if i or j]), 5,
+     10**9, "no", 4473),
+    (complete_bipartite(5, 5), 6, 12287, "unknown", 12288),
+    (complete_bipartite(5, 5), 6, 12288, "unknown", 12289),
+    (complete_bipartite(5, 5), 6, 20000, "unknown", 20001),
+], ids=["K55-e-no", "K55-before-4096x3", "K55-at-4096x3", "K55-20000"])
+def test_decision_reads_the_clock_once_per_4096_nodes(monkeypatch, g, k, max_nodes,
+                                                      status, nodes):
+    """Once at construction, then at each node whose count is a multiple of
+    4096, unless that node is already past the budget."""
+    reads = _count_clock_reads(monkeypatch)
+    result = is_acyclically_k_colorable(g, k, SolveBudget(max_nodes))
+    assert (result.status, result.nodes) == (status, nodes)
+    assert len(reads) == 1 + min(nodes, max_nodes) // 4096
+
+
+def test_enumeration_reads_the_clock_once_per_4096_nodes(monkeypatch):
+    """C16 has 10,922 3-colorings up to renaming, found in 27,307 nodes.
+    At each yield the kernel's count is up to date and the clock has been
+    read once at construction and once per 4096 nodes since."""
+    g = cycle(16)
+    reads = _count_clock_reads(monkeypatch)
+    search = _Search(g, 3, SolveBudget())
+    assert len(reads) == 1
+    yields = 0
+    for _ in search._colorings(deletion_edge_order(g)[::-1], 0):
+        yields += 1
+        assert len(reads) == 1 + search.nodes // 4096
+    assert (yields, search.nodes, len(reads)) == (10922, 27307, 1 + 27307 // 4096)
 
 
 def test_is_critical_unknown_on_the_whole_graph():
@@ -275,6 +333,17 @@ def test_enumeration_matches_decision():
 
 def test_lower_bound_delta():
     assert is_acyclically_k_colorable(complete(5), 3).status == "no"
+
+
+def test_enumeration_rejects_k_below_0_and_colors_an_edgeless_graph_with_0():
+    for k in (-1, -5):
+        for g in (cycle(3), build_graph(3, [])):
+            with pytest.raises(ValueError, match="k must be at least 0"):
+                list(enumerate_acyclic_colorings(g, k))
+        with pytest.raises(ValueError, match="k must be at least 0"):
+            fact2_sweep(cycle(3), k)
+    assert list(enumerate_acyclic_colorings(build_graph(3, []), 0)) == [EdgeColoring(0, ())]
+    assert list(enumerate_acyclic_colorings(cycle(3), 0)) == []
 
 
 def test_decision_rejects_k_below_1_and_colors_an_edgeless_graph():
