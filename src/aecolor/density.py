@@ -5,13 +5,25 @@ flow network is scaled to integer capacities, so strict hypotheses like
 mad < 4 or mad < 3 are never misclassified by rounding.  Each test is one
 preflow push-relabel max flow on Goldberg's vertex network, and Dinkelbach's
 iteration chains the tests to the exact value.
+
+Before the first test, two rules drop vertices that lie in no densest set,
+while the density lambda = 2m'/n' of what is left is above 2 (proofs in
+``_dinkelbach``).  The core rule drops a vertex of degree d with 2d <
+lambda: taking it out of a densest set would make that set denser.  The
+chain rule drops the k inner vertices of a maximal path of 2-vertices
+between vertices of degree >= 3 when 2(k + 1)/k < lambda, and a cycle of
+2-vertices: a densest set holds all of such a path or none of it, and
+holding all of it lowers its density.  Both tests are strict, so every
+densest set survives, the largest included, and the flows run on a
+smaller graph with the same mad and witness.  On an 8x8 hexagonal lattice
+this drops its two corner chains and leaves one flow instead of two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import Graph, build_graph
 
 
 class _Dinic:
@@ -299,26 +311,121 @@ def density_at_least(g: Graph, target: Fraction) -> tuple[bool, list[int] | None
     return True, h
 
 
+def _prune(g: Graph) -> list[int]:
+    """The vertices of g left once the core and chain rules of
+    ``_dinkelbach`` no longer fire, in ascending order."""
+    n, adj = g.n, g._adj
+    deg = [len(a) for a in adj]
+    alive = [True] * n
+    n_left, m_left = n, g.m
+    fired = True
+    while fired and m_left > n_left:  # lambda = 2m'/n' > 2
+        fired = False
+        # core rule: drop v while 2d(v) < lambda, i.e. d(v) * n' < m'
+        stack = list(range(n))
+        while stack:
+            v = stack.pop()
+            if alive[v] and deg[v] * n_left < m_left:
+                alive[v] = False
+                n_left -= 1
+                m_left -= deg[v]
+                for w in adj[v]:
+                    if alive[w]:
+                        deg[w] -= 1
+                        stack.append(w)
+                fired = True
+        # chain rule: drop the k inner vertices of a path of 2-vertices
+        # between vertices of degree >= 3 while 2(k + 1)/k < lambda, and a
+        # cycle of 2-vertices, of density 2 < lambda
+        seen = [False] * n
+        for v in range(n):
+            if not alive[v] or deg[v] != 2 or seen[v]:
+                continue
+            inner = [v]
+            seen[v] = True
+            ends = []
+            for start in (w for w in adj[v] if alive[w]):
+                prev, cur = v, start
+                while deg[cur] == 2 and cur != v:
+                    inner.append(cur)
+                    seen[cur] = True
+                    prev, cur = cur, next(w for w in adj[cur] if alive[w] and w != prev)
+                if cur == v:  # round a cycle
+                    break
+                ends.append(cur)
+            k = len(inner)
+            if ends:
+                if deg[ends[0]] < 3 or deg[ends[1]] < 3 or (k + 1) * n_left >= m_left * k:
+                    continue
+                deg[ends[0]] -= 1
+                deg[ends[1]] -= 1
+                m_left -= k + 1
+            else:
+                m_left -= k
+            for u in inner:
+                alive[u] = False
+            n_left -= k
+            fired = True
+    return [v for v in range(n) if alive[v]]
+
+
 def _dinkelbach(g: Graph) -> tuple[Fraction, set[int]]:
     """mad(g) and the vertex set of density mad found with it (empty when g
     has no edges).
 
-    Dinkelbach's iteration on Goldberg's cut: from lambda = 2m/n, the
-    density of H = V, jump to the density of the min-cut source side H,
-    which maximizes 2q*e(H) - p*|H| at lambda = p/q, until no set is
-    denser.  Each lambda is the density of one of the finitely many vertex
-    sets and strictly increases (checked), so it ends.
+    A pre-pass first drops vertices that lie in no densest set (after Fang
+    et al. 2019, "Efficient algorithms for densest subgraph discovery").
+    Let G' be the induced graph left so far, lambda = 2m'/n' its density,
+    degrees be those in G', and rho = mad(g) >= lambda.  Both rules run
+    only while lambda > 2, are repeated until neither fires, and read
+    lambda afresh as they go.  Each drop raises lambda, and the proofs
+    below show by induction that G' keeps every densest set D of g, so
+    mad(G') = mad(g).
+
+    - Core rule: drop a vertex v of degree d with 2d < lambda, in
+      integers d * n' < m'.  If D held v, v would have at most d < rho/2
+      neighbours in D, and D - v, with 2(e(D) - d_D(v)) edge ends on
+      |D| - 1 vertices, would be denser than rho.
+    - Chain rule: take a maximal path of k vertices of degree 2 between
+      two vertices of degree >= 3 (possibly the same one); it has k + 1
+      edges.  Drop its k inner vertices when 2(k + 1)/k < lambda, in
+      integers (k + 1) * n' < m' * k.  As rho > 2, a vertex of degree
+      <= 1 in D would make D less dense than D without it, so a D that
+      meets the path holds all of it and both its ends.  Taking the k
+      inner vertices and k + 1 edges out of D would leave a set denser
+      than rho, as 2(k + 1)/k < rho.  A component that is a cycle of k
+      vertices of degree 2 has k edges and density 2 < lambda, and goes
+      by the same argument: a D that meets it holds all of it, and is
+      denser without it.
+
+    Both tests are strict.  At equality, dropping the vertex or the path
+    from a densest set that holds it leaves the density mad, so it may
+    lie in the largest densest set: K4 with a path of two 2-vertices
+    between two of its vertices has density 3 = mad(K4), and all six
+    vertices are the witness.
+
+    Dinkelbach's iteration on Goldberg's cut then runs on G': from lambda
+    = 2m'/n', the density of H = V', jump to the density of the min-cut
+    source side H, which maximizes 2q*e(H) - p*|H| at lambda = p/q, until
+    no set is denser.  Each lambda is the density of one of the finitely
+    many vertex sets and strictly increases (checked), so it ends.
 
     The last H is the largest set of density mad, the witness of
     ``mad_witness`` and ``density_at_least``: sets of maximum density are
     closed under union, so one largest such set D contains all others.  If
-    the first test finds no denser set, H = V = D.  Otherwise H was cut at
-    some lambda < mad, where each set S scores |S| * (density(S) -
+    the first test finds no denser set, H = V' = D.  Otherwise H was cut
+    at some lambda < mad, where each set S scores |S| * (density(S) -
     lambda) / 2 up to a positive factor; H has density mad and scores at
-    least D's score, so |H| >= |D|, and H is inside D, so H = D.
+    least D's score, so |H| >= |D|, and H is inside D, so H = D.  D lies
+    in G', so it is also the largest densest set of g.
     """
     if g.m == 0:
         return Fraction(0), set()
+    kept = _prune(g)
+    if len(kept) < g.n:
+        index = {v: i for i, v in enumerate(kept)}
+        g = build_graph(len(kept), [(index[u], index[v]) for u, v in g.edges
+                                    if u in index and v in index])
     lam = Fraction(2 * g.m, g.n)
     best = set(range(g.n))
     while (h := _density_exceeds(g, lam.numerator, lam.denominator)) is not None:
@@ -326,7 +433,7 @@ def _dinkelbach(g: Graph) -> tuple[Fraction, set[int]]:
         if nxt <= lam:
             raise ValueError(f"min-cut witness is not denser than {lam}")
         lam, best = nxt, h
-    return lam, best
+    return lam, {kept[v] for v in best}
 
 
 def mad_exact(g: Graph) -> Fraction:

@@ -268,8 +268,11 @@ def fact2_sweep(
     are kept too.
 
     Raises BudgetExhausted when an enumeration runs out of ``budget``, which
-    bounds each g - e separately.
+    bounds each g - e separately, and ValueError if k < 0, also when g has
+    no edge to delete.
     """
+    if k < 0:
+        raise ValueError("k must be at least 0")
     checked = 0
     for e in range(g.m):
         gm = delete_edge(g, e)
