@@ -272,27 +272,24 @@ def _theorem_trial(name: str, n: int, seed: int) -> dict:
         "seed": seed, "n": n, "m": m, "delta": g.max_degree(),
         "girth": str(girth(g)), "mad": str(value),
     }
+    if name not in ("theorem2", "theorem3", "colorer"):
+        raise ValueError(f"unknown experiment {name!r}")
+    rs = RULE_SETS["mad3" if name == "theorem3" else "mad4"]
+    if value >= rs.bound:
+        record["skipped"] = f"mad >= {rs.bound}"
+        return record
+    k = g.max_degree() + rs.slack
     start = time.monotonic()
-    if name in ("theorem2", "theorem3"):
-        bound = 4 if name == "theorem2" else 3
-        slack = 2 if name == "theorem2" else 1
-        if value >= bound:
-            record["skipped"] = f"mad >= {bound}"
-            return record
-        result = chi_a_exact(g, SolveBudget(50_000_000, 120))
-        record["chi_a"] = result.chi_a
-        record["bound"] = g.max_degree() + slack
-        record["ok"] = result.chi_a is not None and result.chi_a <= record["bound"]
-    elif name == "colorer":
-        if value >= 4:
-            record["skipped"] = "mad >= 4"
-            return record
-        report = color_graph(g, g.max_degree() + 2)
+    if name == "colorer":
+        report = color_graph(g, k)
         record["outcome"] = report.outcome
         record["move_counts"] = report.move_counts
         record["ok"] = report.outcome in ("success", "fallback-success")
     else:
-        raise ValueError(f"unknown experiment {name!r}")
+        result = chi_a_exact(g, SolveBudget(50_000_000, 120))
+        record["chi_a"] = result.chi_a
+        record["bound"] = k
+        record["ok"] = result.chi_a is not None and result.chi_a <= k
     record["seconds"] = round(time.monotonic() - start, 3)
     return record
 

@@ -233,7 +233,8 @@ def has_bichromatic_cycle(g: Graph, c: EdgeColoring) -> BichromaticTrace | None:
     by_color: dict[int, list[tuple[int, int]]] = {}
     for edge, col in zip(g.edges, c.colors):
         by_color.setdefault(col, []).append(edge)
-    used = sorted(by_color.keys() - {0})  # class 0 is the uncolored edges
+    by_color.pop(0, None)  # class 0 is the uncolored edges
+    used = sorted(by_color)
     pairable = [a for a in used if len(by_color[a]) > 1]  # may hold a cycle
     where = [-1] * g.n
     flip = [t ^ 1 for t in range(g.n)]  # a matching has at most n ends

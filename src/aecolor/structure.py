@@ -4,8 +4,11 @@ verification, and the two discharging rule sets.
 The predicates are pure structural checks evaluable on any graph; whether a
 graph actually satisfies the criticality hypothesis is decided separately by
 the exact solver, so tests can exhibit both vacuous and violating cases.
-A failing predicate's witness names the lowest-numbered failing vertex and,
-where it names a neighbor, the lowest-numbered failing neighbor of it.
+``LEMMAS`` is the one place where each predicate's levels k - Delta and
+its hypothesis on (k, Delta) are written; ``lemma_suite`` runs the entries
+whose levels hold k.  A failing predicate's witness names the
+lowest-numbered failing vertex and, where it names a neighbor, the
+lowest-numbered failing neighbor of it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Literal, NamedTuple
 
@@ -34,179 +38,162 @@ class LemmaPredicateResult(NamedTuple):
     note: str = ""
 
 
-def check_2connected(g: Graph) -> LemmaPredicateResult:
-    """Critical graphs are 2-connected."""
-    ok = is_2_connected(g)
-    return LemmaPredicateResult("2-connected", ok,
-                                witness=None if ok else {"graph": "not 2-connected"})
+# Each per-vertex test below takes (g, v, k, Delta) and returns v's witness,
+# or None when v meets the statement in its docstring.
+
+def _2vertex_neighborhood(g: Graph, v: int, k: int, delta: int) -> dict | None:
+    """A vertex adjacent to a 2-vertex has at least k-Delta+1 neighbors of
+    degree at least k-Delta+2."""
+    if n_k(g, v, 2) != 0:
+        strong = sum(1 for w in g.neighbors(v) if g.degree(w) >= k - delta + 2)
+        if strong < k - delta + 1:
+            return {"vertex": v, "strong_neighbors": strong, "required": k - delta + 1}
+    return None
 
 
-def _scan(lemma_id: str, g: Graph,
-          failure: Callable[[int], dict | None]) -> LemmaPredicateResult:
-    """Holds unless ``failure`` returns a witness for some vertex; the result
-    carries the lowest such vertex's witness."""
-    for v in range(g.n):
-        witness = failure(v)
-        if witness is not None:
-            return LemmaPredicateResult(lemma_id, False, witness=witness)
-    return LemmaPredicateResult(lemma_id, True)
+def _2vertex_count(g: Graph, v: int, k: int, delta: int) -> dict | None:
+    """n_2(v) <= Delta - 2."""
+    n2 = n_k(g, v, 2)
+    return {"vertex": v, "n2": n2, "bound": delta - 2} if n2 > delta - 2 else None
 
 
-def check_2vertex_neighborhood(g: Graph, k: int) -> LemmaPredicateResult:
-    """Every vertex adjacent to a 2-vertex has at least k-Delta+1 neighbors
-    of degree at least k-Delta+2.  Hypothesis: k <= 2*Delta - 2."""
-    delta = g.max_degree()
-    if k > 2 * delta - 2:
-        return LemmaPredicateResult("2-vertex-neighborhood", True, applicable=False,
-                                    note=f"hypothesis k<=2*Delta-2 fails (k={k}, Delta={delta})")
-    need_count = k - delta + 1
-    need_deg = k - delta + 2
-
-    def failure(v: int) -> dict | None:
-        if n_k(g, v, 2) != 0:
-            strong = sum(1 for w in g.neighbors(v) if g.degree(w) >= need_deg)
-            if strong < need_count:
-                return {"vertex": v, "strong_neighbors": strong, "required": need_count}
-        return None
-    return _scan("2-vertex-neighborhood", g, failure)
+def _2and3_count(g: Graph, v: int, k: int, delta: int) -> dict | None:
+    """If n_2(v) != 0 then n_2(v) + n_3(v) <= Delta - 3."""
+    n2 = n_k(g, v, 2)
+    if n2 != 0 and n2 + n_k(g, v, 3) > delta - 3:
+        return {"vertex": v, "n2": n2, "n3": n_k(g, v, 3), "bound": delta - 3}
+    return None
 
 
-def check_2vertex_count(g: Graph) -> LemmaPredicateResult:
-    """At k = Delta+1: every vertex has n_2(v) <= Delta - 2."""
-    bound = g.max_degree() - 2
-
-    def failure(v: int) -> dict | None:
-        n2 = n_k(g, v, 2)
-        return {"vertex": v, "n2": n2, "bound": bound} if n2 > bound else None
-    return _scan("2-vertex-count", g, failure)
-
-
-def check_2and3_count(g: Graph) -> LemmaPredicateResult:
-    """At k = Delta+2: if n_2(v) != 0 then n_2(v)+n_3(v) <= Delta - 3."""
-    bound = g.max_degree() - 3
-
-    def failure(v: int) -> dict | None:
-        n2 = n_k(g, v, 2)
-        if n2 != 0 and n2 + n_k(g, v, 3) > bound:
-            return {"vertex": v, "n2": n2, "n3": n_k(g, v, 3), "bound": bound}
-        return None
-    return _scan("2-and-3-vertex-count", g, failure)
-
-
-def _neighbors_at_least(lemma_id: str, g: Graph, d: int,
-                        threshold: int) -> LemmaPredicateResult:
-    """Every d-vertex has only neighbors of degree at least ``threshold``."""
-    def failure(v: int) -> dict | None:
+def _neighbors_at_least(d: int, slack: int) -> Callable[[Graph, int, int, int], dict | None]:
+    """The test that a d-vertex has only neighbors of degree at least
+    k - Delta + ``slack``; the witness names the lowest neighbor below it."""
+    def failure(g: Graph, v: int, k: int, delta: int) -> dict | None:
         if g.degree(v) == d:
+            threshold = k - delta + slack
             for w in g.neighbors(v):
                 if g.degree(w) < threshold:
                     return {"vertex": v, "neighbor": w,
                             "degree": g.degree(w), "threshold": threshold}
         return None
-    return _scan(lemma_id, g, failure)
+    return failure
 
 
-def check_neighbor_of_2vertex(g: Graph, k: int) -> LemmaPredicateResult:
-    """At k > Delta: every 2-vertex has only neighbors of degree
-    at least k - Delta + 3."""
-    return _neighbors_at_least("neighbor-of-2-vertex", g, 2, k - g.max_degree() + 3)
+def _strong(g: Graph, w: int) -> int:
+    """The number of 4+-vertices adjacent to w."""
+    return sum(1 for x in g.neighbors(w) if g.degree(x) >= 4)
 
 
-def check_3vertex_neighbors(g: Graph, k: int) -> LemmaPredicateResult:
-    """At k >= Delta+2: every 3-vertex has only neighbors of degree
-    at least k - Delta + 2."""
-    delta = g.max_degree()
-    if k < delta + 2:
-        return LemmaPredicateResult("3-vertex-neighbors", True, applicable=False,
-                                    note=f"hypothesis k>=Delta+2 fails (k={k})")
-    return _neighbors_at_least("3-vertex-neighbors", g, 3, k - delta + 2)
+def _roles_met(g: Graph, p: int, q: int) -> bool:
+    return _strong(g, p) >= 3 and _strong(g, q) >= (3 if g.degree(q) == 5 else 2)
 
 
-def check_3adj4(g: Graph) -> LemmaPredicateResult:
-    """At k = Delta+2: a 3-vertex v with a 4-neighbor x has its other two
-    neighbors y, z of degree >= 5, with one of them adjacent to at least
-    three 4+-vertices and the other to at least two (three if its degree
-    is exactly 5).
+def _3adj4(g: Graph, v: int, k: int, delta: int) -> dict | None:
+    """A 3-vertex v with a 4-neighbor x has its other two neighbors y, z of
+    degree >= 5, with one of them adjacent to at least three 4+-vertices and
+    the other to at least two (three if its degree is exactly 5).
 
-    The two roles are assigned symmetrically: the predicate holds if some
+    The two roles are assigned symmetrically: v meets the statement if some
     assignment of (y, z) to the roles satisfies all clauses.
     """
-    def strong(w: int) -> int:
-        return sum(1 for x in g.neighbors(w) if g.degree(x) >= 4)
-
-    def roles_met(p: int, q: int) -> bool:
-        return strong(p) >= 3 and strong(q) >= (3 if g.degree(q) == 5 else 2)
-
-    def failure(v: int) -> dict | None:
-        nbrs = g.neighbors(v)
-        if g.degree(v) != 3 or not any(g.degree(x) == 4 for x in nbrs):
-            return None
-        x = min(w for w in nbrs if g.degree(w) == 4)
-        y, z = others = [w for w in nbrs if w != x]
-        if g.degree(y) < 5 or g.degree(z) < 5:
-            return {"vertex": v, "four_neighbor": x, "others": others,
-                    "degrees": [g.degree(y), g.degree(z)]}
-        if not (roles_met(y, z) or roles_met(z, y)):
-            return {"vertex": v, "four_neighbor": x, "others": others,
-                    "strong_counts": [strong(y), strong(z)]}
+    nbrs = g.neighbors(v)
+    if g.degree(v) != 3 or not any(g.degree(x) == 4 for x in nbrs):
         return None
-    return _scan("3-adjacent-4", g, failure)
+    x = min(w for w in nbrs if g.degree(w) == 4)
+    y, z = others = [w for w in nbrs if w != x]
+    if g.degree(y) < 5 or g.degree(z) < 5:
+        return {"vertex": v, "four_neighbor": x, "others": others,
+                "degrees": [g.degree(y), g.degree(z)]}
+    if not (_roles_met(g, y, z) or _roles_met(g, z, y)):
+        return {"vertex": v, "four_neighbor": x, "others": others,
+                "strong_counts": [_strong(g, y), _strong(g, z)]}
+    return None
 
 
-def check_tvertex_2s(g: Graph) -> LemmaPredicateResult:
-    """At k = Delta+2: a t-vertex with t >= 5 has n_2(v) <= t - 4, and when
-    equality holds, n_3(v) = 0."""
-    def failure(v: int) -> dict | None:
-        t = g.degree(v)
-        if t < 5:
-            return None
-        n2 = n_k(g, v, 2)
-        if n2 > t - 4:
-            return {"vertex": v, "n2": n2, "bound": t - 4}
-        if n2 == t - 4 and n_k(g, v, 3) != 0:
-            return {"vertex": v, "n2": n2, "n3": n_k(g, v, 3),
-                    "note": "equality case requires n3 = 0"}
+def _tvertex_2s(g: Graph, v: int, k: int, delta: int) -> dict | None:
+    """A t-vertex with t >= 5 has n_2(v) <= t - 4, and when equality holds,
+    n_3(v) = 0."""
+    t = g.degree(v)
+    if t < 5:
         return None
-    return _scan("t-vertex-2-count", g, failure)
+    n2 = n_k(g, v, 2)
+    if n2 > t - 4:
+        return {"vertex": v, "n2": n2, "bound": t - 4}
+    if n2 == t - 4 and n_k(g, v, 3) != 0:
+        return {"vertex": v, "n2": n2, "n3": n_k(g, v, 3),
+                "note": "equality case requires n3 = 0"}
+    return None
 
 
-def check_5vertex(g: Graph) -> LemmaPredicateResult:
-    """At k = Delta+2: every 5-vertex has n_2(v) + n_3(v) <= 3."""
-    def failure(v: int) -> dict | None:
-        if g.degree(v) == 5 and n_k(g, v, 2) + n_k(g, v, 3) > 3:
-            return {"vertex": v, "n2_plus_n3": n_k(g, v, 2) + n_k(g, v, 3)}
-        return None
-    return _scan("5-vertex", g, failure)
+def _5vertex(g: Graph, v: int, k: int, delta: int) -> dict | None:
+    """A 5-vertex has n_2(v) + n_3(v) <= 3."""
+    if g.degree(v) == 5 and n_k(g, v, 2) + n_k(g, v, 3) > 3:
+        return {"vertex": v, "n2_plus_n3": n_k(g, v, 2) + n_k(g, v, 3)}
+    return None
+
+
+class Lemma(NamedTuple):
+    """One forbidden configuration of a graph critical at level k.
+
+    It is checked when k - Delta lies in ``levels``.  A ``hypothesis`` on
+    (k, Delta), when given, must also hold, or the lemma is reported not
+    applicable with a note naming ``hypothesis_text``.  ``failure`` is the
+    per-vertex test.
+    """
+
+    lemma_id: str
+    levels: range
+    failure: Callable[[Graph, int, int, int], dict | None]
+    hypothesis: Callable[[int, int], bool] | None = None
+    hypothesis_text: str = ""
+
+
+_ANY_LEVEL = sys.maxsize  # the end of a range of levels with no upper bound
+
+# The one place where each lemma's levels and hypothesis are written.
+LEMMAS: tuple[Lemma, ...] = (
+    Lemma("2-vertex-neighborhood", range(0, _ANY_LEVEL), _2vertex_neighborhood,
+          lambda k, delta: k <= 2 * delta - 2, "k<=2*Delta-2"),
+    Lemma("neighbor-of-2-vertex", range(1, _ANY_LEVEL), _neighbors_at_least(2, 3)),
+    Lemma("2-vertex-count", range(1, 2), _2vertex_count),
+    Lemma("3-vertex-neighbors", range(2, _ANY_LEVEL), _neighbors_at_least(3, 2)),
+    Lemma("2-and-3-vertex-count", range(2, 3), _2and3_count),
+    Lemma("3-adjacent-4", range(2, 3), _3adj4),
+    Lemma("t-vertex-2-count", range(2, 3), _tvertex_2s),
+    Lemma("5-vertex", range(2, 3), _5vertex),
+)
 
 
 def lemma_suite(g: Graph, k: int) -> list[LemmaPredicateResult]:
     """All predicates applicable to a graph hypothesized critical at k.
 
-    Predicates tied to the Delta+2 setting run only when k = Delta+2; the
-    Delta+1 corollary runs only at k = Delta+1.  A k below Delta raises
-    ValueError: no proper k-coloring exists, so there is nothing critical
-    to describe.
+    ``2-connected`` (critical graphs are 2-connected) comes first, then
+    every entry of ``LEMMAS`` whose levels hold k - Delta, in table order.
+    A k below Delta raises ValueError: no proper k-coloring exists, so there
+    is nothing critical to describe.
     """
     delta = g.max_degree()
     if k < delta:
         raise ValueError(f"level k = {k} is below Delta(G) = {delta}")
-    results = [
-        check_2connected(g),
-        check_2vertex_neighborhood(g, k),
-    ]
-    if k > delta:
-        results.append(check_neighbor_of_2vertex(g, k))
-    if k == delta + 1:
-        results.append(check_2vertex_count(g))
-    if k >= delta + 2:
-        results.append(check_3vertex_neighbors(g, k))
-    if k == delta + 2:
-        results.extend([
-            check_2and3_count(g),
-            check_3adj4(g),
-            check_tvertex_2s(g),
-            check_5vertex(g),
-        ])
+    ok = is_2_connected(g)
+    results = [LemmaPredicateResult("2-connected", ok,
+                                    witness=None if ok else {"graph": "not 2-connected"})]
+    for lemma in LEMMAS:
+        if k - delta not in lemma.levels:
+            continue
+        if lemma.hypothesis is not None and not lemma.hypothesis(k, delta):
+            note = f"hypothesis {lemma.hypothesis_text} fails (k={k}, Delta={delta})"
+            results.append(LemmaPredicateResult(lemma.lemma_id, True, applicable=False,
+                                                note=note))
+            continue
+        failure = lemma.failure
+        for v in range(g.n):
+            witness = failure(g, v, k, delta)
+            if witness is not None:
+                results.append(LemmaPredicateResult(lemma.lemma_id, False, witness=witness))
+                break
+        else:
+            results.append(LemmaPredicateResult(lemma.lemma_id, True))
     return results
 
 

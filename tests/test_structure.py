@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aecolor
 from aecolor import coloring, structure
@@ -15,15 +17,7 @@ from aecolor.density import mad_exact
 from aecolor.graph import build_graph, delete_edge
 from aecolor.solver import SolveBudget, enumerate_acyclic_colorings
 from aecolor.structure import (
-    check_2and3_count,
-    check_2connected,
-    check_2vertex_count,
-    check_3adj4,
-    check_3vertex_neighbors,
-    check_5vertex,
-    check_2vertex_neighborhood,
-    check_neighbor_of_2vertex,
-    check_tvertex_2s,
+    LEMMAS,
     connected_graphs_upto,
     critical_sweep,
     discharge,
@@ -41,27 +35,34 @@ def subdivided_star():
     return build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
 
+def suite_result(g, lemma_id, slack):
+    """The result of ``lemma_id`` in ``lemma_suite`` at k = Delta + slack."""
+    k = g.max_degree() + slack
+    (r,) = [r for r in lemma_suite(g, k) if r.lemma_id == lemma_id]
+    return r
+
+
 def test_2connected_k4():
-    assert check_2connected(complete(4)).holds
+    assert suite_result(complete(4), "2-connected", 1).holds
 
 
 def test_2connected_path_fails():
-    r = check_2connected(path(4))
+    r = suite_result(path(4), "2-connected", 1)
     assert not r.holds and r.witness is not None
 
 
 def test_2vertex_neighborhood_not_applicable_for_cycles():
     # k = 3 > 2*Delta - 2 = 2
-    r = check_2vertex_neighborhood(cycle(5), 3)
+    r = suite_result(cycle(5), "2-vertex-neighborhood", 1)
     assert r.holds and not r.applicable
 
 
 def test_2vertex_neighborhood_holds_k33():
-    assert check_2vertex_neighborhood(complete_bipartite(3, 3), 4).holds
+    assert suite_result(complete_bipartite(3, 3), "2-vertex-neighborhood", 1).holds
 
 
 def test_2vertex_count_fails_on_subdivided_star():
-    r = check_2vertex_count(subdivided_star())
+    r = suite_result(subdivided_star(), "2-vertex-count", 1)
     assert not r.holds
     assert r.witness["vertex"] == 0
     assert r.witness["n2"] == 3
@@ -69,56 +70,59 @@ def test_2vertex_count_fails_on_subdivided_star():
 
 def test_2vertex_count_fails_on_c6():
     # every vertex of C6 has two 2-neighbors, but Delta - 2 = 0
-    assert not check_2vertex_count(cycle(6)).holds
+    assert not suite_result(cycle(6), "2-vertex-count", 1).holds
 
 
 def test_2vertex_count_holds_k4():
-    assert check_2vertex_count(complete(4)).holds
+    assert suite_result(complete(4), "2-vertex-count", 1).holds
 
 
 def test_2and3_count_vacuous_without_2vertices():
-    assert check_2and3_count(complete(4)).holds
+    assert suite_result(complete(4), "2-and-3-vertex-count", 2).holds
 
 
 def test_2and3_count_fails():
-    assert not check_2and3_count(subdivided_star()).holds
+    assert not suite_result(subdivided_star(), "2-and-3-vertex-count", 2).holds
 
 
 def test_neighbor_of_2vertex_fails_on_path():
     # middle 2-vertex of P3 has degree-1 neighbors, threshold is 4 at k=3
-    r = check_neighbor_of_2vertex(path(3), 3)
+    r = suite_result(path(3), "neighbor-of-2-vertex", 1)
     assert not r.holds
     assert r.witness["threshold"] == 4
 
 
 def test_3vertex_neighbors_not_applicable_below_delta_plus_2():
-    r = check_3vertex_neighbors(complete(4), 4)
-    assert r.holds and not r.applicable
+    # the lemma is left out below Delta+2 and runs from Delta+2 on
+    for k in (3, 4):
+        assert "3-vertex-neighbors" not in {r.lemma_id for r in lemma_suite(complete(4), k)}
+    r = suite_result(complete(4), "3-vertex-neighbors", 2)
+    assert r.applicable
 
 
 def test_3vertex_neighbors_fails():
     # K_{1,3} at k = Delta + 2 = 5: the 3-center has degree-1 neighbors
-    r = check_3vertex_neighbors(star(3), 5)
+    r = suite_result(star(3), "3-vertex-neighbors", 2)
     assert not r.holds
 
 
 def test_witness_names_the_lowest_failing_neighbor():
     # every neighbor of vertex 0 fails; the witness names the lowest
-    r = check_neighbor_of_2vertex(build_graph(19, [(0, 18), (0, 5)]), 3)
+    r = suite_result(build_graph(19, [(0, 18), (0, 5)]), "neighbor-of-2-vertex", 1)
     assert r.witness == {"vertex": 0, "neighbor": 5, "degree": 1, "threshold": 4}
-    r = check_3vertex_neighbors(build_graph(19, [(0, 18), (0, 9), (0, 5)]), 5)
+    r = suite_result(build_graph(19, [(0, 18), (0, 9), (0, 5)]), "3-vertex-neighbors", 2)
     assert r.witness == {"vertex": 0, "neighbor": 5, "degree": 1, "threshold": 4}
 
 
 def test_3adj4_vacuous_without_pattern():
-    assert check_3adj4(cycle(5)).holds
-    assert check_3adj4(complete(4)).holds  # 3-vertices but no 4-neighbor
+    assert suite_result(cycle(5), "3-adjacent-4", 2).holds
+    assert suite_result(complete(4), "3-adjacent-4", 2).holds  # 3-vertices but no 4-neighbor
 
 
 def test_3adj4_fails_when_other_neighbors_small():
     # 3-vertex 0 adjacent to a 4-vertex 1 and two leaves
     g = build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
-    r = check_3adj4(g)
+    r = suite_result(g, "3-adjacent-4", 2)
     assert not r.holds
     assert r.witness["vertex"] == 0
     assert r.witness["four_neighbor"] == 1
@@ -158,7 +162,7 @@ def _three_adj_four(dy: int, sy: int, dz: int, sz: int):
     (5, 2, 6, 3, False),  # y has degree exactly 5 and two
 ])
 def test_3adj4_role_clause(dy, sy, dz, sz, holds):
-    r = check_3adj4(_three_adj_four(dy, sy, dz, sz))
+    r = suite_result(_three_adj_four(dy, sy, dz, sz), "3-adjacent-4", 2)
     assert r.holds == holds
     if not holds:
         assert r.witness == {"vertex": 0, "four_neighbor": 1, "others": [2, 3],
@@ -168,18 +172,18 @@ def test_3adj4_role_clause(dy, sy, dz, sz, holds):
 def test_tvertex_2s_fails():
     # 5-vertex with two 2-neighbors exceeds the t - 4 = 1 cap
     g = build_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 7)])
-    r = check_tvertex_2s(g)
+    r = suite_result(g, "t-vertex-2-count", 2)
     assert not r.holds
     assert r.witness["vertex"] == 0
 
 
 def test_5vertex_fails():
     g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4)])
-    assert not check_5vertex(g).holds
+    assert not suite_result(g, "5-vertex", 2).holds
 
 
 def test_5vertex_vacuous():
-    assert check_5vertex(complete(4)).holds
+    assert suite_result(complete(4), "5-vertex", 2).holds
 
 
 def test_lemma_suite_k4_all_hold():
@@ -363,6 +367,89 @@ def test_witnesses_recount_from_the_edge_list():
     assert ("3-adjacent-4", "four_neighbor", "others", "strong_counts", "vertex") in kinds
     assert ("t-vertex-2-count", "bound", "n2", "vertex") in kinds
     assert ("t-vertex-2-count", "n2", "n3", "note", "vertex") in kinds
+
+
+# The distance from v within which each entry's per-vertex test reads the
+# graph: the degrees of v's neighbors, and for 3-adjacent-4 also those of
+# the neighbors' neighbors.
+READ_RADIUS = {entry.lemma_id: 1 for entry in LEMMAS} | {"3-adjacent-4": 2}
+
+
+@st.composite
+def planted_graphs(draw):
+    """A graph grown around vertex 0, then up to 6 spare vertices and up to
+    n/2 random edges.
+
+    Either a ``_three_adj_four`` graph, whose hubs have leaves at distance 3
+    from 0, or a tree of depth 3 in which each vertex of a level has between
+    lo and hi <= lo + 2 children, lo and hi drawn per level (the tree stops
+    growing at 60 vertices): the degrees near each vertex vary, and with
+    lo = hi they repeat exactly.
+    """
+    if draw(st.booleans()):
+        dy, dz = draw(st.integers(5, 7)), draw(st.integers(5, 7))
+        g = _three_adj_four(dy, draw(st.integers(0, dy - 1)), dz, draw(st.integers(0, dz - 1)))
+        n, pairs = g.n, set(g.edges)
+    else:
+        n, pairs, frontier = 1, set(), [0]
+        for _ in range(3):
+            lo = draw(st.integers(0, 5))
+            hi = draw(st.integers(lo, lo + 2))
+            grown = []
+            for u in frontier:
+                for _ in range(draw(st.integers(lo, hi))):
+                    if n < 60:
+                        pairs.add((u, n))
+                        grown.append(n)
+                        n += 1
+            frontier = grown
+    n += draw(st.integers(0, 6))
+    vertex = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return build_graph(n, sorted(pairs))
+
+
+def _distances(g, v):
+    """The distance from v of each vertex it reaches."""
+    dist = {v: 0}
+    queue = [v]
+    for u in queue:
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+@pytest.mark.parametrize("entry", LEMMAS, ids=lambda entry: entry.lemma_id)
+@given(g=planted_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lemma_verdicts_are_local(entry, g, data):
+    # adding or removing edges with no end within the entry's radius of v,
+    # with k and Delta fixed, leaves the per-vertex verdict at v, witness
+    # included, unchanged; v is often 0 or a failing vertex
+    delta = g.max_degree()
+    levels = entry.levels
+    k = delta + data.draw(st.integers(levels.start, min(levels.stop, levels.start + 3) - 1))
+    failing = [u for u in range(g.n) if entry.failure(g, u, k, delta) is not None]
+    v = data.draw(st.sampled_from([0, *failing]) | st.integers(0, g.n - 1))
+    dist = _distances(g, v)
+    far = [u for u in range(g.n) if dist.get(u, g.n) > READ_RADIUS[entry.lemma_id]]
+    edges = set(g.edges)
+    if len(far) >= 2:
+        # a far hub joined to or cut from a set of far vertices (at times
+        # all of them), which can raise its degree above Delta, and some
+        # further far pairs
+        end = st.sampled_from(far)
+        hub = data.draw(end)
+        spokes = [(hub, b) for b in data.draw(st.sets(end) | st.just(set(far)))]
+        for a, b in spokes + data.draw(st.lists(st.tuples(end, end), max_size=8)):
+            if a != b:
+                edges ^= {(min(a, b), max(a, b))}
+    h = build_graph(g.n, sorted(edges))
+    assert entry.failure(h, v, k, delta) == entry.failure(g, v, k, delta)
 
 
 # --- Fact 2 -------------------------------------------------------------------
