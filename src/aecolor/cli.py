@@ -272,8 +272,6 @@ def _theorem_trial(name: str, n: int, seed: int) -> dict:
         "seed": seed, "n": n, "m": m, "delta": g.max_degree(),
         "girth": str(girth(g)), "mad": str(value),
     }
-    if name not in ("theorem2", "theorem3", "colorer"):
-        raise ValueError(f"unknown experiment {name!r}")
     rs = RULE_SETS["mad3" if name == "theorem3" else "mad4"]
     if value >= rs.bound:
         record["skipped"] = f"mad >= {rs.bound}"
@@ -296,7 +294,10 @@ def _theorem_trial(name: str, n: int, seed: int) -> dict:
 
 def run_experiment(name: str, n: int, trials: int, seed: int) -> dict:
     """Run the trials in order; trial i draws its graph from
-    ``seed * 1_000_003 + i``.  A trial count below 1 raises ValueError."""
+    ``seed * 1_000_003 + i``.  An unknown name or a trial count below 1
+    raises ValueError before any graph is drawn."""
+    if name not in ("theorem2", "theorem3", "colorer"):
+        raise ValueError(f"unknown experiment {name!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     records = [_theorem_trial(name, n, seed * 1_000_003 + i) for i in range(trials)]

@@ -21,14 +21,14 @@ from functools import cached_property
 from typing import Literal
 
 from .coloring import ColoringError, EdgeColoring, has_bichromatic_cycle
-from .graph import Graph, build_graph
+from .graph import Graph, Record, build_graph
 from .solver import (SolveBudget, _Search, deletion_edge_order,
                      is_acyclically_k_colorable, walk_peel)
 
 Move = tuple  # ("assign", e, c) | ("repair", (edges...), (colors...))
 
 
-class ColoringReport:
+class ColoringReport(Record):
     """What ``color_graph`` did: the coloring, partial on failure, and the
     moves that built it; the trace list is the report's own."""
 
@@ -39,20 +39,8 @@ class ColoringReport:
                  k: int, coloring: EdgeColoring, colors_used: int,
                  move_counts: dict[str, int], moves_spent: int,
                  trace: list[Move] | None = None):
-        self.outcome = outcome
-        self.k = k
-        self.coloring = coloring
-        self.colors_used = colors_used
-        self.move_counts = move_counts
-        self.moves_spent = moves_spent
-        self.trace = [] if trace is None else trace
-
-    def _key(self) -> tuple:
-        return (self.outcome, self.k, self.coloring, self.colors_used, self.move_counts,
-                self.moves_spent, self.trace)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        super().__init__(outcome, k, coloring, colors_used, move_counts, moves_spent,
+                         [] if trace is None else trace)
 
 
 def choose_palette(g: Graph, mad: Fraction) -> tuple[int, str]:

@@ -13,15 +13,17 @@ one comparison of two path ends per edge, skipping the pairs with a
 one-edge class, which hold no cycle: O(k*m) in all, with properness
 checked in the same pass.  ``properness_violation`` runs only once a clash
 is found, to name the lowest clashing vertex.  The mutable coloring
-kernel, ``solver._Search``, lives in another module and this one imports nothing from it, so every
-coloring the kernel produces is checked by code that did not produce it.
+kernel, ``solver._Search``, lives in another module.  This one imports only
+``graph`` (for ``Graph`` and ``Record``) and nothing from ``solver``, so
+every coloring the kernel produces is checked by code that did not produce
+it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, Record
 
 
 class ColoringError(ValueError):
@@ -36,10 +38,9 @@ class ImproperColoringError(ColoringError):
         self.vertex = vertex
 
 
-class EdgeColoring:
+class EdgeColoring(Record):
     """Palette colors of a graph's edges: ``colors[e]`` is the color of edge
-    id e, 0 if it is uncolored.  Immutable; two colorings are equal when
-    their k and colors are."""
+    id e, 0 if it is uncolored.  A ``Record``: immutable, equal by value."""
 
     __slots__ = ("k", "colors")
     k: int
@@ -50,30 +51,9 @@ class EdgeColoring:
             # name the first edge out of range
             e, c = next((e, c) for e, c in enumerate(colors) if not 0 <= c <= k)
             raise ColoringError(f"color {c} on edge {e} outside [0..{k}]")
-        init = object.__setattr__  # the instance's own __setattr__ refuses
+        init = object.__setattr__  # Record's __setattr__ refuses
         init(self, "k", k)
         init(self, "colors", colors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable EdgeColoring")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable EdgeColoring")
-
-    def _key(self) -> tuple:
-        return self.k, self.colors
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return EdgeColoring, self._key()
-
-    def __repr__(self) -> str:
-        return f"EdgeColoring(k={self.k!r}, colors={self.colors!r})"
 
     def is_total(self) -> bool:
         return 0 not in self.colors

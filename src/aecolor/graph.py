@@ -9,7 +9,47 @@ class GraphError(ValueError):
     """Raised on malformed graph input (self-loops, duplicates, bad ids)."""
 
 
-class Graph:
+class Record:
+    """Base of the package's value classes.
+
+    A subclass lists its fields in ``__slots__`` and its constructor takes
+    them in that order.  A record is immutable.  ``_key()``, the field values
+    in slot order, gives its equality (same class only), its hash (none with
+    a list or dict field), copy and pickle as ``cls(*key)``, and its repr.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)  # our own __setattr__ refuses
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Graph(Record):
     """Immutable simple undirected graph.
 
     Vertices are 0..n-1.  Edges carry dense ids 0..m-1 in first-seen order.
@@ -26,29 +66,11 @@ class Graph:
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
                  _adj: tuple[tuple[int, ...], ...], _inc: tuple[tuple[int, ...], ...]):
-        init = object.__setattr__  # the instance's own __setattr__ refuses
+        init = object.__setattr__  # Record's __setattr__ refuses
         init(self, "n", n)
         init(self, "edges", edges)
         init(self, "_adj", _adj)
         init(self, "_inc", _inc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
-
-    def _key(self) -> tuple:
-        return self.n, self.edges, self._adj, self._inc
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return Graph, self._key()
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, edges={self.edges!r})"
@@ -196,7 +218,7 @@ def delete_edge(g: Graph, e: int) -> Graph:
     Surviving edges keep their relative order, so ids below e are unchanged
     and ids above shift down by one (ids stay dense).
     """
-    u, v = g.endpoints(e)
+    g.endpoints(e)  # raises GraphError on an id out of range
     pairs = [p for i, p in enumerate(g.edges) if i != e]
     return build_graph(g.n, pairs)
 

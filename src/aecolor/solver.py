@@ -26,10 +26,10 @@ from fractions import Fraction
 from typing import Iterator, Literal, NamedTuple
 
 from .coloring import ColoringError, EdgeColoring, has_bichromatic_cycle
-from .graph import Graph, delete_edge
+from .graph import Graph, Record, delete_edge
 
 
-class SolveBudget:
+class SolveBudget(Record):
     """A search's node and time limits.  Immutable, so that the shared
     default ``SolveBudget()`` of the search functions cannot be changed."""
 
@@ -41,30 +41,9 @@ class SolveBudget:
         # "not >" rejects NaN, a deadline that never fires; inf is no limit
         if not (max_nodes > 0 and max_seconds > 0):
             raise ValueError("budget limits must be positive")
-        init = object.__setattr__  # the instance's own __setattr__ refuses
+        init = object.__setattr__  # Record's __setattr__ refuses
         init(self, "max_nodes", max_nodes)
         init(self, "max_seconds", max_seconds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable SolveBudget")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable SolveBudget")
-
-    def _key(self) -> tuple:
-        return self.max_nodes, self.max_seconds
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return SolveBudget, self._key()
-
-    def __repr__(self) -> str:
-        return f"SolveBudget(max_nodes={self.max_nodes!r}, max_seconds={self.max_seconds!r})"
 
 
 Status = Literal["yes", "no", "unknown"]
@@ -586,7 +565,7 @@ def _count_bound(g: Graph, vertices: list[int]) -> int:
     return max(delta, -(-sum(deg.values()) // (len(deg) - 1)))
 
 
-class ChiAResult:
+class ChiAResult(Record):
     """What ``chi_a_exact`` found; the witness list is the result's own."""
 
     __slots__ = ("chi_a", "decided_up_to", "coloring", "nodes", "lower_bound",
@@ -595,19 +574,8 @@ class ChiAResult:
     def __init__(self, chi_a: int | None, decided_up_to: int,
                  coloring: EdgeColoring | None = None, nodes: int = 0,
                  lower_bound: int = 0, lower_bound_witness: list[int] | None = None):
-        self.chi_a = chi_a
-        self.decided_up_to = decided_up_to
-        self.coloring = coloring
-        self.nodes = nodes
-        self.lower_bound = lower_bound
-        self.lower_bound_witness = [] if lower_bound_witness is None else lower_bound_witness
-
-    def _key(self) -> tuple:
-        return (self.chi_a, self.decided_up_to, self.coloring, self.nodes,
-                self.lower_bound, self.lower_bound_witness)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        super().__init__(chi_a, decided_up_to, coloring, nodes, lower_bound,
+                         [] if lower_bound_witness is None else lower_bound_witness)
 
 
 def chi_a_exact(g: Graph, budget: SolveBudget = SolveBudget(),

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Literal, NamedTuple
 
 from .coloring import ColoringError, EdgeColoring, _color_at, has_bichromatic_cycle
-from .graph import Graph, build_graph, delete_edge, is_2_connected, n_k
+from .graph import Graph, Record, build_graph, delete_edge, is_2_connected, n_k
 from .solver import (
     CriticalityReport,
     SolveBudget,
@@ -301,7 +301,7 @@ def rule_set(name: str) -> RuleSet:
         raise ValueError(f"unknown rule set {name!r}") from None
 
 
-class ChargeState:
+class ChargeState(Record):
     """Charges before and after one discharging pass, and each transfer
     (rule, giver, receiver, amount) in the order it was made; the
     transfer list is the state's own."""
@@ -311,16 +311,7 @@ class ChargeState:
     def __init__(self, rules: RuleSetName, initial: dict[int, Fraction],
                  final: dict[int, Fraction],
                  transfers: list[tuple[str, int, int, Fraction]] | None = None):
-        self.rules = rules
-        self.initial = initial
-        self.final = final
-        self.transfers = [] if transfers is None else transfers
-
-    def _key(self) -> tuple:
-        return self.rules, self.initial, self.final, self.transfers
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        super().__init__(rules, initial, final, [] if transfers is None else transfers)
 
     @property
     def total_initial(self) -> Fraction:

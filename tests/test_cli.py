@@ -565,6 +565,14 @@ def test_experiment_is_reproducible_from_its_seed(name):
     assert [r["seed"] for r in first["records"]] == [4 * 1_000_003 + i for i in range(5)]
 
 
+def test_experiment_rejects_an_unknown_name_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "mad_exact", lambda g: calls.append(g))
+    with pytest.raises(ValueError, match="^unknown experiment 'nope'$"):
+        run_experiment("nope", n=8, trials=3, seed=0)
+    assert calls == []
+
+
 def test_experiment_rejects_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "colorer", "--workers", "2"])

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -113,12 +114,17 @@ def test_import_and_commands_load_no_dataclasses(tmp_path):
 
 
 def test_records_keep_their_value_semantics():
-    """Graph, EdgeColoring and SolveBudget are immutable values that check
-    their fields, compare by value and survive copy and pickle; the result
-    records with a list field give each default-constructed record a list
-    of its own."""
-    values = [build_graph(3, [(0, 1), (1, 2)]), EdgeColoring(2, (1, 2)), SolveBudget()]
-    for value, field in zip(values, ("edges", "colors", "max_nodes")):
+    """The six records are immutable values that compare by value, survive
+    copy and pickle and repr their fields; Graph, EdgeColoring and
+    SolveBudget check their fields.  The three result records give each
+    default-constructed record a list of its own, and their list and dict
+    fields make them unhashable."""
+    results = [ChiAResult(None, 0), ChargeState("mad3", {}, {}),
+               ColoringReport("success", 0, EdgeColoring(0, ()), 0, {}, 0)]
+    values = [build_graph(3, [(0, 1), (1, 2)]), EdgeColoring(2, (1, 2)), SolveBudget(),
+              *results]
+    for value, field in zip(values, ("edges", "colors", "max_nodes", "chi_a", "rules",
+                                     "outcome")):
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
         with pytest.raises(AttributeError):
@@ -145,6 +151,17 @@ def test_records_keep_their_value_semantics():
     assert EdgeColoring(2, (1, 2)) == EdgeColoring(2, (1, 2)) != EdgeColoring(3, (1, 2))
     assert {SolveBudget(5), SolveBudget(5)} == {SolveBudget(5, 600.0)}
     assert repr(build_graph(2, [(0, 1)])) == "Graph(n=2, edges=((0, 1),))"
+    assert repr(EdgeColoring(2, (1, 2))) == "EdgeColoring(k=2, colors=(1, 2))"
+    assert repr(SolveBudget()) == "SolveBudget(max_nodes=200000000, max_seconds=600.0)"
+    assert [repr(r) for r in results] == [
+        "ChiAResult(chi_a=None, decided_up_to=0, coloring=None, nodes=0, lower_bound=0,"
+        " lower_bound_witness=[])",
+        "ChargeState(rules='mad3', initial={}, final={}, transfers=[])",
+        "ColoringReport(outcome='success', k=0, coloring=EdgeColoring(k=0, colors=()),"
+        " colors_used=0, move_counts={}, moves_spent=0, trace=[])"]
+    for result in results:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(result)
 
     for make, field in ((lambda: ChiAResult(None, 0), "lower_bound_witness"),
                         (lambda: ChargeState("mad3", {}, {}), "transfers"),
@@ -154,6 +171,20 @@ def test_records_keep_their_value_semantics():
         getattr(first, field).append(1)
         assert getattr(second, field) == []
         assert first != second and make() == second
+
+
+def test_only_record_defines_the_value_protocol():
+    """Every class of the package takes equality, hashing, pickling and
+    immutability from ``graph.Record``; none writes its own copy."""
+    protocol = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__", "_key"}
+    owners = {}
+    for info in pkgutil.iter_modules(aecolor.__path__):
+        module = importlib.import_module(f"aecolor.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                if own := protocol & vars(cls).keys():
+                    owners[cls.__qualname__] = own
+    assert owners == {"Record": protocol}
 
 
 def test_critical_sweep_runs_without_networkx():
