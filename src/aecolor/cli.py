@@ -260,6 +260,10 @@ def cmd_critical_sweep(args) -> int:
 
 EDGE_FACTOR = 1.9  # a trial's largest m as a fraction of n
 
+# Each experiment's name and the rule set whose mad hypothesis and palette
+# Delta + slack its trials test; the one list of experiment names.
+EXPERIMENTS: dict[str, str] = {"theorem2": "mad4", "theorem3": "mad3", "colorer": "mad4"}
+
 
 def _theorem_trial(name: str, n: int, seed: int) -> dict:
     """One experiment instance on a graph drawn from ``seed``."""
@@ -272,7 +276,7 @@ def _theorem_trial(name: str, n: int, seed: int) -> dict:
         "seed": seed, "n": n, "m": m, "delta": g.max_degree(),
         "girth": str(girth(g)), "mad": str(value),
     }
-    rs = RULE_SETS["mad3" if name == "theorem3" else "mad4"]
+    rs = RULE_SETS[EXPERIMENTS[name]]
     if value >= rs.bound:
         record["skipped"] = f"mad >= {rs.bound}"
         return record
@@ -296,7 +300,7 @@ def run_experiment(name: str, n: int, trials: int, seed: int) -> dict:
     """Run the trials in order; trial i draws its graph from
     ``seed * 1_000_003 + i``.  An unknown name or a trial count below 1
     raises ValueError before any graph is drawn."""
-    if name not in ("theorem2", "theorem3", "colorer"):
+    if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget_flags(p)
 
     p = sub.add_parser("experiment", help="randomized experiment harness")
-    p.add_argument("name", choices=["theorem2", "theorem3", "colorer"])
+    p.add_argument("name", choices=list(EXPERIMENTS))
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -473,10 +473,23 @@ def critical_sweep(
     n_max: int, budget: SolveBudget = SolveBudget()
 ) -> list[SweepRecord]:
     """Find all k-critical graphs with k in {Delta+1, Delta+2} among
-    connected graphs on at most n_max vertices."""
+    connected graphs on at most n_max vertices.
+
+    A graph with a vertex of degree 1 is skipped without a search, since
+    it is k-critical for no k >= Delta:
+
+    Let v have degree 1, let e = uv, and let k >= Delta(g).  Take any
+    acyclic k-colouring of g - e.  At most Delta - 1 < k colours are
+    present at u, and none at v, so some colour is free at both ends.
+    Giving e that colour keeps the colouring proper.  No cycle passes
+    through e, because v has degree 1.  So g is acyclically k-colourable.
+
+    Hence either g - e needs more than k colours, or g needs at most k.
+    In both cases g is not k-critical.
+    """
     found: list[SweepRecord] = []
     for g in connected_graphs_upto(n_max):
-        if g.m == 0:
+        if g.m == 0 or any(g.degree(v) == 1 for v in range(g.n)):
             continue
         delta = g.max_degree()
         for k in (delta + 1, delta + 2):

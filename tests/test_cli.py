@@ -393,6 +393,23 @@ def test_critical_sweep_cli(tmp_path, capsys):
     assert payload["critical"][0]["k"] == 4
 
 
+def test_critical_sweep_undecided_exit_2(capsys):
+    """With one node per decision nothing is decided: every graph without
+    a vertex of degree 1 (K3, C4, the diamond, K4) reads "unknown" at both
+    levels, and the graphs with one are ruled out by proof, not searched."""
+    code, payload = run(capsys, ["critical-sweep", "--n-max", "4", "--budget-nodes", "1"])
+    assert code == 2
+    triangle = [[0, 1], [0, 2], [1, 2]]
+    c4 = [[0, 1], [0, 3], [1, 2], [2, 3]]
+    diamond = [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
+    k4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    assert payload["critical"] == [
+        {"n": n, "edges": edges, "k": k, "status": "unknown"}
+        for n, edges, delta in [(3, triangle, 2), (4, c4, 2), (4, diamond, 3), (4, k4, 3)]
+        for k in (delta + 1, delta + 2)
+    ]
+
+
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_critical_sweep_n_max_below_1_exit_2(capsys, monkeypatch, n_max):
     """An empty sweep would read as "no critical graph"; the range is
@@ -571,6 +588,14 @@ def test_experiment_rejects_an_unknown_name_before_any_trial(monkeypatch):
     with pytest.raises(ValueError, match="^unknown experiment 'nope'$"):
         run_experiment("nope", n=8, trials=3, seed=0)
     assert calls == []
+
+
+def test_experiment_names_are_one_table():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (name,) = [a for a in sub.choices["experiment"]._actions if a.dest == "name"]
+    assert name.choices == list(cli.EXPERIMENTS)
+    assert set(cli.EXPERIMENTS.values()) <= set(structure.RULE_SETS)
 
 
 def test_experiment_rejects_workers_flag(capsys):

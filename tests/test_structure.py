@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aecolor
@@ -15,9 +15,10 @@ from aecolor.cli import generate_sparse
 from aecolor.coloring import EdgeColoring
 from aecolor.density import mad_exact
 from aecolor.graph import build_graph, delete_edge
-from aecolor.solver import SolveBudget, enumerate_acyclic_colorings
+from aecolor.solver import SolveBudget, enumerate_acyclic_colorings, is_critical
 from aecolor.structure import (
     LEMMAS,
+    SweepRecord,
     connected_graphs_upto,
     critical_sweep,
     discharge,
@@ -679,3 +680,70 @@ def test_critical_sweep_n6():
     for r in records:
         assert r.k == r.graph.max_degree() + 1
         assert all(p.holds for p in lemma_suite(r.graph, r.k))
+
+
+def has_pendant(g):
+    return any(g.degree(v) == 1 for v in range(g.n))
+
+
+def test_sweep_matches_the_full_loop():
+    """The reference: ``is_critical`` at Delta+1, then Delta+2, on every
+    atlas graph, pendant or not.  The sweep skips the pendant graphs by
+    proof; the solver decides each of them not critical at both levels."""
+    reference, pendant = [], 0
+    for g in connected_graphs_upto(7):
+        if g.m == 0:
+            continue
+        delta = g.max_degree()
+        reports = [is_critical(g, k) for k in (delta + 1, delta + 2)]
+        for k, report in zip((delta + 1, delta + 2), reports):
+            if report.witness_coloring is not None:
+                break
+            if report.status != "not-critical":
+                reference.append(SweepRecord(g, k, report))
+        if has_pendant(g):
+            pendant += 1
+            assert [r.status for r in reports] == ["not-critical"] * 2, g
+    assert pendant == 412
+    assert critical_sweep(7) == reference
+
+
+def test_sweep_searches_only_graphs_without_a_pendant_vertex(monkeypatch):
+    calls = []
+    searched = structure.is_critical
+
+    def counted(g, k, budget):
+        calls.append(g)
+        return searched(g, k, budget)
+
+    monkeypatch.setattr(structure, "is_critical", counted)
+    assert len(critical_sweep(7)) == 4
+    assert len(calls) == 589
+    assert not any(has_pendant(g) for g in calls)
+
+
+@st.composite
+def pendant_graphs(draw):
+    """A random connected graph on 1..9 vertices (a random tree and up to
+    12 chords) with one more vertex hung from one of its vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 2:
+        pairs |= draw(st.sets(st.sampled_from(
+            [(u, v) for u in range(n) for v in range(u + 1, n)]), max_size=12))
+    pairs.add((draw(st.integers(0, n - 1)), n))
+    return build_graph(n + 1, sorted(pairs))
+
+
+@given(g=pendant_graphs())
+@settings(max_examples=100, deadline=None)
+def test_a_pendant_vertex_rules_out_criticality(g):
+    """The sweep's skip, checked by the solver beyond the atlas at Delta+1
+    and Delta+2, and at Delta, where the proof also holds and g - e can
+    need more than k colours; an example the budget does not decide is
+    dropped."""
+    delta = g.max_degree()
+    for k in (delta, delta + 1, delta + 2):
+        report = is_critical(g, k, SolveBudget(20_000))
+        assume(report.status != "unknown")
+        assert report.status == "not-critical"
